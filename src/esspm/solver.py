@@ -8,15 +8,25 @@ probability mass of strategies outside S to zero, the candidate is refined by
 solving the S-tie system directly, and the result is accepted only if it
 satisfies the branch rows with z replaced by the exact quadratic value
 x' A x. The final assignment carries secant-interpolated lambdas, so it meets
-the SOS2 adjacency requirement by construction.
+the SOS2 adjacency requirement by construction, and it is re-verified against
+every row of the full model.
 
-The exactness gate is what keeps the solver sound: the piecewise-linear
-corridor around z is wide enough to admit points whose stability margin is
-pure approximation artifact, and rejecting those at the leaves means a
-Feasible verdict always corresponds to a genuine candidate at the model's
-strictness margin. Infeasible is returned only after the pattern tree is
-exhausted, so remaining false negatives are exactly the games whose true
-margins fall below the model's eps.
+Every node and leaf LP runs on the x/z/y rows only: the rows of the model
+whose columns all lie in x, z or y (the big-M rows, the simplex row and any
+user row over those columns), remapped onto 2m+1 columns. The lambda/SOS2
+subsystem is never enforced by the search, so its columns and rows would only
+enlarge every LP; it serves ``export_lp`` and the final leaf verification.
+This loses nothing: at a leaf with no off-pattern mass the ties give
+x' A x = sum_{j in S} x_j (A x)_j = z, so the x/z/y rows are exact where a
+candidate is accepted, and every point the exact check accepts lies inside the
+lambda corridor anyway.
+
+The exactness gate is what keeps the solver sound: z is free in the search
+LPs, so their margins may be pure relaxation artifact, and rejecting those at
+the leaves means a Feasible verdict always corresponds to a genuine candidate
+at the model's strictness margin. Infeasible is returned only after the
+pattern tree is exhausted, so remaining false negatives are exactly the games
+whose true margins fall below the model's eps.
 
 A solve owns its node stack and never mutates the model, so independent
 solves over shared models may run concurrently.
@@ -31,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game import MixedStrategy
-from .model import ModelIR, interpolation_assignment, verify_assignment
+from .model import LinearRow, ModelIR, interpolation_assignment, verify_assignment
 from .simplex import SolverError, lp_relax, lp_solve
 
 __all__ = [
@@ -84,22 +94,45 @@ class SolveResult:
 def _pattern_margins(model: ModelIR) -> tuple[np.ndarray, np.ndarray]:
     """Per-strategy strictness margins (eps1_j, eps2_j) read back from the rows.
 
-    Row layout from build_model: four rows per pure strategy j, where row 4j
-    is the strict row with rhs -eps1 and row 4j+3 is the self-play row with
+    The strict row strict_j has rhs -eps1; the self-play row selfplay_j has
     rhs M4 - eps2 - a_jj and y-coefficient M4.
     """
+    by_name = {row.name: row for row in model.rows}
     m = model.m
     eps1 = np.empty(m)
     eps2 = np.empty(m)
     for j in range(m):
-        strict = model.rows[4 * j]
-        selfplay = model.rows[4 * j + 3]
-        if strict.name != f"strict_{j}" or selfplay.name != f"selfplay_{j}":
-            raise ValueError("model rows are not in build_model order")
+        strict = by_name.get(f"strict_{j}")
+        selfplay = by_name.get(f"selfplay_{j}")
+        if strict is None or selfplay is None:
+            raise ValueError(f"model lacks row strict_{j} or selfplay_{j}")
         eps1[j] = -strict.rhs
         m4 = selfplay.coeffs[model.y_indices[j]]
         eps2[j] = m4 - selfplay.rhs - float(model.payoffs[j, j])
     return eps1, eps2
+
+
+def _search_rows(model: ModelIR) -> tuple[list[LinearRow], np.ndarray]:
+    """The x/z/y rows of the model and their bounds, on columns x_0..x_{m-1}, z, y_0..y_{m-1}.
+
+    Rows touching any other column (the lambda/SOS2 subsystem) are left out.
+    """
+    cols = [*model.x_indices, model.z_index, *model.y_indices]
+    pos = {full: i for i, full in enumerate(cols)}
+    rows = [
+        LinearRow({pos[i]: c for i, c in row.coeffs.items()}, row.rel, row.rhs, row.name)
+        for row in model.rows
+        if all(i in pos for i in row.coeffs)
+    ]
+    return rows, model.bounds_array()[cols]
+
+
+def _pinned(bounds: np.ndarray, fixes: dict[int, int], m: int) -> np.ndarray:
+    """Search bounds with y_j pinned to fixes[j]; y_j sits at column m + 1 + j."""
+    out = bounds.copy()
+    for j, v in fixes.items():
+        out[m + 1 + j] = float(v)
+    return out
 
 
 def _refine_pattern(model: ModelIR, pattern: list[int], x_lp: np.ndarray) -> np.ndarray:
@@ -162,36 +195,33 @@ def _exact_candidate_check(
 def _attempt_pattern(
     model: ModelIR,
     pattern_set: dict[int, int],
+    rows: list[LinearRow],
     base_bounds: np.ndarray,
     stats: SolveStats,
     eps1: np.ndarray,
     eps2: np.ndarray,
 ) -> dict[str, float] | None:
     """Try to turn a fully pinned indicator pattern into a verified assignment."""
+    m = model.m
     pattern = sorted(j for j, v in pattern_set.items() if v == 1)
     if not pattern:
         return None  # every strategy strictly worse than the average: impossible
-    bounds = base_bounds.copy()
-    for j, v in pattern_set.items():
-        yi = model.y_indices[j]
-        bounds[yi, 0] = bounds[yi, 1] = float(v)
-    off = [j for j in range(model.m) if j not in pattern]
+    off = [j for j in range(m) if j not in pattern]
     objective = None
     if off:
-        objective = np.zeros(len(model.variables))
-        for j in off:
-            objective[model.x_indices[j]] = 1.0
-    status, point, iters = lp_solve(model.rows, bounds, objective=objective)
+        objective = np.zeros(len(base_bounds))
+        objective[off] = 1.0
+    status, point, iters = lp_solve(rows, _pinned(base_bounds, pattern_set, m), objective=objective)
     stats.lp_iterations += iters
     if status != "feasible":
         return None
-    x_lp = point[model.x_indices]
-    if off and sum(x_lp[j] for j in off) > _SUPPORT_MASS_TOL:
+    x_lp = point[:m]
+    if off and x_lp[off].sum() > _SUPPORT_MASS_TOL:
         return None
     x = _refine_pattern(model, pattern, x_lp)
     if not _exact_candidate_check(model, pattern, x, eps1, eps2):
         return None
-    y = np.zeros(model.m)
+    y = np.zeros(m)
     y[pattern] = 1.0
     assignment = interpolation_assignment(model, x, y)
     if verify_assignment(model, assignment):
@@ -210,10 +240,6 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
         raise TypeError(f"expected ModelIR, got {type(model).__name__}")
     t0 = time.perf_counter()
     stats = SolveStats()
-    base_bounds = model.bounds_array()
-    eps1, eps2 = (
-        _pattern_margins(model) if model.y_indices else (np.zeros(0), np.zeros(0))
-    )
 
     def elapsed_ms() -> float:
         return (time.perf_counter() - t0) * 1000.0
@@ -223,8 +249,9 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
         return SolveResult(status, assignment, stats)
 
     if not model.y_indices:
-        # Degenerate model without branch indicators: a single LP decides it.
-        point = lp_relax(model.rows, base_bounds)
+        # Degenerate model without branch indicators: a single LP over the
+        # full rows decides it.
+        point = lp_relax(model.rows, model.bounds_array())
         stats.nodes = 1
         if point is None:
             return finish(SolveStatus.INFEASIBLE)
@@ -233,6 +260,9 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
             return finish(SolveStatus.INFEASIBLE)
         return finish(SolveStatus.FEASIBLE, assignment)
 
+    m = model.m
+    eps1, eps2 = _pattern_margins(model)
+    rows, base_bounds = _search_rows(model)
     stack: list[dict[int, int]] = [{}]
     while stack:
         if stats.nodes >= limits.max_nodes or elapsed_ms() >= limits.max_time_ms:
@@ -240,17 +270,13 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
         fixes = stack.pop()
         stats.nodes += 1
 
-        bounds = base_bounds.copy()
-        for j, v in fixes.items():
-            yi = model.y_indices[j]
-            bounds[yi, 0] = bounds[yi, 1] = float(v)
-        status, point, iters = lp_solve(model.rows, bounds)
+        status, point, iters = lp_solve(rows, _pinned(base_bounds, fixes, m))
         stats.lp_iterations += iters
         if status != "feasible":
             continue
 
-        yvals = point[model.y_indices]
-        unfixed = [j for j in range(model.m) if j not in fixes]
+        yvals = point[m + 1 :]
+        unfixed = [j for j in range(m) if j not in fixes]
         fractional = [j for j in unfixed if min(yvals[j], 1.0 - yvals[j]) > _INT_TOL]
         if fractional:
             j = min(fractional, key=lambda jj: (abs(yvals[jj] - 0.5), jj))
@@ -259,9 +285,9 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
             continue
 
         pattern_set = {
-            j: fixes.get(j, int(round(yvals[j]))) for j in range(model.m)
+            j: fixes.get(j, int(round(yvals[j]))) for j in range(m)
         }
-        assignment = _attempt_pattern(model, pattern_set, base_bounds, stats, eps1, eps2)
+        assignment = _attempt_pattern(model, pattern_set, rows, base_bounds, stats, eps1, eps2)
         if assignment is not None:
             return finish(SolveStatus.FEASIBLE, assignment)
         if not unfixed:

@@ -20,6 +20,7 @@ from esspm import (
     uniform_random,
     verify_assignment,
 )
+from esspm.model import linearization_error_bound
 from esspm.solver import SolveResult, SolveStats
 
 
@@ -92,6 +93,13 @@ class TestSolveMechanics:
             strat = extract_strategy(res, 2)
             assert strat.probs.max() <= 1.0 - 1e-6
 
+    def test_row_order_does_not_matter(self):
+        model = build_model(normalize(mutation_population()), BuildParams(k=10))
+        model.rows.reverse()
+        res = solve(model)
+        assert res.status is SolveStatus.FEASIBLE
+        assert verify_assignment(model, res.assignment) == []
+
     def test_rejects_non_model(self):
         with pytest.raises(TypeError):
             solve({"rows": []})
@@ -146,6 +154,124 @@ class TestEndToEnd:
             elif certs:
                 # A miss is only legitimate for margins below the model's eps.
                 assert max(c.min_slack() for c in certs) <= 1e-5 + 1e-9
+
+
+class TestSearchModel:
+    @pytest.mark.parametrize("m, seed", [(3, 0), (4, 24)])
+    def test_lps_see_only_the_x_z_y_rows(self, monkeypatch, m, seed):
+        import esspm.solver
+
+        norm = normalize(uniform_random(m, seed=seed))
+        assert find_pure_esspm(norm) is None
+        model = build_model(norm, BuildParams(k=10))
+        lambda_rows = {
+            row.name
+            for row in model.rows
+            if any(model.variables[i].name.startswith(("q_", "lam_")) for i in row.coeffs)
+        }
+        assert lambda_rows
+        calls = []
+        real_lp_solve = esspm.solver.lp_solve
+
+        def spy(rows, bounds, objective=None):
+            calls.append((rows, bounds))
+            return real_lp_solve(rows, bounds, objective=objective)
+
+        monkeypatch.setattr(esspm.solver, "lp_solve", spy)
+        res = solve(model)
+        assert res.status is SolveStatus.FEASIBLE
+        assert verify_assignment(model, res.assignment) == []
+        assert calls
+        for rows, bounds in calls:
+            assert len(bounds) == 2 * m + 1
+            assert len(rows) == 4 * m + 1
+            for row in rows:
+                assert row.name not in lambda_rows
+                assert all(0 <= i < 2 * m + 1 for i in row.coeffs)
+
+
+def _highs_status(model) -> int:
+    """scipy.optimize.milp status on the full lambda model, SOS2 as segment binaries.
+
+    Each SOS2 set of k+1 lambdas gets k segment binaries w with sum w = 1 and
+    lam_r <= w_{r-1} + w_r, so only the two lambdas of the chosen segment may
+    be nonzero. Status 0 is feasible, 2 infeasible.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n = len(model.variables)
+    n_seg = sum(len(lam) - 1 for lam in model.sos2_sets)
+    n_rows = len(model.rows) + sum(len(lam) + 1 for lam in model.sos2_sets)
+    a = np.zeros((n_rows, n + n_seg))
+    lo = np.full(n_rows, -np.inf)
+    hi = np.full(n_rows, np.inf)
+    for r, row in enumerate(model.rows):
+        for i, c in row.coeffs.items():
+            a[r, i] = c
+        if row.rel != ">=":
+            hi[r] = row.rhs
+        if row.rel != "<=":
+            lo[r] = row.rhs
+    r, w0 = len(model.rows), n
+    for lam in model.sos2_sets:
+        k = len(lam) - 1
+        a[r, w0 : w0 + k] = 1.0
+        lo[r] = hi[r] = 1.0
+        r += 1
+        for pos, li in enumerate(lam):
+            a[r, li] = 1.0
+            a[r, w0 + max(pos - 1, 0) : w0 + min(pos, k - 1) + 1] = -1.0
+            hi[r] = 0.0
+            r += 1
+        w0 += k
+    integrality = np.array([int(v.binary) for v in model.variables] + [1] * n_seg)
+    bounds = Bounds(
+        [v.lb for v in model.variables] + [0.0] * n_seg,
+        [v.ub for v in model.variables] + [1.0] * n_seg,
+    )
+    res = milp(
+        np.zeros(n + n_seg),
+        constraints=LinearConstraint(a, lo, hi),
+        integrality=integrality,
+        bounds=bounds,
+    )
+    assert res.status in (0, 2), res.message
+    return res.status
+
+
+def _case(name, game, k, eps=1e-5):
+    return pytest.param(normalize(game), k, eps, id=f"{name}-k{k}-eps{eps:g}")
+
+
+class TestHighsCrossCheck:
+    """The paper's full lambda/SOS2 formulation, solved by HiGHS, against the x/z/y search."""
+
+    @pytest.mark.parametrize(
+        "norm, k, eps",
+        [
+            _case("mp", mutation_population(), 5),
+            _case("mp", mutation_population(), 10, eps=1e-1),
+            _case("rps", rock_paper_scissors(), 5),
+            *[_case(f"u2-{s}", uniform_random(2, seed=s), k) for s in (4, 11) for k in (5, 10)],
+            *[_case(f"u3-{s}", uniform_random(3, seed=s), 5) for s in (0, 117)],
+            _case("u3-255", uniform_random(3, seed=255), 5, eps=5e-2),
+        ],
+    )
+    def test_agrees_with_compact_search(self, norm, k, eps):
+        pytest.importorskip("scipy")
+        assert find_pure_esspm(norm) is None
+        model = build_model(norm, BuildParams(k=k, eps=eps))
+        highs_feasible = _highs_status(model) == 0
+        ours = solve(model).status
+        assert ours in (SolveStatus.FEASIBLE, SolveStatus.INFEASIBLE)
+        if ours is SolveStatus.FEASIBLE:
+            assert highs_feasible
+        elif highs_feasible:
+            # The corridor admits points whose margin is approximation
+            # artifact; the miss is excused only below the model's resolution.
+            certs = enumerate_esspm(norm, Tolerances())
+            best = max((c.min_slack() for c in certs), default=-np.inf)
+            assert best <= eps + linearization_error_bound(norm, k)
 
 
 class TestExtractStrategy:
