@@ -31,43 +31,70 @@ class EsspmCertificate:
         return min(outcome.slack for outcome in self.per_mutation)
 
 
+# Acceptance thresholds of a tie-system solution, shared by every caller.
+_RESIDUAL_TOL = 1e-8  # max |mat @ sol - rhs| of a numerically regular system
+_SIMPLEX_TOL = 1e-9  # components below -this leave the simplex; those in (-this, 0) are clamped
+_DEGENERATE_TOL = 1e-9  # a support member at or below this weight is not really played
+
+# Supports per stacked solve: large enough to amortize the numpy call overhead,
+# small enough that a first-certificate search does not solve far past its stop.
+CHUNK = 256
+
+
+def _solve_ties(payoffs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the tie systems of a stack of same-size supports, one per row of ``idx``.
+
+    Row k of support ``idx[k] = (i0, ..., i_{s-1})`` has the equations
+    payoff(i_r) - payoff(i0) = 0 for r >= 1, plus the probability-sum row.
+    Returns ``(rejected, weights)``: ``rejected[k]`` is True when the system
+    is singular or its solution leaves the simplex; ``weights`` holds, for
+    the other supports in order, the solution clamped at 0 and renormalized.
+    """
+    n, s = idx.shape
+    sub = payoffs[idx[:, :, None], idx[:, None, :]]  # sub[k, r, c] = a[idx[k, r], idx[k, c]]
+    mat = np.empty((n, s, s))
+    mat[:, :-1] = sub[:, 1:] - sub[:, :1]
+    mat[:, -1] = 1.0
+    rhs = np.zeros((n, s, 1))
+    rhs[:, -1] = 1.0
+    solved = np.ones(n, dtype=bool)
+    try:
+        sol = np.linalg.solve(mat, rhs)
+    except np.linalg.LinAlgError:
+        # Some member is exactly singular; solve the others one by one.
+        sol = np.zeros((n, s, 1))
+        for k in range(n):
+            try:
+                sol[k] = np.linalg.solve(mat[k], rhs[k])
+            except np.linalg.LinAlgError:
+                solved[k] = False
+    residual = np.abs(mat @ sol - rhs).max(axis=(1, 2))
+    sol = sol[:, :, 0]
+    rejected = ~solved | (residual > _RESIDUAL_TOL) | (sol.min(axis=1) < -_SIMPLEX_TOL)
+    sol = np.clip(sol, 0.0, None)
+    total = sol.sum(axis=1)
+    rejected |= total <= 0.0
+    kept = ~rejected
+    return rejected, sol[kept] / total[kept, None]
+
+
 def solve_support(
     game: GameMatrix, support: Support, tol: Tolerances = Tolerances()
 ) -> MixedStrategy | None:
     """Solve the tie system on a support: equal payoffs inside, zero outside.
 
-    Returns None when the system is singular or the solution leaves the
-    simplex (components below -1e-9). Components in (-1e-9, 0) are clamped.
+    A one-row call of the stacked kernel that :func:`enumerate_esspm` uses.
+    Returns None when the system is singular (LAPACK fails, or the residual
+    exceeds 1e-8) or the solution leaves the simplex (a component below
+    -1e-9); components in (-1e-9, 0) are clamped. These thresholds are fixed:
+    ``tol`` does not set them and is accepted for signature compatibility.
     """
     support.validate_for(game.m)
-    idx = list(support.indices)
-    s = len(idx)
-    a = game.payoffs
+    rejected, weights = _solve_ties(game.payoffs, np.array([support.indices]))
+    if rejected[0]:
+        return None
     probs = np.zeros(game.m)
-    if s == 1:
-        probs[idx[0]] = 1.0
-        return MixedStrategy(probs)
-    # Rows: payoff of each supported strategy minus the first one is zero,
-    # plus the probability-sum row.
-    mat = np.zeros((s, s))
-    rhs = np.zeros(s)
-    for r, strat in enumerate(idx[1:]):
-        mat[r] = a[strat, idx] - a[idx[0], idx]
-    mat[s - 1] = 1.0
-    rhs[s - 1] = 1.0
-    try:
-        sol = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    if np.max(np.abs(mat @ sol - rhs)) > 1e-8:
-        return None  # numerically singular
-    if sol.min() < -1e-9:
-        return None
-    sol = np.clip(sol, 0.0, None)
-    total = sol.sum()
-    if total <= 0.0:
-        return None
-    probs[idx] = sol / total
+    probs[list(support.indices)] = weights[0]
     return MixedStrategy(probs)
 
 
@@ -86,46 +113,76 @@ def _certify(
     return EsspmCertificate(strategy, support, tuple(outcomes))
 
 
+def _candidates(game: GameMatrix, sizes, counts: list[int]):
+    """Yield (support, strategy) for each tie solution that uses its whole support.
+
+    Supports come in (size, indices) order within each size. ``counts``
+    holds [supports visited, singular skipped] and is brought up to date
+    through each support before it is yielded, so it stays exact when the
+    caller stops early.
+    """
+    for size in sizes:
+        combos = itertools.combinations(range(game.m), size)
+        while chunk := list(itertools.islice(combos, CHUNK)):
+            idx = np.array(chunk)
+            rejected, weights = _solve_ties(game.payoffs, idx)
+            used = ~np.any(weights <= _DEGENERATE_TOL, axis=1)
+            done = 0
+            for k, w in zip(np.flatnonzero(~rejected)[used].tolist(), weights[used]):
+                counts[0] += k + 1 - done
+                counts[1] += int(np.count_nonzero(rejected[done : k + 1]))
+                done = k + 1
+                probs = np.zeros(game.m)
+                probs[idx[k]] = w
+                yield Support(chunk[k]), MixedStrategy(probs)
+            counts[0] += len(chunk) - done
+            counts[1] += int(np.count_nonzero(rejected[done:]))
+
+
 def enumerate_esspm(
     game: GameMatrix,
     tol: Tolerances = Tolerances(),
     *,
     largest_first: bool = False,
     max_m: int = DEFAULT_SUPPORT_CAP,
+    limit: int | None = None,
     counters: dict | None = None,
 ) -> list[EsspmCertificate]:
-    """All stable strategies found by exhausting the 2^m - 1 supports.
+    """Stable strategies found by exhausting the 2^m - 1 supports.
 
-    Size-one supports reuse the pure-strategy test; larger supports go through
-    the tie system and then full certification against every pure mutant.
-    ``largest_first`` reverses the visiting order (useful when large-support
-    solutions are expected); the returned list is always canonically ordered
-    by (size, indices). ``counters`` (optional dict) receives the number of
-    supports visited and of singular tie systems skipped.
+    Supports are visited in (size, indices) order. Each size's supports are
+    taken in chunks of at most ``CHUNK``, whose tie systems are solved as one
+    stack; every candidate that uses its whole support is then certified
+    against every pure mutant, in order. ``limit`` stops the enumeration once
+    that many certificates are found, so ``limit=1`` returns the first
+    certificate in (size, indices) order, ``enumerate_esspm(game)[:1]``.
+    ``largest_first`` reverses the order of sizes (useful when large-support
+    solutions are expected) and cannot be combined with ``limit``; the
+    returned list is always canonically ordered by (size, indices).
+
+    ``counters`` (optional dict) receives ``supports_visited``, the supports
+    examined up to the stop, and ``singular_skipped``, those whose tie
+    system is singular or whose solution leaves the simplex. On uniform
+    games nearly all of them are of the second kind.
     """
     m = game.m
     if m > max_m:
         raise ValueError(f"m={m} exceeds the enumeration cap of {max_m}")
-    visited = 0
-    singular_skipped = 0
+    if limit is not None:
+        if limit < 1:
+            raise ValueError(f"limit must be at least 1, got {limit}")
+        if largest_first:
+            raise ValueError("limit follows the (size, indices) order; largest_first reverses it")
+    counts = [0, 0]  # supports visited, singular skipped
     found: list[EsspmCertificate] = []
     sizes = range(m, 0, -1) if largest_first else range(1, m + 1)
-    for size in sizes:
-        for combo in itertools.combinations(range(m), size):
-            visited += 1
-            support = Support(combo)
-            strategy = solve_support(game, support, tol)
-            if strategy is None:
-                if size > 1:
-                    singular_skipped += 1
-                continue
-            if size > 1 and np.any(strategy.probs[list(combo)] <= 1e-9):
-                continue  # degenerate: the solution does not actually use this support
-            cert = _certify(game, strategy, support, tol)
-            if cert is not None:
-                found.append(cert)
+    for support, strategy in _candidates(game, sizes, counts):
+        cert = _certify(game, strategy, support, tol)
+        if cert is not None:
+            found.append(cert)
+            if len(found) == limit:
+                break
     if counters is not None:
-        counters["supports_visited"] = visited
-        counters["singular_skipped"] = singular_skipped
+        counters["supports_visited"], counters["singular_skipped"] = counts
     found.sort(key=lambda c: (len(c.support), c.support.indices))
     return found

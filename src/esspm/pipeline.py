@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import Tolerances, approximation_error, find_pure_esspm, nash_epsilon
-from .enumeration import EsspmCertificate, enumerate_esspm
+from .enumeration import enumerate_esspm
 from .game import GameMatrix, MixedStrategy, normalize, read_game
 from .generators import (
     cancer_game,
@@ -182,17 +182,16 @@ def _milp_outcome(norm: GameMatrix, cfg: BatchConfig) -> EsspmOutcome:
     return Infeasible()
 
 
-def _enum_outcome(
-    norm: GameMatrix, cfg: BatchConfig
-) -> tuple[EsspmOutcome, list[EsspmCertificate]]:
-    certs = enumerate_esspm(norm, cfg.tolerances)
+def _enum_outcome(norm: GameMatrix, cfg: BatchConfig) -> EsspmOutcome:
+    """Oracle verdict: the first certificate in (size, indices) order.
+
+    The enumeration stops there; only the ``both`` cross-check needs them all.
+    """
+    certs = enumerate_esspm(norm, cfg.tolerances, limit=1)
     if not certs:
-        return Infeasible(), certs
+        return Infeasible()
     best = certs[0]
-    return (
-        MixedEsspm(best.strategy, approximation_error(norm, best.strategy, cfg.tolerances)),
-        certs,
-    )
+    return MixedEsspm(best.strategy, approximation_error(norm, best.strategy, cfg.tolerances))
 
 
 def _solve_normalized(norm: GameMatrix, cfg: BatchConfig) -> tuple[EsspmOutcome, int]:
@@ -200,9 +199,9 @@ def _solve_normalized(norm: GameMatrix, cfg: BatchConfig) -> tuple[EsspmOutcome,
     if cfg.solver == "milp":
         return _milp_outcome(norm, cfg), 0
     if cfg.solver == "enum":
-        return _enum_outcome(norm, cfg)[0], 0
+        return _enum_outcome(norm, cfg), 0
     milp = _milp_outcome(norm, cfg)
-    enum_outcome, certs = _enum_outcome(norm, cfg)
+    certs = enumerate_esspm(norm, cfg.tolerances)
     disagreement = 0
     resolution = cfg.eps + linearization_error_bound(norm, cfg.k)
     if isinstance(milp, Infeasible) and certs:
@@ -217,14 +216,11 @@ def _solve_normalized(norm: GameMatrix, cfg: BatchConfig) -> tuple[EsspmOutcome,
 
 def solve_one(game: GameMatrix, cfg: BatchConfig) -> EsspmOutcome:
     """Normalize, try the pure-strategy preprocessing pass, then the configured solver."""
-    norm = normalize(game)
-    pure = find_pure_esspm(norm, cfg.tolerances)
-    if pure is not None:
-        return PureEsspm(pure)
-    return _solve_normalized(norm, cfg)[0]
+    return solve_record(game, cfg).outcome
 
 
 def solve_record(game: GameMatrix, cfg: BatchConfig, game_id: int = 0) -> GameRecord:
+    """Solve one game as :func:`solve_one` describes and collect its CSV fields."""
     t0 = time.perf_counter()
     norm = normalize(game)
     pure = find_pure_esspm(norm, cfg.tolerances)

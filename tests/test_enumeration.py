@@ -1,7 +1,12 @@
+import csv
+import io
+import itertools
+
 import numpy as np
 import pytest
 
 from esspm import (
+    BatchConfig,
     GameMatrix,
     Support,
     Tolerances,
@@ -12,9 +17,13 @@ from esspm import (
     nash_epsilon,
     normalize,
     rock_paper_scissors,
+    run_batch,
     solve_support,
     uniform_random,
 )
+from esspm import enumeration, pipeline
+from esspm.enumeration import _certify
+from esspm.pipeline import CSV_COLUMNS
 
 
 class TestSolveSupport:
@@ -99,3 +108,170 @@ class TestCertificates:
     def test_min_slack_positive(self):
         for cert in enumerate_esspm(mutation_population()):
             assert cert.min_slack() > 0.0
+
+
+def reference_enumeration(game, tol=Tolerances(), limit=None):
+    """One support at a time: solve_support, the degenerate filter, _certify."""
+    found = []
+    counters = {"supports_visited": 0, "singular_skipped": 0}
+    for size in range(1, game.m + 1):
+        for combo in itertools.combinations(range(game.m), size):
+            counters["supports_visited"] += 1
+            support = Support(combo)
+            strategy = solve_support(game, support, tol)
+            if strategy is None:
+                counters["singular_skipped"] += 1
+                continue
+            if np.any(strategy.probs[list(combo)] <= 1e-9):
+                continue
+            cert = _certify(game, strategy, support, tol)
+            if cert is not None:
+                found.append(cert)
+                if len(found) == limit:
+                    return found, counters
+    return found, counters
+
+
+def plain_tie_solve(game, combo):
+    """The tie system built row by row and solved alone, with the oracle's filters."""
+    a, s = game.payoffs, len(combo)
+    mat = np.zeros((s, s))
+    rhs = np.zeros(s)
+    for r, strat in enumerate(combo[1:]):
+        mat[r] = a[strat, list(combo)] - a[combo[0], list(combo)]
+    mat[s - 1] = 1.0
+    rhs[s - 1] = 1.0
+    try:
+        sol = np.linalg.solve(mat, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    if np.max(np.abs(mat @ sol - rhs)) > 1e-8 or sol.min() < -1e-9:
+        return None
+    sol = np.clip(sol, 0.0, None)
+    if sol.sum() <= 0.0:
+        return None
+    probs = np.zeros(game.m)
+    probs[list(combo)] = sol / sol.sum()
+    return probs
+
+
+def cert_keys(certs):
+    return [
+        (
+            c.support.indices,
+            c.strategy.probs.tobytes(),
+            tuple((o.tag, o.slack) for o in c.per_mutation),
+        )
+        for c in certs
+    ]
+
+
+def fuzzed_games(seed, ms, per_m):
+    """Integer payoffs in {0,1,2} (ties, exactly singular systems) and uniform payoffs."""
+    rng = np.random.default_rng(seed)
+    for m in ms:
+        for _ in range(per_m):
+            yield GameMatrix(rng.integers(0, 3, (m, m)).astype(float))
+            yield GameMatrix(rng.random((m, m)))
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("chunk", [enumeration.CHUNK, 5])
+    def test_matches_scalar_reference_bitwise(self, monkeypatch, chunk):
+        # A 5-support chunk puts chunk boundaries inside every size from m=4 on.
+        monkeypatch.setattr(enumeration, "CHUNK", chunk)
+        n_certs = 0
+        for game in fuzzed_games(50, range(2, 10), 4):
+            expected, expected_counters = reference_enumeration(game)
+            counters = {}
+            got = enumerate_esspm(game, counters=counters)
+            assert cert_keys(got) == cert_keys(expected)
+            assert counters == expected_counters
+            n_certs += len(got)
+        assert n_certs >= 40
+
+    def test_solve_support_matches_plain_solve_bitwise(self):
+        n_solved = 0
+        for game in fuzzed_games(51, range(2, 8), 3):
+            for size in range(1, game.m + 1):
+                for combo in itertools.combinations(range(game.m), size):
+                    expected = plain_tie_solve(game, combo)
+                    got = solve_support(game, Support(combo))
+                    if expected is None:
+                        assert got is None
+                    else:
+                        assert got.probs.tobytes() == expected.tobytes()
+                        n_solved += 1
+        assert n_solved >= 100
+
+    def test_singular_member_falls_back_per_matrix(self, monkeypatch):
+        # Rows 0 and 1 are equal, so every support holding both has an exactly
+        # singular tie matrix and the stacked solve of its size must fall back.
+        game = GameMatrix(
+            [[0.0, 1.0, 2.0, 1.0], [0.0, 1.0, 2.0, 1.0], [2.0, 0.0, 1.0, 0.0], [1.0, 2.0, 0.0, 2.0]]
+        )
+        solve = np.linalg.solve
+        failed_stacks = []
+
+        def spy(mat, rhs):
+            try:
+                return solve(mat, rhs)
+            except np.linalg.LinAlgError:
+                if mat.ndim == 3 and len(mat) > 1:
+                    failed_stacks.append(len(mat))
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        counters = {}
+        got = enumerate_esspm(game, counters=counters)
+        expected, expected_counters = reference_enumeration(game)
+        assert failed_stacks
+        assert cert_keys(got) == cert_keys(expected)
+        assert counters == expected_counters
+        assert counters["singular_skipped"] >= 4  # (0,1), (0,1,2), (0,1,3), (0,1,2,3)
+
+
+class TestLimit:
+    @pytest.mark.parametrize("chunk", [enumeration.CHUNK, 3])
+    def test_first_certificate_is_prefix_of_full_list(self, monkeypatch, chunk):
+        monkeypatch.setattr(enumeration, "CHUNK", chunk)
+        games = [counterexample_game(), rock_paper_scissors(), mutation_population()]
+        games += list(fuzzed_games(52, range(3, 9), 3))
+        for game in games:
+            counters = {}
+            first = enumerate_esspm(game, limit=1, counters=counters)
+            assert cert_keys(first) == cert_keys(enumerate_esspm(game)[:1])
+            # Counters stop at the support of the first certificate.
+            assert counters == reference_enumeration(game, limit=1)[1]
+
+    def test_limit_two_on_counterexample(self):
+        certs = enumerate_esspm(counterexample_game(), limit=2)
+        assert [c.support.indices for c in certs] == [(0,), (1, 2)]
+
+    def test_largest_first_with_limit_rejected(self):
+        with pytest.raises(ValueError, match="largest_first"):
+            enumerate_esspm(uniform_random(3, seed=1), largest_first=True, limit=1)
+
+    def test_nonpositive_limit_rejected(self):
+        with pytest.raises(ValueError, match="limit"):
+            enumerate_esspm(uniform_random(3, seed=1), limit=0)
+
+    @pytest.mark.parametrize("m", [3, 4, 6])
+    def test_enum_batch_csv_matches_full_enumeration(self, monkeypatch, m):
+        cfg = BatchConfig(game_class="uniform", m=m, n_games=60, seed=900 + m, solver="enum")
+        calls = []
+
+        def csv_rows():
+            buf = io.StringIO()
+            run_batch(cfg, out=buf)
+            runtime = CSV_COLUMNS.index("runtime_ms")
+            return [row[:runtime] + row[runtime + 1 :] for row in csv.reader(io.StringIO(buf.getvalue()))]
+
+        def full(game, tol, **kwargs):
+            calls.append(kwargs.pop("limit"))
+            return enumerate_esspm(game, tol, **kwargs)
+
+        first_only = csv_rows()
+        monkeypatch.setattr(pipeline, "enumerate_esspm", full)
+        assert csv_rows() == first_only
+        assert calls and set(calls) == {1}  # the enum pipeline asks for one certificate

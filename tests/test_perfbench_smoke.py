@@ -1,0 +1,44 @@
+"""The benchmark's runner still works against this package: its tracer contract holds and its pins match.
+
+Each test runs ``perfbench/run.py`` as a subprocess, the way the benchmark
+is run, and reads only its last stdout line. Nothing under ``perfbench/`` is
+written: bytecode caching is off in the child.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN = ROOT / "perfbench" / "run.py"
+
+
+def run_bench(*args):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, str(RUN), *args],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["correct"] is True, proc.stdout
+    return report
+
+
+def test_oracle_large_trace():
+    # The tracer wraps pipeline.enumerate_esspm and reads its counters; a
+    # renamed call site fails the runner's unattributed-time gate.
+    metrics = run_bench("--workload", "oracle_large", "--trace", "1")["metrics"]
+    assert metrics["enumeration.supports_visited"]["value"] > 0
+
+
+def test_batch_screen_short_run():
+    report = run_bench("--workload", "batch_screen", "--seconds", "1")
+    assert report["failed"] == 0
+    assert report["metrics"]["solved_frac"]["value"] == 1.0
