@@ -24,6 +24,7 @@ __all__ = [
     "check_conditions",
     "find_pure_esspm",
     "find_all_pure_esspm",
+    "payoff_gaps",
     "invasion_test",
     "approximation_error",
     "nash_epsilon",
@@ -32,20 +33,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical precision knobs shared across the pipeline.
+    """Precision of the stability checks.
 
-    delta: half-width of the payoff-equality band (tie detection).
-    eps:   margin the MILP uses to represent strict inequalities.
+    delta: half-width of the payoff-equality band (tie detection). The MILP's
+    strictness margin is not here: it is the model's ``eps``.
     """
 
     delta: float = 1e-7
-    eps: float = 1e-5
 
     def __post_init__(self) -> None:
         if self.delta <= 0.0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
 
 
 class Condition(enum.Enum):
@@ -102,11 +100,20 @@ def check_conditions(
     return ConditionOutcome(Condition.FAILS, -d)
 
 
-def _pure_is_stable(game: GameMatrix, i: int, tol: Tolerances) -> bool:
-    xstar = MixedStrategy.pure(i, game.m)
-    return all(
-        check_conditions(game, xstar, j, tol).holds for j in range(game.m) if j != i
-    )
+def payoff_gaps(payoffs: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both stability quantities of every pure mutant, for one candidate or a stack.
+
+    ``probs`` is a candidate x of shape (m,) or a stack of candidates, one per
+    row, of shape (n, m); both results have its shape. For mutant j:
+      d[j]      = u1(j, x) - u1(x, x)   the first condition holds when d < -delta;
+      margin[j] = u1(x, j) - u1(j, j)   the second when |d| <= delta and margin > 0.
+    For one candidate, d takes the products of :func:`check_conditions`.
+    """
+    against = (payoffs @ probs.T).T  # against[..., i] = u1(i, x)
+    # Row-wise x . against as a matmul; for one candidate, the plain dot.
+    d = against - (probs[..., None, :] @ against[..., :, None])[..., 0]
+    margin = probs @ payoffs - payoffs.diagonal()
+    return d, margin
 
 
 def find_pure_esspm(game: GameMatrix, tol: Tolerances = Tolerances()) -> int | None:
@@ -115,15 +122,21 @@ def find_pure_esspm(game: GameMatrix, tol: Tolerances = Tolerances()) -> int | N
     Returns None when no pure strategy qualifies, in which case any solution
     must be properly mixed.
     """
-    for i in range(game.m):
-        if _pure_is_stable(game, i, tol):
-            return i
-    return None
+    stable = find_all_pure_esspm(game, tol)
+    return stable[0] if stable else None
 
 
 def find_all_pure_esspm(game: GameMatrix, tol: Tolerances = Tolerances()) -> list[int]:
-    """Exhaustive variant of :func:`find_pure_esspm`: all qualifying pure strategies."""
-    return [i for i in range(game.m) if _pure_is_stable(game, i, tol)]
+    """Exhaustive variant of :func:`find_pure_esspm`: all qualifying pure strategies.
+
+    Row i of the gaps holds pure candidate i against every mutant; a pure
+    candidate's gaps are single payoff differences, so the verdicts equal
+    :func:`check_conditions` exactly.
+    """
+    itself = np.eye(game.m, dtype=bool)
+    d, margin = payoff_gaps(game.payoffs, itself.astype(float))
+    holds = (d < -tol.delta) | ((d <= tol.delta) & (margin > 0.0))
+    return np.flatnonzero((holds | itself).all(axis=1)).tolist()
 
 
 def invasion_test(
@@ -159,25 +172,16 @@ def approximation_error(
       d > delta          -> violation d (mutant strictly gains against the population)
       |d| <= delta       -> violation max(0, u1(i,i) - u1(x*,i)) (tie broken the wrong way)
       d < -delta         -> 0
-    Returns the maximum over mutants; 0 means stable at this precision.
+    The bands are those of :func:`check_conditions`. Returns the maximum over
+    mutants; 0 means stable at this precision.
     """
     if not game.is_normalized:
         raise ValueError("approximation_error expects a normalized game; call normalize() first")
     if xstar.m != game.m:
         raise ValueError("strategy dimension does not match the game")
-    against = game.payoffs @ xstar.probs
-    base = float(xstar.probs @ against)
-    worst = 0.0
-    for i in range(game.m):
-        d = float(against[i]) - base
-        if d > tol.delta:
-            theta = d
-        elif d > -tol.delta:
-            theta = max(0.0, float(game.payoffs[i, i] - xstar.probs @ game.payoffs[:, i]))
-        else:
-            theta = 0.0
-        worst = max(worst, theta)
-    return worst
+    d, margin = payoff_gaps(game.payoffs, xstar.probs)
+    theta = np.where(d > tol.delta, d, np.where(d >= -tol.delta, -margin, 0.0))
+    return max(0.0, float(theta.max()))
 
 
 def nash_epsilon(game: GameMatrix, xstar: MixedStrategy) -> float:
@@ -189,5 +193,5 @@ def nash_epsilon(game: GameMatrix, xstar: MixedStrategy) -> float:
     """
     if xstar.m != game.m:
         raise ValueError("strategy dimension does not match the game")
-    against = game.payoffs @ xstar.probs
-    return max(0.0, float(against.max() - xstar.probs @ against))
+    d, _ = payoff_gaps(game.payoffs, xstar.probs)
+    return max(0.0, float(d.max()))

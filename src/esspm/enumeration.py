@@ -31,7 +31,8 @@ class EsspmCertificate:
         return min(outcome.slack for outcome in self.per_mutation)
 
 
-# Acceptance thresholds of a tie-system solution, shared by every caller.
+# Acceptance thresholds of a tie-system solution, shared by every caller
+# (the oracle, solve_support and the MILP leaves).
 _RESIDUAL_TOL = 1e-8  # max |mat @ sol - rhs| of a numerically regular system
 _SIMPLEX_TOL = 1e-9  # components below -this leave the simplex; those in (-this, 0) are clamped
 _DEGENERATE_TOL = 1e-9  # a support member at or below this weight is not really played
@@ -78,16 +79,14 @@ def _solve_ties(payoffs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.nd
     return rejected, sol[kept] / total[kept, None]
 
 
-def solve_support(
-    game: GameMatrix, support: Support, tol: Tolerances = Tolerances()
-) -> MixedStrategy | None:
+def solve_support(game: GameMatrix, support: Support) -> MixedStrategy | None:
     """Solve the tie system on a support: equal payoffs inside, zero outside.
 
-    A one-row call of the stacked kernel that :func:`enumerate_esspm` uses.
-    Returns None when the system is singular (LAPACK fails, or the residual
-    exceeds 1e-8) or the solution leaves the simplex (a component below
-    -1e-9); components in (-1e-9, 0) are clamped. These thresholds are fixed:
-    ``tol`` does not set them and is accepted for signature compatibility.
+    A one-row call of the stacked kernel that :func:`enumerate_esspm` and the
+    MILP leaves use. Returns None when the system is singular (LAPACK fails,
+    or the residual exceeds 1e-8) or the solution leaves the simplex (a
+    component below -1e-9); components in (-1e-9, 0) are clamped. These
+    thresholds are fixed, independent of any ``Tolerances``.
     """
     support.validate_for(game.m)
     rejected, weights = _solve_ties(game.payoffs, np.array([support.indices]))

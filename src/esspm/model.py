@@ -51,43 +51,19 @@ class BuildParams:
     """Model construction parameters.
 
     k is the number of breakpoint segments per square term (k+1 grid points).
-    eps is the strict-inequality margin; big_m defaults to 1 + eps, the
-    smallest constant that deactivates a row for payoffs in [0, 1]. The
-    per-row-family overrides (eps1/eps2 for the two strict rows, m1..m4 for
-    the four big-M rows) default to the shared values.
+    eps is the strict-inequality margin of both strict row families; every
+    big-M constant is 1 + eps, the smallest that deactivates a row for
+    payoffs in [0, 1].
     """
 
     k: int = 20
     eps: float = 1e-5
-    big_m: float | None = None
-    eps1: float | None = None
-    eps2: float | None = None
-    m1: float | None = None
-    m2: float | None = None
-    m3: float | None = None
-    m4: float | None = None
 
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ValueError(f"breakpoint count k must be >= 2, got {self.k}")
         if self.eps <= 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.big_m is not None and self.big_m < 1.0 + self.eps:
-            raise ValueError(
-                f"big_m={self.big_m} too small; need >= 1 + eps for normalized payoffs"
-            )
-
-    def resolved(self) -> tuple[float, float, float, float, float, float]:
-        """(eps1, eps2, m1, m2, m3, m4) with defaults filled in."""
-        big = self.big_m if self.big_m is not None else 1.0 + self.eps
-        return (
-            self.eps1 if self.eps1 is not None else self.eps,
-            self.eps2 if self.eps2 is not None else self.eps,
-            self.m1 if self.m1 is not None else big,
-            self.m2 if self.m2 is not None else big,
-            self.m3 if self.m3 is not None else big,
-            self.m4 if self.m4 is not None else big,
-        )
 
 
 @dataclass(frozen=True)
@@ -152,14 +128,14 @@ class ModelIR:
     Rows reference variables by index into ``variables``. ``sos2_sets`` are
     ordered lambda-index lists; at most two members may be nonzero and they
     must be adjacent. ``payoffs`` carries the normalized matrix whose
-    quadratic form the lambda system approximates, so a solver can verify
-    candidates against the original quadratic constraint.
+    quadratic form the lambda system approximates, and ``eps`` the strictness
+    margin of the big-M rows, so a solver can verify candidates against the
+    original quadratic constraints at the model's own margin.
     """
 
     m: int
     k: int
     eps: float
-    big_m: float
     variables: list[Variable]
     rows: list[LinearRow]
     sos2_sets: list[list[int]]
@@ -338,7 +314,6 @@ def linearize_quadratic_form(payoffs: np.ndarray, k: int):
         m=m,
         k=k,
         eps=0.0,
-        big_m=0.0,
         variables=variables,
         rows=rows,
         sos2_sets=sos2,
@@ -380,7 +355,8 @@ def build_model(game: GameMatrix, params: BuildParams = BuildParams()) -> ModelI
         )
     a = game.payoffs
     m = game.m
-    eps1, eps2, m1, m2, m3, m4 = params.resolved()
+    eps = params.eps
+    big = 1.0 + eps
     k = params.k
 
     variables = [Variable(f"x_{i}", 0.0, 1.0) for i in range(m)]
@@ -404,29 +380,29 @@ def build_model(game: GameMatrix, params: BuildParams = BuildParams()) -> ModelI
         col_j = {x_indices[i]: float(a[i, j]) for i in range(m)}
         yj = y_indices[j]
 
-        # u1(j, x*) <= z - eps1 + M1 y_j   (y_j = 0: mutant strictly worse)
+        # u1(j, x*) <= z - eps + M y_j   (y_j = 0: mutant strictly worse)
         c = dict(row_j)
         c[z_index] = c.get(z_index, 0.0) - 1.0
-        c[yj] = -m1
-        rows.append(LinearRow(c, "<=", -eps1, name=f"strict_{j}"))
+        c[yj] = -big
+        rows.append(LinearRow(c, "<=", -eps, name=f"strict_{j}"))
 
-        # u1(j, x*) <= z + M2 (1 - y_j)    (y_j = 1: payoff tie, upper half)
+        # u1(j, x*) <= z + M (1 - y_j)    (y_j = 1: payoff tie, upper half)
         c = dict(row_j)
         c[z_index] = c.get(z_index, 0.0) - 1.0
-        c[yj] = m2
-        rows.append(LinearRow(c, "<=", m2, name=f"tie_ub_{j}"))
+        c[yj] = big
+        rows.append(LinearRow(c, "<=", big, name=f"tie_ub_{j}"))
 
-        # z <= u1(j, x*) + M3 (1 - y_j)    (tie, lower half)
+        # z <= u1(j, x*) + M (1 - y_j)    (tie, lower half)
         c = {idx: -v for idx, v in row_j.items()}
         c[z_index] = c.get(z_index, 0.0) + 1.0
-        c[yj] = m3
-        rows.append(LinearRow(c, "<=", m3, name=f"tie_lb_{j}"))
+        c[yj] = big
+        rows.append(LinearRow(c, "<=", big, name=f"tie_lb_{j}"))
 
-        # u1(j, j) <= u1(x*, j) - eps2 + M4 (1 - y_j)   (self-play deficit)
+        # u1(j, j) <= u1(x*, j) - eps + M (1 - y_j)   (self-play deficit)
         c = {idx: -v for idx, v in col_j.items()}
-        c[yj] = m4
+        c[yj] = big
         rows.append(
-            LinearRow(c, "<=", m4 - eps2 - float(a[j, j]), name=f"selfplay_{j}")
+            LinearRow(c, "<=", big - eps - float(a[j, j]), name=f"selfplay_{j}")
         )
 
     rows.append(LinearRow({i: 1.0 for i in x_indices}, "=", 1.0, name="simplex"))
@@ -435,8 +411,7 @@ def build_model(game: GameMatrix, params: BuildParams = BuildParams()) -> ModelI
     return ModelIR(
         m=m,
         k=k,
-        eps=params.eps,
-        big_m=m1,
+        eps=eps,
         variables=variables,
         rows=rows,
         sos2_sets=sos2,

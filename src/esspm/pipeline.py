@@ -120,7 +120,7 @@ class BatchConfig:
 
     @property
     def tolerances(self) -> Tolerances:
-        return Tolerances(delta=self.delta, eps=self.eps)
+        return Tolerances(delta=self.delta)
 
 
 @dataclass

@@ -5,11 +5,13 @@ them and solves the LP relaxation (binaries relaxed to [0, 1]); infeasible
 relaxations prune the subtree. When every indicator is integral the node's
 pattern S = {j : y_j = 1} is attempted: a second LP phase drives the
 probability mass of strategies outside S to zero, the candidate is refined by
-solving the S-tie system directly, and the result is accepted only if it
-satisfies the branch rows with z replaced by the exact quadratic value
-x' A x. The final assignment carries secant-interpolated lambdas, so it meets
-the SOS2 adjacency requirement by construction, and it is re-verified against
-every row of the full model.
+solving the S-tie system with the oracle's stacked tie kernel (the one
+``enumeration.solve_support`` calls), and the result is accepted only if its
+payoff gaps (``analysis.payoff_gaps``) meet the branch conditions at the
+model's ``eps`` with the exact quadratic value x' A x in place of z. The final
+assignment carries secant-interpolated lambdas, so it meets the SOS2
+adjacency requirement by construction, and it is re-verified against every
+row of the full model.
 
 Every node and leaf LP runs on the x/z/y rows only: the rows of the model
 whose columns all lie in x, z or y (the big-M rows, the simplex row and any
@@ -40,9 +42,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import payoff_gaps
+from .enumeration import _solve_ties
 from .game import MixedStrategy
 from .model import LinearRow, ModelIR, interpolation_assignment, verify_assignment
-from .simplex import SolverError, lp_relax, lp_solve
+from .simplex import SolverError, lp_solve
 
 __all__ = [
     "SolveStatus",
@@ -51,7 +55,6 @@ __all__ = [
     "SolveResult",
     "solve",
     "extract_strategy",
-    "lp_relax",
     "SolverError",
 ]
 
@@ -91,27 +94,6 @@ class SolveResult:
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-def _pattern_margins(model: ModelIR) -> tuple[np.ndarray, np.ndarray]:
-    """Per-strategy strictness margins (eps1_j, eps2_j) read back from the rows.
-
-    The strict row strict_j has rhs -eps1; the self-play row selfplay_j has
-    rhs M4 - eps2 - a_jj and y-coefficient M4.
-    """
-    by_name = {row.name: row for row in model.rows}
-    m = model.m
-    eps1 = np.empty(m)
-    eps2 = np.empty(m)
-    for j in range(m):
-        strict = by_name.get(f"strict_{j}")
-        selfplay = by_name.get(f"selfplay_{j}")
-        if strict is None or selfplay is None:
-            raise ValueError(f"model lacks row strict_{j} or selfplay_{j}")
-        eps1[j] = -strict.rhs
-        m4 = selfplay.coeffs[model.y_indices[j]]
-        eps2[j] = m4 - selfplay.rhs - float(model.payoffs[j, j])
-    return eps1, eps2
-
-
 def _search_rows(model: ModelIR) -> tuple[list[LinearRow], np.ndarray]:
     """The x/z/y rows of the model and their bounds, on columns x_0..x_{m-1}, z, y_0..y_{m-1}.
 
@@ -138,58 +120,38 @@ def _pinned(bounds: np.ndarray, fixes: dict[int, int], m: int) -> np.ndarray:
 def _refine_pattern(model: ModelIR, pattern: list[int], x_lp: np.ndarray) -> np.ndarray:
     """Sharpen the LP point by solving the tie system of the pattern directly.
 
-    Unknowns are the probabilities on the pattern plus the common payoff
-    value; strategies outside the pattern are pinned to zero. Falls back to
-    the LP point (with off-pattern mass zeroed) if the system is singular.
+    The oracle's kernel solves it, so an accepted leaf is the strategy that
+    ``solve_support`` gives on the same support. Falls back to the LP point
+    (with off-pattern mass zeroed) if the system is singular or its solution
+    leaves the simplex.
     """
-    a = model.payoffs
-    s = len(pattern)
-    mat = np.zeros((s + 1, s + 1))
-    rhs = np.zeros(s + 1)
-    for r, strat in enumerate(pattern):
-        mat[r, :s] = a[strat, pattern]
-        mat[r, s] = -1.0
-    mat[s, :s] = 1.0
-    rhs[s] = 1.0
-    x_full = np.zeros(model.m)
-    try:
-        sol = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError:
-        sol = None
-    if sol is not None and np.max(np.abs(mat @ sol - rhs)) < 1e-8 and sol[:s].min() > -1e-9:
-        x_full[pattern] = np.clip(sol[:s], 0.0, None)
-    else:
-        x_full[pattern] = np.clip(x_lp[pattern], 0.0, None)
-    total = x_full.sum()
-    if total <= 0.0:
-        return x_full
-    return x_full / total
+    x = np.zeros(model.m)
+    rejected, weights = _solve_ties(model.payoffs, np.array([pattern]))
+    if not rejected[0]:
+        x[pattern] = weights[0]
+        return x
+    x[pattern] = np.clip(x_lp[pattern], 0.0, None)
+    total = x.sum()
+    return x / total if total > 0.0 else x
 
 
-def _exact_candidate_check(
-    model: ModelIR, pattern: list[int], x: np.ndarray, eps1: np.ndarray, eps2: np.ndarray
-) -> bool:
-    """Branch rows evaluated against the true quadratic payoff instead of z.
+def _exact_candidate_check(model: ModelIR, pattern: list[int], x: np.ndarray) -> bool:
+    """Branch conditions evaluated against the true quadratic payoff instead of z.
 
-    This is the original (non-linearized) feasibility question, so passing it
-    certifies the candidate independently of the approximation corridor.
+    Pattern members must tie and lose self-play by at least eps; the others
+    must lose by at least eps against the population. This is the original
+    (non-linearized) feasibility question, so passing it certifies the
+    candidate independently of the approximation corridor.
     """
-    a = model.payoffs
-    against = a @ x
-    z_true = float(x @ against)
-    in_pattern = np.zeros(model.m, dtype=bool)
-    in_pattern[pattern] = True
-    for j in range(model.m):
-        if in_pattern[j]:
-            if abs(against[j] - z_true) > _TIE_TOL:
-                return False
-            selfplay_margin = float(x @ a[:, j]) - float(a[j, j])
-            if selfplay_margin < eps2[j] - _MARGIN_TOL:
-                return False
-        else:
-            if against[j] > z_true - eps1[j] + _MARGIN_TOL:
-                return False
-    return True
+    d, margin = payoff_gaps(model.payoffs, x)
+    tie = np.zeros(model.m, dtype=bool)
+    tie[pattern] = True
+    ok = np.where(
+        tie,
+        (np.abs(d) <= _TIE_TOL) & (margin >= model.eps - _MARGIN_TOL),
+        d <= _MARGIN_TOL - model.eps,
+    )
+    return bool(ok.all())
 
 
 def _attempt_pattern(
@@ -198,8 +160,6 @@ def _attempt_pattern(
     rows: list[LinearRow],
     base_bounds: np.ndarray,
     stats: SolveStats,
-    eps1: np.ndarray,
-    eps2: np.ndarray,
 ) -> dict[str, float] | None:
     """Try to turn a fully pinned indicator pattern into a verified assignment."""
     m = model.m
@@ -219,7 +179,7 @@ def _attempt_pattern(
     if off and x_lp[off].sum() > _SUPPORT_MASS_TOL:
         return None
     x = _refine_pattern(model, pattern, x_lp)
-    if not _exact_candidate_check(model, pattern, x, eps1, eps2):
+    if not _exact_candidate_check(model, pattern, x):
         return None
     y = np.zeros(m)
     y[pattern] = 1.0
@@ -235,9 +195,13 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
     Children of a branch node are ordered so the strict branch (y = 0) is
     explored before the tie branch (y = 1): ties between distinct payoffs are
     rare in generated games, so strict patterns usually resolve faster.
+    A model without branch indicators, such as ``linearize_quadratic_form``
+    returns, raises ValueError.
     """
     if not isinstance(model, ModelIR):
         raise TypeError(f"expected ModelIR, got {type(model).__name__}")
+    if not model.y_indices:
+        raise ValueError("model has no branch indicators y; build it with build_model")
     t0 = time.perf_counter()
     stats = SolveStats()
 
@@ -248,20 +212,7 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
         stats.wall_ms = elapsed_ms()
         return SolveResult(status, assignment, stats)
 
-    if not model.y_indices:
-        # Degenerate model without branch indicators: a single LP over the
-        # full rows decides it.
-        point = lp_relax(model.rows, model.bounds_array())
-        stats.nodes = 1
-        if point is None:
-            return finish(SolveStatus.INFEASIBLE)
-        assignment = interpolation_assignment(model, point[model.x_indices])
-        if verify_assignment(model, assignment):
-            return finish(SolveStatus.INFEASIBLE)
-        return finish(SolveStatus.FEASIBLE, assignment)
-
     m = model.m
-    eps1, eps2 = _pattern_margins(model)
     rows, base_bounds = _search_rows(model)
     stack: list[dict[int, int]] = [{}]
     while stack:
@@ -287,7 +238,7 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
         pattern_set = {
             j: fixes.get(j, int(round(yvals[j]))) for j in range(m)
         }
-        assignment = _attempt_pattern(model, pattern_set, rows, base_bounds, stats, eps1, eps2)
+        assignment = _attempt_pattern(model, pattern_set, rows, base_bounds, stats)
         if assignment is not None:
             return finish(SolveStatus.FEASIBLE, assignment)
         if not unfixed:

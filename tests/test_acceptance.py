@@ -107,7 +107,7 @@ def test_criterion_3_pure_fractions(m, n_games, center, band):
 def test_criterion_4_chicken_class():
     """No pure solutions, oracle certifies every game, MILP misses at most 5%."""
     n = 1_000
-    tol = Tolerances(delta=DELTA, eps=EPS)
+    tol = Tolerances(delta=DELTA)
     n_pure = 0
     n_certified = 0
     n_milp = 0
@@ -139,7 +139,7 @@ def test_criterion_4_chicken_class():
 
 def test_criterion_5_oracle_agreement():
     """MILP solutions stay close to oracle certificates on uniform games."""
-    tol = Tolerances(delta=DELTA, eps=EPS)
+    tol = Tolerances(delta=DELTA)
     n_solved = 0
     worst_err = 0.0
     worst_dist = 0.0
@@ -201,7 +201,7 @@ def test_criterion_6_known_answer_suite():
 def test_criterion_7_cancer_class():
     """Pure fraction near the reference 0.869 and small errors on mixed solves."""
     n = 1_000
-    tol = Tolerances(delta=DELTA, eps=EPS)
+    tol = Tolerances(delta=DELTA)
     n_pure = 0
     errors = []
     for seed in range(n):
@@ -223,7 +223,7 @@ def test_criterion_7_cancer_class():
 class TestCriterion8PropertySuites:
     def test_theorem_5_nash_epsilon_of_solver_outputs(self):
         """Every solver output is a symmetric equilibrium to within 10 delta."""
-        tol = Tolerances(delta=DELTA, eps=EPS)
+        tol = Tolerances(delta=DELTA)
         outputs = 0
         games = (
             [mutation_population()]
@@ -307,7 +307,7 @@ class TestCriterion8PropertySuites:
 
     def test_simplex_soundness_on_feasible_results(self):
         """Every feasible assignment re-verifies against the IR from scratch."""
-        tol = Tolerances(delta=DELTA, eps=EPS)
+        tol = Tolerances(delta=DELTA)
         verified = 0
         for seed in range(60):
             norm = normalize(uniform_random(2, seed=95_000 + seed))

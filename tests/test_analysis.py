@@ -10,6 +10,7 @@ from esspm import (
     approximation_error,
     check_conditions,
     counterexample_game,
+    enumerate_esspm,
     find_all_pure_esspm,
     find_pure_esspm,
     invasion_test,
@@ -18,6 +19,7 @@ from esspm import (
     normalize,
     rock_paper_scissors,
 )
+from esspm.analysis import payoff_gaps
 
 MP_MIX = MixedStrategy([0.2, 0.8])
 RPS_UNIFORM = MixedStrategy([1.0 / 3.0] * 3)
@@ -202,3 +204,107 @@ class TestConsistencyProperties:
             )
             assert base.tag == scaled.tag
             assert scaled.slack == pytest.approx(alpha * base.slack, rel=1e-9, abs=1e-12)
+
+
+def loop_approximation_error(game, x, delta):
+    """approximation_error as a per-mutant loop; the tie band is check_conditions' -delta <= d <= delta."""
+    a = game.payoffs
+    against = a @ x
+    base = float(x @ against)
+    worst = 0.0
+    for i in range(game.m):
+        d = float(against[i]) - base
+        if d > delta:
+            theta = d
+        elif d >= -delta:
+            theta = max(0.0, float(a[i, i] - x @ a[:, i]))
+        else:
+            theta = 0.0
+        worst = max(worst, theta)
+    return worst
+
+
+def fuzzed_gap_games(seed):
+    """Integer payoffs in {0,1,2} (exact ties) and uniform payoffs, m=2..7, raw and normalized."""
+    rng = np.random.default_rng(seed)
+    for m in range(2, 8):
+        for _ in range(12):
+            for a in (rng.integers(0, 3, (m, m)).astype(float), rng.random((m, m))):
+                game = GameMatrix(a)
+                yield game
+                if a.max() > a.min():
+                    yield normalize(game)
+
+
+def random_candidates(rng, m, n):
+    """Simplex points on random faces, so some strategies are unplayed."""
+    for _ in range(n):
+        raw = rng.random(m) * (rng.random(m) < 0.7)
+        if raw.sum() == 0.0:
+            raw[rng.integers(m)] = 1.0
+        yield raw / raw.sum()
+
+
+class TestPayoffGaps:
+    """The vectorized gaps against the scalar check_conditions, the spec."""
+
+    @pytest.mark.parametrize("delta", [1e-7, 1e-3])
+    def test_pure_scan_equals_scalar_loop(self, delta):
+        tol = Tolerances(delta=delta)
+        n_found = 0
+        for g in fuzzed_gap_games(60):
+            expected = [
+                i
+                for i in range(g.m)
+                if all(
+                    check_conditions(g, MixedStrategy.pure(i, g.m), j, tol).holds
+                    for j in range(g.m)
+                    if j != i
+                )
+            ]
+            assert find_all_pure_esspm(g, tol) == expected
+            assert find_pure_esspm(g, tol) == (expected[0] if expected else None)
+            n_found += len(expected)
+        assert n_found >= 100
+
+    @pytest.mark.parametrize("delta", [1e-7, 1e-3])
+    def test_mixed_verdicts_agree_off_threshold(self, delta):
+        tol = Tolerances(delta=delta)
+        rng = np.random.default_rng(61)
+        compared = excused = 0
+        for g in fuzzed_gap_games(62):
+            a = g.payoffs
+            candidates = [c.strategy.probs for c in enumerate_esspm(g, tol)]
+            candidates += list(random_candidates(rng, g.m, 4))
+            for x in candidates:
+                d, margin = payoff_gaps(a, x)
+                holds = (d < -delta) | ((d <= delta) & (margin > 0.0))
+                against = a @ x
+                for j in range(g.m):
+                    ref_d = against[j] - x @ against
+                    ref_margin = x @ a[:, j] - a[j, j]
+                    assert d[j] == ref_d  # same products, so nash_epsilon stays byte-stable
+                    near = min(abs(ref_d + delta), abs(ref_d - delta)) < 1e-12 or (
+                        abs(ref_d) <= delta and abs(ref_margin) < 1e-12
+                    )
+                    if holds[j] != check_conditions(g, MixedStrategy(x), j, tol).holds:
+                        assert near, (a, x, j)
+                        excused += 1
+                    compared += 1
+        assert compared >= 5000
+        assert excused <= compared // 1000
+
+    def test_approximation_error_matches_loop(self):
+        rng = np.random.default_rng(63)
+        n = 0
+        for g in fuzzed_gap_games(64):
+            if not g.is_normalized:
+                continue
+            candidates = [c.strategy.probs for c in enumerate_esspm(g)]
+            candidates += list(random_candidates(rng, g.m, 4))
+            for x in candidates:
+                for delta in (1e-7, 1e-3):
+                    got = approximation_error(g, MixedStrategy(x), Tolerances(delta=delta))
+                    assert abs(got - loop_approximation_error(g, x, delta)) <= 1e-15
+                    n += 1
+        assert n >= 1000

@@ -118,7 +118,7 @@ def reference_enumeration(game, tol=Tolerances(), limit=None):
         for combo in itertools.combinations(range(game.m), size):
             counters["supports_visited"] += 1
             support = Support(combo)
-            strategy = solve_support(game, support, tol)
+            strategy = solve_support(game, support)
             if strategy is None:
                 counters["singular_skipped"] += 1
                 continue

@@ -25,24 +25,19 @@ def random_simplex(rng, m):
 
 class TestBuildParams:
     def test_defaults(self):
-        p = BuildParams()
-        eps1, eps2, m1, m2, m3, m4 = p.resolved()
-        assert eps1 == eps2 == 1e-5
-        assert m1 == m2 == m3 == m4 == 1.0 + 1e-5
+        eps = BuildParams().eps
+        assert eps == 1e-5
+        model = build_model(MP_NORM)
+        assert model.eps == eps
+        for j, yj in enumerate(model.y_indices):
+            rows = {r.name: r for r in model.rows if r.name.endswith(f"_{j}") and yj in r.coeffs}
+            assert set(rows) == {f"strict_{j}", f"tie_ub_{j}", f"tie_lb_{j}", f"selfplay_{j}"}
+            assert rows[f"strict_{j}"].rhs == -eps
+            assert all(abs(r.coeffs[yj]) == 1.0 + eps for r in rows.values())
 
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):
             BuildParams(k=1)
-
-    def test_rejects_small_big_m(self):
-        with pytest.raises(ValueError):
-            BuildParams(eps=1e-5, big_m=0.5)
-
-    def test_family_overrides(self):
-        p = BuildParams(eps1=1e-4, m3=1.5)
-        eps1, eps2, m1, _, m3, _ = p.resolved()
-        assert (eps1, eps2) == (1e-4, 1e-5)
-        assert (m1, m3) == (1.0 + 1e-5, 1.5)
 
 
 class TestModelCounts:

@@ -42,3 +42,13 @@ def test_batch_screen_short_run():
     report = run_bench("--workload", "batch_screen", "--seconds", "1")
     assert report["failed"] == 0
     assert report["metrics"]["solved_frac"]["value"] == 1.0
+
+
+def test_milp_mixed_trace():
+    # The MILP path under the gate: its verdict pins for the default seed and
+    # the solver-side call sites (solver.lp_solve, verify_assignment,
+    # interpolation_assignment) that the tracer wraps.
+    metrics = run_bench("--workload", "milp_mixed", "--trace", "1")["metrics"]
+    assert metrics["solver.nodes"]["value"] > 0
+    assert metrics["simplex.lp_calls"]["value"] > 0
+    assert metrics["model.verify_ms"]["value"] > 0

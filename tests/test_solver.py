@@ -9,14 +9,18 @@ from esspm import (
     Tolerances,
     approximation_error,
     build_model,
+    cancer_game,
     chicken,
     enumerate_esspm,
     extract_strategy,
     find_pure_esspm,
+    linearize_quadratic_form,
     mutation_population,
     normalize,
+    random_cancer_params,
     rock_paper_scissors,
     solve,
+    solve_support,
     uniform_random,
     verify_assignment,
 )
@@ -272,6 +276,43 @@ class TestHighsCrossCheck:
             certs = enumerate_esspm(norm, Tolerances())
             best = max((c.min_slack() for c in certs), default=-np.inf)
             assert best <= eps + linearization_error_bound(norm, k)
+
+
+def _no_pure(games, n):
+    """The first n normalized games without a pure ESSPM."""
+    found = []
+    for game in games:
+        norm = normalize(game)
+        if find_pure_esspm(norm) is None:
+            found.append(norm)
+            if len(found) == n:
+                return found
+    raise AssertionError("too few games without a pure ESSPM")
+
+
+class TestSharedTieSolve:
+    """The MILP leaf and the oracle solve a support's tie system with one kernel."""
+
+    def test_leaf_equals_solve_support_bitwise(self):
+        games = [_no_pure((uniform_random(m, seed=500 * m + s) for s in range(400)), 15) for m in range(2, 6)]
+        games.append([normalize(chicken(s)) for s in range(40)])
+        games.append(_no_pure((cancer_game(random_cancer_params(s)) for s in range(400)), 40))
+        feasible = 0
+        for norm in (g for group in games for g in group):
+            res = solve(build_model(norm, BuildParams(k=10)))
+            if res.status is not SolveStatus.FEASIBLE:
+                continue
+            strategy = extract_strategy(res, norm.m)
+            expected = solve_support(norm, strategy.support())
+            assert expected is not None
+            assert strategy.probs.tobytes() == expected.probs.tobytes()
+            feasible += 1
+        assert feasible >= 120
+
+    def test_model_without_indicators_rejected(self):
+        model = linearize_quadratic_form(normalize(mutation_population()).payoffs, 5)
+        with pytest.raises(ValueError, match="indicators"):
+            solve(model)
 
 
 class TestExtractStrategy:
