@@ -48,7 +48,6 @@ from .model import (
     build_model,
     export_lp,
     linearization_error_bound,
-    linearize_quadratic_form,
     verify_assignment,
 )
 from .pipeline import (
@@ -63,7 +62,7 @@ from .pipeline import (
     solve_one,
     solve_record,
 )
-from .simplex import SolverError, lp_relax
+from .simplex import SolverError
 from .solver import (
     SolveLimits,
     SolveResult,
@@ -114,7 +113,6 @@ __all__ = [
     "build_model",
     "export_lp",
     "linearization_error_bound",
-    "linearize_quadratic_form",
     "verify_assignment",
     "BatchConfig",
     "BatchStats",
@@ -127,7 +125,6 @@ __all__ = [
     "solve_one",
     "solve_record",
     "SolverError",
-    "lp_relax",
     "SolveLimits",
     "SolveResult",
     "SolveStats",

@@ -112,15 +112,14 @@ def _certify(
     return EsspmCertificate(strategy, support, tuple(outcomes))
 
 
-def _candidates(game: GameMatrix, sizes, counts: list[int]):
+def _candidates(game: GameMatrix, counts: list[int]):
     """Yield (support, strategy) for each tie solution that uses its whole support.
 
-    Supports come in (size, indices) order within each size. ``counts``
-    holds [supports visited, singular skipped] and is brought up to date
-    through each support before it is yielded, so it stays exact when the
-    caller stops early.
+    Supports come in (size, indices) order. ``counts`` holds [supports
+    visited, singular skipped] and is brought up to date through each support
+    before it is yielded, so it stays exact when the caller stops early.
     """
-    for size in sizes:
+    for size in range(1, game.m + 1):
         combos = itertools.combinations(range(game.m), size)
         while chunk := list(itertools.islice(combos, CHUNK)):
             idx = np.array(chunk)
@@ -142,8 +141,6 @@ def enumerate_esspm(
     game: GameMatrix,
     tol: Tolerances = Tolerances(),
     *,
-    largest_first: bool = False,
-    max_m: int = DEFAULT_SUPPORT_CAP,
     limit: int | None = None,
     counters: dict | None = None,
 ) -> list[EsspmCertificate]:
@@ -155,27 +152,21 @@ def enumerate_esspm(
     against every pure mutant, in order. ``limit`` stops the enumeration once
     that many certificates are found, so ``limit=1`` returns the first
     certificate in (size, indices) order, ``enumerate_esspm(game)[:1]``.
-    ``largest_first`` reverses the order of sizes (useful when large-support
-    solutions are expected) and cannot be combined with ``limit``; the
-    returned list is always canonically ordered by (size, indices).
+    The returned list is in that order too. Games with more than
+    ``DEFAULT_SUPPORT_CAP`` strategies raise ValueError.
 
     ``counters`` (optional dict) receives ``supports_visited``, the supports
     examined up to the stop, and ``singular_skipped``, those whose tie
     system is singular or whose solution leaves the simplex. On uniform
     games nearly all of them are of the second kind.
     """
-    m = game.m
-    if m > max_m:
-        raise ValueError(f"m={m} exceeds the enumeration cap of {max_m}")
-    if limit is not None:
-        if limit < 1:
-            raise ValueError(f"limit must be at least 1, got {limit}")
-        if largest_first:
-            raise ValueError("limit follows the (size, indices) order; largest_first reverses it")
+    if game.m > DEFAULT_SUPPORT_CAP:
+        raise ValueError(f"m={game.m} exceeds the enumeration cap of {DEFAULT_SUPPORT_CAP}")
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     counts = [0, 0]  # supports visited, singular skipped
     found: list[EsspmCertificate] = []
-    sizes = range(m, 0, -1) if largest_first else range(1, m + 1)
-    for support, strategy in _candidates(game, sizes, counts):
+    for support, strategy in _candidates(game, counts):
         cert = _certify(game, strategy, support, tol)
         if cert is not None:
             found.append(cert)
@@ -183,5 +174,4 @@ def enumerate_esspm(
                 break
     if counters is not None:
         counters["supports_visited"], counters["singular_skipped"] = counts
-    found.sort(key=lambda c: (len(c.support), c.support.indices))
     return found

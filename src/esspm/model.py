@@ -20,7 +20,7 @@ feasible assignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "SquareTerm",
     "ModelIR",
     "build_model",
-    "linearize_quadratic_form",
     "export_lp",
     "verify_assignment",
     "secant_square_value",
@@ -108,10 +107,6 @@ class SquareTerm:
     lam_start: int
     lam_count: int
 
-    @property
-    def spacing(self) -> float:
-        return (self.hi - self.lo) / (self.lam_count - 1)
-
     def s_coeffs(self) -> dict[int, float]:
         """Coefficients of s over the x variables (x_i at index i)."""
         if self.kind == "diag":
@@ -146,23 +141,12 @@ class ModelIR:
     z_index: int
     env_plus: float
     env_minus: float
-    name_to_index: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.name_to_index:
-            self.name_to_index = {v.name: i for i, v in enumerate(self.variables)}
         for row in self.rows:
             for idx in row.coeffs:
                 if not 0 <= idx < len(self.variables):
                     raise ValueError(f"row {row.name!r} references unknown variable {idx}")
-
-    @property
-    def continuous_vars(self) -> list[Variable]:
-        return [v for v in self.variables if not v.binary]
-
-    @property
-    def binary_vars(self) -> list[Variable]:
-        return [v for v in self.variables if v.binary]
 
     def bounds_array(self) -> np.ndarray:
         return np.array([[v.lb, v.ub] for v in self.variables])
@@ -218,6 +202,23 @@ def _square_plan(payoffs: np.ndarray, k: int) -> list[tuple[str, int, int | None
     return plan
 
 
+def _envelope(plan, k: int) -> tuple[float, float]:
+    """Corridor half-widths (env_plus, env_minus) of a square plan at k segments.
+
+    env_plus sums the secant-gap bounds of the positively weighted squares,
+    where the secant combination overshoots x' A x; env_minus those of the
+    negatively weighted ones, where it undershoots.
+    """
+    env_plus = env_minus = 0.0
+    for _, _, _, weight, lo, hi in plan:
+        gap = weight * secant_gap_bound(lo, hi, k)
+        if gap > 0.0:
+            env_plus += gap
+        else:
+            env_minus -= gap
+    return env_plus, env_minus
+
+
 def _emit_linearization(
     payoffs: np.ndarray,
     k: int,
@@ -235,11 +236,10 @@ def _emit_linearization(
     rows: list[LinearRow] = []
     sos2: list[list[int]] = []
     squares: list[SquareTerm] = []
-    env_plus = 0.0
-    env_minus = 0.0
     idx = next_index
 
-    for kind, i, j, weight, lo, hi in _square_plan(payoffs, k):
+    plan = _square_plan(payoffs, k)
+    for kind, i, j, weight, lo, hi in plan:
         tag = f"{kind}_{i}" if j is None else f"{kind}_{i}_{j}"
         t = np.linspace(lo, hi, k + 1)
         q_index = idx
@@ -264,18 +264,13 @@ def _emit_linearization(
         qdef = {lam_start + r: -float(t[r] ** 2) for r in range(k + 1)}
         qdef[q_index] = 1.0
         rows.append(LinearRow(qdef, "=", 0.0, name=f"qdef_{tag}"))
-
-        gap = weight * secant_gap_bound(lo, hi, k)
-        if gap > 0.0:
-            env_plus += gap
-        else:
-            env_minus -= gap
         squares.append(term)
 
     # Corridor: z - sum_sq weight * q in [-env_plus, env_minus]. The secant
     # combination overshoots the true quadratic by at most env_plus where
     # weights are positive and undershoots by at most env_minus where they
     # are negative, so the true value always lies inside.
+    env_plus, env_minus = _envelope(plan, k)
     combo = {sq.q_index: sq.weight for sq in squares}
     up = {z_index: 1.0}
     up.update({qi: -w for qi, w in combo.items()})
@@ -287,56 +282,10 @@ def _emit_linearization(
     return variables, rows, sos2, squares, env_plus, env_minus
 
 
-def linearize_quadratic_form(payoffs: np.ndarray, k: int):
-    """Standalone linearization of z ~= x' A x over the probability simplex.
-
-    Builds its own x and z variables followed by the lambda subsystem; useful
-    for inspecting or testing the approximation in isolation. Returns a
-    ModelIR without big-M rows or binaries.
-    """
-    a = np.asarray(payoffs, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("payoffs must be a square matrix")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    m = a.shape[0]
-    variables = [Variable(f"x_{i}", 0.0, 1.0) for i in range(m)]
-    x_indices = list(range(m))
-    z_index = m
-    variables.append(Variable("z", -1.0, 2.0))
-    rows = [LinearRow({i: 1.0 for i in x_indices}, "=", 1.0, name="simplex")]
-    lin_vars, lin_rows, sos2, squares, env_plus, env_minus = _emit_linearization(
-        a, k, x_indices, z_index, len(variables)
-    )
-    variables.extend(lin_vars)
-    rows.extend(lin_rows)
-    return ModelIR(
-        m=m,
-        k=k,
-        eps=0.0,
-        variables=variables,
-        rows=rows,
-        sos2_sets=sos2,
-        squares=squares,
-        payoffs=a,
-        x_indices=x_indices,
-        y_indices=[],
-        z_index=z_index,
-        env_plus=env_plus,
-        env_minus=env_minus,
-    )
-
-
 def linearization_error_bound(game_or_payoffs, k: int) -> float:
     """A-priori bound on |z - x' A x| over feasible assignments at k segments."""
     a = game_or_payoffs.payoffs if isinstance(game_or_payoffs, GameMatrix) else np.asarray(game_or_payoffs)
-    env_plus = env_minus = 0.0
-    for _, _, _, weight, lo, hi in _square_plan(a, k):
-        gap = weight * secant_gap_bound(lo, hi, k)
-        if gap > 0.0:
-            env_plus += gap
-        else:
-            env_minus -= gap
+    env_plus, env_minus = _envelope(_square_plan(a, k), k)
     return env_plus + env_minus
 
 

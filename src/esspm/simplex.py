@@ -1,25 +1,28 @@
-"""Dense bounded-variable simplex used as the LP core of the branch-and-bound solver.
+"""Dense bounded-variable simplex: the feasibility core of the branch-and-bound solver.
 
-Phase 1 minimizes the total artificial-variable mass to find any point of
-{rows hold, lb <= x <= ub}; an optional phase 2 then minimizes a linear
-objective from that point. Variables may sit nonbasic at either bound, so
-upper bounds never become explicit rows. Pivoting uses the largest reduced
-cost by default and falls back to Bland's smallest-index rule after a run of
-degenerate pivots, which guarantees termination.
+Every LP the search asks is a feasibility question, so a caller gives rows and
+bounds only. The simplex minimizes the total artificial-variable mass to find
+any point of {rows hold, lb <= x <= ub}, or shows that none exists. Variables
+may sit nonbasic at either bound, so upper bounds never become explicit rows,
+and fixing a variable is a matter of its bounds. Pivoting uses the largest
+reduced cost by default and falls back to Bland's smallest-index rule after a
+run of degenerate pivots, which guarantees termination.
 
-Sized for the models built here (a few hundred rows, a few thousand columns);
-everything is dense numpy.
+Sized for the search LPs (at most 4m+1 rows on 2m+1 structural columns for an
+m-strategy game); everything is dense numpy.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-__all__ = ["SolverError", "lp_relax", "lp_solve"]
+__all__ = ["SolverError", "lp_solve"]
 
 _ETOL = 1e-9  # reduced-cost threshold for entering candidates
 _PIV_TOL = 1e-9  # smallest usable pivot magnitude
-_FEAS_SUM_TOL = 1e-9  # phase-1 objective at which the point counts as feasible
+_FEAS_SUM_TOL = 1e-9  # artificial mass at or below which the point counts as feasible
 _ROW_CHECK_TOL = 1e-7  # final row-residual acceptance
 _STALL_LIMIT = 64  # degenerate pivots before switching to Bland's rule
 
@@ -32,7 +35,7 @@ def _standardize(rows, bounds):
     """Equality-form data (A, b, lower, upper) with slack columns appended."""
     bounds = np.asarray(bounds, dtype=float)
     n = bounds.shape[0]
-    n_slack = sum(1 for r in rows if _rel(r) != "=")
+    n_slack = sum(1 for r in rows if r.rel != "=")
     m = len(rows)
     A = np.zeros((m, n + n_slack))
     b = np.empty(m)
@@ -40,27 +43,16 @@ def _standardize(rows, bounds):
     upper = np.concatenate([bounds[:, 1], np.full(n_slack, np.inf)])
     si = n
     for ri, row in enumerate(rows):
-        coeffs, rel, rhs = _unpack(row)
-        for idx, coef in coeffs.items():
+        for idx, coef in row.coeffs.items():
             A[ri, idx] = coef
-        b[ri] = rhs
-        if rel == "<=":
+        b[ri] = row.rhs
+        if row.rel == "<=":
             A[ri, si] = 1.0
             si += 1
-        elif rel == ">=":
+        elif row.rel == ">=":
             A[ri, si] = -1.0
             si += 1
     return A, b, lower, upper, n
-
-
-def _rel(row) -> str:
-    return row.rel if hasattr(row, "rel") else row[1]
-
-
-def _unpack(row):
-    if hasattr(row, "coeffs"):
-        return row.coeffs, row.rel, row.rhs
-    return row
 
 
 class _BoundedSimplex:
@@ -92,9 +84,6 @@ class _BoundedSimplex:
         x[~np.isfinite(x)] = 0.0
         x[self.basis] = self.xB
         return x
-
-    def objective(self, c: np.ndarray) -> float:
-        return float(c @ self.values())
 
     # -- pivoting ----------------------------------------------------------
 
@@ -132,15 +121,14 @@ class _BoundedSimplex:
 
     def minimize(self, c: np.ndarray, max_iter: int) -> float:
         """Run simplex iterations to minimize c over the current system."""
-        stall = 0
-        bland = False
+        stall = 0  # consecutive degenerate pivots
         while True:
             if self.iterations >= max_iter:
                 raise SolverError(f"iteration limit {max_iter} exceeded")
             r = c - c[self.basis] @ self.T
-            j = self._entering(r, bland)
+            j = self._entering(r, bland=stall > _STALL_LIMIT)
             if j is None:
-                return self.objective(c)
+                return float(c @ self.values())
             d = -1.0 if self.at_upper[j] else 1.0
             col_eff = d * self.T[:, j]
             t, rr, leave_upper = self._ratio_test(j, col_eff)
@@ -148,10 +136,6 @@ class _BoundedSimplex:
                 raise SolverError("LP relaxation is unbounded")
             self.iterations += 1
             stall = stall + 1 if t <= 1e-12 else 0
-            if stall > _STALL_LIMIT:
-                bland = True
-            elif t > 1e-12:
-                bland = False
             self.xB -= t * col_eff
             if rr is None:
                 self.at_upper[j] = ~self.at_upper[j]
@@ -177,30 +161,29 @@ class _BoundedSimplex:
 def _row_residuals(rows, x: np.ndarray) -> float:
     worst = 0.0
     for row in rows:
-        coeffs, rel, rhs = _unpack(row)
-        lhs = sum(coef * x[idx] for idx, coef in coeffs.items())
-        resid = lhs - rhs
-        if rel == "<=":
+        lhs = sum(coef * x[idx] for idx, coef in row.coeffs.items())
+        resid = lhs - row.rhs
+        if row.rel == "<=":
             worst = max(worst, resid)
-        elif rel == ">=":
+        elif row.rel == ">=":
             worst = max(worst, -resid)
         else:
             worst = max(worst, abs(resid))
     return worst
 
 
-def lp_solve(rows, bounds, objective=None, max_iter: int | None = None):
-    """Feasibility solve with an optional phase-2 objective.
+def lp_solve(rows, bounds, max_iter: int | None = None):
+    """Feasibility solve of ``LinearRow`` rows over an (n, 2) array of finite bounds.
 
     Returns (status, x, iterations) where status is 'feasible' or 'infeasible'
-    and x covers the structural variables. On numerical breakdown the solve is
-    retried once with right-hand sides perturbed by about 1e-9; a second
-    failure raises SolverError.
+    and x covers the structural variables (None when infeasible). On numerical
+    breakdown the solve is retried once with right-hand sides perturbed by
+    about 1e-9; a second failure raises SolverError.
     """
     for attempt in (0, 1):
         use_rows = rows if attempt == 0 else _perturbed(rows)
         try:
-            return _lp_solve_once(use_rows, rows, bounds, objective, max_iter)
+            return _lp_solve_once(use_rows, rows, bounds, max_iter)
         except SolverError:
             if attempt == 1:
                 raise
@@ -208,40 +191,22 @@ def lp_solve(rows, bounds, objective=None, max_iter: int | None = None):
 
 
 def _perturbed(rows):
-    out = []
-    for i, row in enumerate(rows):
-        coeffs, rel, rhs = _unpack(row)
-        out.append((coeffs, rel, rhs + 1e-9 * ((i % 7) + 1) / 7.0))
-    return out
+    return [
+        dataclasses.replace(row, rhs=row.rhs + 1e-9 * ((i % 7) + 1) / 7.0)
+        for i, row in enumerate(rows)
+    ]
 
 
-def _lp_solve_once(rows, orig_rows, bounds, objective, max_iter):
+def _lp_solve_once(rows, orig_rows, bounds, max_iter):
     A, b, lower, upper, n = _standardize(rows, bounds)
     sx = _BoundedSimplex(A, b, lower, upper)
     if max_iter is None:
         max_iter = 2000 + 40 * (sx.m + sx.n)
-    c1 = np.zeros(sx.n)
-    c1[A.shape[1]:] = 1.0  # artificials; structural and slack columns cost nothing
-    art_mass = sx.minimize(c1, max_iter)
-    if art_mass > _FEAS_SUM_TOL:
+    c = np.zeros(sx.n)
+    c[A.shape[1]:] = 1.0  # artificials; structural and slack columns cost nothing
+    if sx.minimize(c, max_iter) > _FEAS_SUM_TOL:
         return "infeasible", None, sx.iterations
-    # Pin artificials so phase 2 cannot reopen them.
-    sx.upper[A.shape[1]:] = 0.0
-    if objective is not None:
-        c2 = np.zeros(sx.n)
-        c2[: len(objective)] = objective
-        sx.minimize(c2, max_iter)
     x = sx.values()[:n]
     if _row_residuals(orig_rows, x) > _ROW_CHECK_TOL:
         raise SolverError("solution failed the row-residual check")
     return "feasible", x, sx.iterations
-
-
-def lp_relax(rows, bounds):
-    """Phase-1 feasibility solve: any point satisfying rows and bounds, or None.
-
-    ``rows`` holds (coeffs-dict, relation, rhs) triples (or LinearRow objects);
-    ``bounds`` is an (n, 2) array of finite lower and upper bounds.
-    """
-    status, x, _ = lp_solve(rows, bounds)
-    return x if status == "feasible" else None

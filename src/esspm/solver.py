@@ -3,12 +3,13 @@
 Depth-first search over the branch indicators y: each node pins a subset of
 them and solves the LP relaxation (binaries relaxed to [0, 1]); infeasible
 relaxations prune the subtree. When every indicator is integral the node's
-pattern S = {j : y_j = 1} is attempted: a second LP phase drives the
-probability mass of strategies outside S to zero, the candidate is refined by
-solving the S-tie system with the oracle's stacked tie kernel (the one
-``enumeration.solve_support`` calls), and the result is accepted only if its
-payoff gaps (``analysis.payoff_gaps``) meet the branch conditions at the
-model's ``eps`` with the exact quadratic value x' A x in place of z. The final
+pattern S = {j : y_j = 1} is attempted: one more feasibility LP, with the
+strategies outside S fixed at zero by their bounds, decides whether the
+pattern has a point; the candidate is refined by solving the S-tie system with
+the oracle's stacked tie kernel (the one ``enumeration.solve_support``
+calls), and the result is accepted only if its payoff gaps
+(``analysis.payoff_gaps``) meet the branch conditions at the model's ``eps``
+with the exact quadratic value x' A x in place of z. The final
 assignment carries secant-interpolated lambdas, so it meets the SOS2
 adjacency requirement by construction, and it is re-verified against every
 row of the full model.
@@ -59,7 +60,6 @@ __all__ = [
 ]
 
 _INT_TOL = 1e-6
-_SUPPORT_MASS_TOL = 1e-9
 _TIE_TOL = 1e-8
 _MARGIN_TOL = 1e-9
 
@@ -166,19 +166,13 @@ def _attempt_pattern(
     pattern = sorted(j for j, v in pattern_set.items() if v == 1)
     if not pattern:
         return None  # every strategy strictly worse than the average: impossible
-    off = [j for j in range(m) if j not in pattern]
-    objective = None
-    if off:
-        objective = np.zeros(len(base_bounds))
-        objective[off] = 1.0
-    status, point, iters = lp_solve(rows, _pinned(base_bounds, pattern_set, m), objective=objective)
+    bounds = _pinned(base_bounds, pattern_set, m)
+    bounds[[j for j, v in pattern_set.items() if v == 0]] = 0.0  # x_j = 0 off the pattern
+    status, point, iters = lp_solve(rows, bounds)
     stats.lp_iterations += iters
     if status != "feasible":
         return None
-    x_lp = point[:m]
-    if off and x_lp[off].sum() > _SUPPORT_MASS_TOL:
-        return None
-    x = _refine_pattern(model, pattern, x_lp)
+    x = _refine_pattern(model, pattern, point[:m])
     if not _exact_candidate_check(model, pattern, x):
         return None
     y = np.zeros(m)
@@ -195,8 +189,7 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
     Children of a branch node are ordered so the strict branch (y = 0) is
     explored before the tie branch (y = 1): ties between distinct payoffs are
     rare in generated games, so strict patterns usually resolve faster.
-    A model without branch indicators, such as ``linearize_quadratic_form``
-    returns, raises ValueError.
+    A model without branch indicators raises ValueError.
     """
     if not isinstance(model, ModelIR):
         raise TypeError(f"expected ModelIR, got {type(model).__name__}")

@@ -70,16 +70,10 @@ class TestEnumerate:
         enumerate_esspm(uniform_random(4, seed=3), counters=counters)
         assert counters["supports_visited"] == 2**4 - 1
 
-    def test_largest_first_same_results(self):
-        g = uniform_random(3, seed=8)
-        a = enumerate_esspm(g)
-        b = enumerate_esspm(g, largest_first=True)
-        assert [c.support.indices for c in a] == [c.support.indices for c in b]
-
     def test_cap_enforced(self):
-        g = uniform_random(4, seed=1)
+        g = uniform_random(21, seed=1)
         with pytest.raises(ValueError, match="cap"):
-            enumerate_esspm(g, max_m=3)
+            enumerate_esspm(g)
 
 
 class TestCertificates:
@@ -247,10 +241,6 @@ class TestLimit:
     def test_limit_two_on_counterexample(self):
         certs = enumerate_esspm(counterexample_game(), limit=2)
         assert [c.support.indices for c in certs] == [(0,), (1, 2)]
-
-    def test_largest_first_with_limit_rejected(self):
-        with pytest.raises(ValueError, match="largest_first"):
-            enumerate_esspm(uniform_random(3, seed=1), largest_first=True, limit=1)
 
     def test_nonpositive_limit_rejected(self):
         with pytest.raises(ValueError, match="limit"):

@@ -7,7 +7,6 @@ from esspm import (
     build_model,
     export_lp,
     linearization_error_bound,
-    linearize_quadratic_form,
     mutation_population,
     normalize,
     uniform_random,
@@ -177,19 +176,11 @@ class TestLinearization:
                 assert abs(z - true) <= min(bound, combo_bound) + 1e-12
 
     def test_error_bound_helper_matches_model(self):
-        game = MP_NORM
-        model = build_model(game, BuildParams(k=20))
-        assert linearization_error_bound(game, 20) == pytest.approx(
-            model.env_plus + model.env_minus
-        )
-
-    def test_standalone_linearization(self):
-        model = linearize_quadratic_form(MP_NORM.payoffs, 20)
-        assert len(model.sos2_sets) == 4
-        assert model.y_indices == []
-        x = np.array([0.2, 0.8])
-        assignment = interpolation_assignment(model, x)
-        assert verify_assignment(model, assignment) == []
+        games = [MP_NORM] + [normalize(uniform_random(m, seed=m)) for m in range(2, 6)]
+        for game in games:
+            for k in (2, 5, 20):
+                model = build_model(game, BuildParams(k=k))
+                assert linearization_error_bound(game, k) == model.env_plus + model.env_minus
 
 
 class TestExportLp:

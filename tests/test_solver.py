@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from esspm import (
     enumerate_esspm,
     extract_strategy,
     find_pure_esspm,
-    linearize_quadratic_form,
     mutation_population,
     normalize,
     random_cancer_params,
@@ -177,9 +178,9 @@ class TestSearchModel:
         calls = []
         real_lp_solve = esspm.solver.lp_solve
 
-        def spy(rows, bounds, objective=None):
+        def spy(rows, bounds):
             calls.append((rows, bounds))
-            return real_lp_solve(rows, bounds, objective=objective)
+            return real_lp_solve(rows, bounds)
 
         monkeypatch.setattr(esspm.solver, "lp_solve", spy)
         res = solve(model)
@@ -310,7 +311,8 @@ class TestSharedTieSolve:
         assert feasible >= 120
 
     def test_model_without_indicators_rejected(self):
-        model = linearize_quadratic_form(normalize(mutation_population()).payoffs, 5)
+        model = build_model(normalize(mutation_population()), BuildParams(k=5))
+        model = dataclasses.replace(model, y_indices=[])
         with pytest.raises(ValueError, match="indicators"):
             solve(model)
 
