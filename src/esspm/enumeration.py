@@ -31,11 +31,14 @@ class EsspmCertificate:
         return min(outcome.slack for outcome in self.per_mutation)
 
 
-# Acceptance thresholds of a tie-system solution, shared by every caller
-# (the oracle, solve_support and the MILP leaves).
-_RESIDUAL_TOL = 1e-8  # max |mat @ sol - rhs| of a numerically regular system
+# The fixed thresholds of a candidate strategy, defined once for the oracle,
+# solve_support and the MILP leaves (solver.py imports the last two). Every
+# other threshold is a user's delta or eps.
+_RESIDUAL_TOL = 1e-8  # max |mat @ sol - rhs| of a numerically regular tie system
 _SIMPLEX_TOL = 1e-9  # components below -this leave the simplex; those in (-this, 0) are clamped
 _DEGENERATE_TOL = 1e-9  # a support member at or below this weight is not really played
+_TIE_TOL = 1e-8  # MILP leaf: a pattern member's |d| at most this counts as a tie
+_MARGIN_TOL = 1e-9  # MILP leaf: slack by which a margin may fall short of eps
 
 # Supports per stacked solve: large enough to amortize the numpy call overhead,
 # small enough that a first-certificate search does not solve far past its stop.

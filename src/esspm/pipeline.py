@@ -48,6 +48,10 @@ __all__ = [
 
 GAME_CLASSES = ("uniform", "chicken", "cancer", "mp", "rps", "counterexample", "file")
 
+# nash_eps values below this print as 0: an exact tie solution reads as
+# rounding noise (1e-16 and so on) that depends on the last bits of the strategy.
+_NASH_EPS_FLOOR = 1e-12
+
 CSV_COLUMNS = [
     "game_id",
     "class",
@@ -262,6 +266,12 @@ def _status_name(outcome: EsspmOutcome) -> str:
     return "LIMIT"
 
 
+def _nash_eps_cell(nash_eps: float | None) -> str:
+    if nash_eps is None:
+        return ""
+    return "0" if nash_eps < _NASH_EPS_FLOOR else f"{nash_eps:.9g}"
+
+
 def _csv_row(record: GameRecord, cfg: BatchConfig) -> list:
     outcome = record.outcome
     strategy = ""
@@ -285,7 +295,7 @@ def _csv_row(record: GameRecord, cfg: BatchConfig) -> list:
         "" if record.support_size is None else record.support_size,
         strategy,
         error,
-        "" if record.nash_eps is None else f"{record.nash_eps:.9g}",
+        _nash_eps_cell(record.nash_eps),
         f"{record.runtime_ms:.3f}",
         record.disagreement,
     ]

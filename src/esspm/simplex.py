@@ -6,7 +6,27 @@ any point of {rows hold, lb <= x <= ub}, or shows that none exists. Variables
 may sit nonbasic at either bound, so upper bounds never become explicit rows,
 and fixing a variable is a matter of its bounds. Pivoting uses the largest
 reduced cost by default and falls back to Bland's smallest-index rule after a
-run of degenerate pivots, which guarantees termination.
+run of degenerate pivots, which guarantees termination. The reduced costs are
+row m of the tableau and follow each pivot's rank-1 update, and the bounds of
+the basic variables and the set of columns that may enter are kept in step
+with the basis, so a pivot recomputes none of them.
+
+Warm restart. A feasible solve hands back its final state (tableau, basis,
+basic values and at-upper flags) on ``LPResult.state``; ``lp_solve(rows,
+bounds, start=state)`` solves the same rows under new bounds from there, as a
+branch-and-bound child differs from its parent in a few bounds only. The
+restart copies the state, applies the new bounds, fixes every artificial
+column at [0, 0], and shifts the basic values by T[:, j] * delta for each
+nonbasic column whose bound value moved. Each basic variable then outside its
+bounds becomes nonbasic at the bound it violates, and its row gets a fresh
+artificial column e_i (the row's sign flipped when the excess is negative),
+so phase 1 starts over the new artificials only. With the artificials at zero
+the system is exactly the child's, so INFEASIBLE (artificial mass above
+``_FEAS_SUM_TOL`` at the optimum) stays a proof, as in a cold solve; with no
+violated row the restart takes no pivot. The iteration cap, the Bland switch
+and the row-residual check against the unperturbed rows hold on every warm
+solve, and a warm solve that breaks down or fails that check is solved again
+cold, with the cold path's perturbed retry.
 
 Sized for the search LPs (at most 4m+1 rows on 2m+1 structural columns for an
 m-strategy game); everything is dense numpy.
@@ -14,15 +34,17 @@ m-strategy game); everything is dense numpy.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SolverError", "lp_solve"]
+__all__ = ["SolverError", "LPResult", "LPState", "lp_solve"]
 
 _ETOL = 1e-9  # reduced-cost threshold for entering candidates
 _PIV_TOL = 1e-9  # smallest usable pivot magnitude
 _FEAS_SUM_TOL = 1e-9  # artificial mass at or below which the point counts as feasible
+_BOUND_TOL = 1e-9  # a warm-restarted basic value this far outside its bounds opens a row
 _ROW_CHECK_TOL = 1e-7  # final row-residual acceptance
 _STALL_LIMIT = 64  # degenerate pivots before switching to Bland's rule
 
@@ -31,51 +53,82 @@ class SolverError(RuntimeError):
     """Numerical breakdown the solver could not recover from."""
 
 
-def _standardize(rows, bounds):
-    """Equality-form data (A, b, lower, upper) with slack columns appended."""
-    bounds = np.asarray(bounds, dtype=float)
-    n = bounds.shape[0]
-    n_slack = sum(1 for r in rows if r.rel != "=")
-    m = len(rows)
-    A = np.zeros((m, n + n_slack))
-    b = np.empty(m)
-    lower = np.concatenate([bounds[:, 0], np.zeros(n_slack)])
-    upper = np.concatenate([bounds[:, 1], np.full(n_slack, np.inf)])
-    si = n
+class LPResult(tuple):
+    """``(status, x, iterations)``; ``state`` is the restart point of a feasible solve, else None."""
+
+    def __new__(cls, status: str, x, iterations: int, state: LPState | None = None):
+        result = super().__new__(cls, (status, x, iterations))
+        result.state = state
+        return result
+
+
+@dataclass(frozen=True)
+class _System:
+    """Rows in equality form: structural columns, then one slack per inequality."""
+
+    A: np.ndarray  # (rows, n + slacks)
+    b: np.ndarray  # right-hand sides as given, unperturbed
+    sense: np.ndarray  # slack coefficient of each row: +1 for <=, -1 for >=, 0 for =
+    n: int  # structural columns
+
+    def residual(self, x: np.ndarray) -> float:
+        """Worst violation of the rows by the structural point x."""
+        r = self.A[:, : self.n] @ x - self.b
+        return float(np.max(np.where(self.sense == 0.0, np.abs(r), self.sense * r), initial=0.0))
+
+
+def _standardize(rows, n: int) -> _System:
+    sense = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[r.rel] for r in rows])
+    slack = np.flatnonzero(sense)
+    A = np.zeros((len(rows), n + slack.size))
     for ri, row in enumerate(rows):
         for idx, coef in row.coeffs.items():
             A[ri, idx] = coef
-        b[ri] = row.rhs
-        if row.rel == "<=":
-            A[ri, si] = 1.0
-            si += 1
-        elif row.rel == ">=":
-            A[ri, si] = -1.0
-            si += 1
-    return A, b, lower, upper, n
+    A[slack, n + np.arange(slack.size)] = sense[slack]
+    return _System(A, np.array([r.rhs for r in rows], dtype=float), sense, n)
 
 
 class _BoundedSimplex:
-    def __init__(self, A: np.ndarray, b: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+    """Phase-1 tableau over [real (structural, slack) | artificial] columns.
+
+    There is one artificial column per row. Rows 0..m-1 of ``T`` are the
+    constraint rows in the current basis; row m holds the reduced costs of
+    the artificial mass, the sum of the columns in ``cost``. ``move[j]`` is
+    +1 for a nonbasic column that may rise from its lower bound, -1 for one
+    that may fall from its upper bound, and 0 for a basic or fixed column.
+    """
+
+    def __init__(self, A, b, lower, upper, system: _System | None = None):
         m, n = A.shape
         if not np.all(np.isfinite(lower)):
             raise ValueError("all lower bounds must be finite")
-        self.m, self.n_real = m, n
+        self.m, self.n_real, self.system = m, n, system
         # Start every real variable at its lower bound; artificials absorb the
         # residual with +/-1 columns so the initial basis is an identity.
-        x0 = lower.copy()
-        resid = b - A @ x0
-        sign = np.where(resid >= 0.0, 1.0, -1.0)
-        self.T = np.hstack([A * sign[:, None], np.eye(m)])
+        resid = b - A @ lower
+        T = np.zeros((m + 1, n + m))
+        T[:m, :n] = A * np.where(resid >= 0.0, 1.0, -1.0)[:, None]
+        T[:m, n:] = np.eye(m)
+        T[m, :n] = -T[:m, :n].sum(axis=0)
+        self.T = T
         self.xB = np.abs(resid)
         self.lower = np.concatenate([lower, np.zeros(m)])
         self.upper = np.concatenate([upper, np.full(m, np.inf)])
-        self.n = n + m
-        self.basis = list(range(n, n + m))
-        self.is_basic = np.zeros(self.n, dtype=bool)
-        self.is_basic[n:] = True
-        self.at_upper = np.zeros(self.n, dtype=bool)
+        self.basis = np.arange(n, n + m)
+        self.at_upper = np.zeros(n + m, dtype=bool)
+        self.cost = self.basis.copy()
         self.iterations = 0
+        self._sync()
+
+    def _sync(self) -> None:
+        """Derive the basic bounds and the move mask from basis, bounds and flags."""
+        self.lowerB = self.lower[self.basis]
+        self.upperB = self.upper[self.basis]
+        move = np.where(self.at_upper, -1.0, 1.0)
+        move[self.upper <= self.lower] = 0.0
+        move[self.basis] = 0.0
+        self.move = move
+        self.limits = np.empty(self.m)  # ratio-test scratch
 
     # -- point bookkeeping ------------------------------------------------
 
@@ -85,128 +138,174 @@ class _BoundedSimplex:
         x[self.basis] = self.xB
         return x
 
+    def mass(self) -> float:
+        """Artificial mass, the phase-1 objective."""
+        return float(self.values()[self.cost].sum())
+
+    # -- warm restart -------------------------------------------------------
+
+    def restarted(self, bounds: np.ndarray) -> _BoundedSimplex:
+        """A copy of this final state under new structural bounds, ready for phase 1.
+
+        Every artificial is fixed at [0, 0]. A row whose basic variable is
+        left outside its bounds takes a nonbasic artificial's column slot as
+        its fresh artificial e_i: the basic artificials occupy at most the
+        other rows, so enough slots are free.
+        """
+        m, nr = self.m, self.n_real
+        sx = copy.copy(self)
+        sx.iterations = 0
+        T = sx.T = self.T.copy()
+        basis = sx.basis = self.basis.copy()
+        at_upper = sx.at_upper = self.at_upper.copy()
+        lower, upper = sx.lower, sx.upper = self.lower.copy(), self.upper.copy()
+        old = np.where(at_upper, upper, lower)
+        lower[: bounds.shape[0]], upper[: bounds.shape[0]] = bounds[:, 0], bounds[:, 1]
+        upper[nr:] = 0.0
+        delta = np.where(at_upper, upper, lower) - old
+        delta[basis] = 0.0
+        xB = sx.xB = self.xB - T[:m] @ delta
+
+        excess = xB - np.clip(xB, lower[basis], upper[basis])
+        opened = (np.abs(excess) > _BOUND_TOL).nonzero()[0]
+        T[m] = 0.0
+        if opened.size:
+            excess = excess[opened]
+            leaving = basis[opened]
+            at_upper[leaving] = excess > 0.0
+            in_basis = np.zeros(T.shape[1], dtype=bool)
+            in_basis[basis] = True
+            in_basis[leaving] = False
+            slots = nr + (~in_basis[nr:]).nonzero()[0][: opened.size]
+            T[opened] *= np.sign(excess)[:, None]
+            T[:, slots] = 0.0
+            T[opened, slots] = 1.0
+            # Reduced costs of the mass of the new artificials: cost 1 on the
+            # slots, less the sum of the rows they are basic in.
+            T[m] = -T[opened].sum(axis=0)
+            T[m, slots] = 0.0
+            at_upper[slots] = False
+            upper[slots] = np.inf
+            basis[opened] = slots
+            xB[opened] = np.abs(excess)
+        sx.cost = basis[opened]
+        sx._sync()
+        return sx
+
     # -- pivoting ----------------------------------------------------------
 
     def _entering(self, r: np.ndarray, bland: bool) -> int | None:
-        free = ~self.is_basic & (self.upper - self.lower > 0.0)
-        can_rise = free & ~self.at_upper & (r < -_ETOL)
-        can_fall = free & self.at_upper & (r > _ETOL)
-        eligible = np.nonzero(can_rise | can_fall)[0]
-        if eligible.size == 0:
-            return None
+        score = r * self.move  # below -_ETOL exactly where moving the column lowers the mass
         if bland:
-            return int(eligible[0])
-        return int(eligible[np.argmax(np.abs(r[eligible]))])
+            eligible = (score < -_ETOL).nonzero()[0]
+            return int(eligible[0]) if eligible.size else None
+        j = int(score.argmin())
+        return j if score[j] < -_ETOL else None
 
     def _ratio_test(self, j: int, col_eff: np.ndarray):
-        """(step length, blocking row or None, leaving-at-upper flag)."""
-        basis = np.asarray(self.basis)
-        lowerB = self.lower[basis]
-        upperB = self.upper[basis]
-        limits = np.full(self.m, np.inf)
-        dec = col_eff > _PIV_TOL
-        limits[dec] = (self.xB[dec] - lowerB[dec]) / col_eff[dec]
-        inc = col_eff < -_PIV_TOL
-        limits[inc] = (upperB[inc] - self.xB[inc]) / (-col_eff[inc])
-        np.maximum(limits, 0.0, out=limits)
-
-        t_rows = float(limits.min()) if self.m else np.inf
+        """(step length, blocking row or None) when column j moves by col_eff per unit."""
+        limits = self.limits
+        limits.fill(np.inf)
+        target = np.where(col_eff > 0.0, self.lowerB, self.upperB)
+        np.divide(self.xB - target, col_eff, out=limits, where=np.abs(col_eff) > _PIV_TOL)
+        t_rows = max(float(limits.min()), 0.0) if self.m else np.inf
         t_own = self.upper[j] - self.lower[j]
         if t_own <= t_rows:
-            return t_own, None, False
+            return t_own, None
         # Bland-compatible tie-break: smallest basic variable index.
-        tied = np.nonzero(limits <= t_rows + 1e-12)[0]
-        rr = int(tied[np.argmin(basis[tied])])
-        return t_rows, rr, bool(col_eff[rr] < 0.0)
+        tied = (limits <= t_rows + 1e-12).nonzero()[0]
+        return t_rows, int(tied[self.basis[tied].argmin()])
 
-    def minimize(self, c: np.ndarray, max_iter: int) -> float:
-        """Run simplex iterations to minimize c over the current system."""
+    def minimize(self, max_iter: int) -> float:
+        """Run simplex iterations to minimize the artificial mass; returns it."""
+        T, m = self.T, self.m
         stall = 0  # consecutive degenerate pivots
         while True:
             if self.iterations >= max_iter:
                 raise SolverError(f"iteration limit {max_iter} exceeded")
-            r = c - c[self.basis] @ self.T
-            j = self._entering(r, bland=stall > _STALL_LIMIT)
+            j = self._entering(T[m], bland=stall > _STALL_LIMIT)
             if j is None:
-                return float(c @ self.values())
-            d = -1.0 if self.at_upper[j] else 1.0
-            col_eff = d * self.T[:, j]
-            t, rr, leave_upper = self._ratio_test(j, col_eff)
-            if not np.isfinite(t):
+                return self.mass()
+            d = self.move[j]
+            col_eff = d * T[:m, j]
+            t, rr = self._ratio_test(j, col_eff)
+            if t == np.inf:
                 raise SolverError("LP relaxation is unbounded")
             self.iterations += 1
             stall = stall + 1 if t <= 1e-12 else 0
             self.xB -= t * col_eff
             if rr is None:
-                self.at_upper[j] = ~self.at_upper[j]
+                self.at_upper[j] = not self.at_upper[j]
+                self.move[j] = -d
                 continue
-            enter_val = (self.upper[j] if self.at_upper[j] else self.lower[j]) + d * t
-            leave = self.basis[rr]
-            self.is_basic[leave] = False
-            self.at_upper[leave] = leave_upper
-            self.basis[rr] = j
-            self.is_basic[j] = True
-            self.xB[rr] = enter_val
-            piv = self.T[rr, j]
+            piv = T[rr, j]
             if abs(piv) < _PIV_TOL:
                 raise SolverError("vanishing pivot")
-            self.T[rr] /= piv
-            colj = self.T[:, j].copy()
+            enter_val = (self.upper[j] if self.at_upper[j] else self.lower[j]) + d * t
+            leave = self.basis[rr]
+            leave_upper = bool(col_eff[rr] < 0.0)
+            self.at_upper[leave] = leave_upper
+            if self.upper[leave] > self.lower[leave]:
+                self.move[leave] = -1.0 if leave_upper else 1.0
+            self.move[j] = 0.0
+            self.basis[rr] = j
+            self.lowerB[rr], self.upperB[rr] = self.lower[j], self.upper[j]
+            self.xB[rr] = enter_val
+            T[rr] /= piv
+            colj = T[:, j].copy()
             colj[rr] = 0.0
-            self.T -= np.outer(colj, self.T[rr])
-            self.T[:, j] = 0.0
-            self.T[rr, j] = 1.0
+            T -= colj[:, None] * T[rr]
+            T[:, j] = 0.0
+            T[rr, j] = 1.0
+
+# The final state of a feasible solve, as ``LPResult.state`` hands it back.
+LPState = _BoundedSimplex
 
 
-def _row_residuals(rows, x: np.ndarray) -> float:
-    worst = 0.0
-    for row in rows:
-        lhs = sum(coef * x[idx] for idx, coef in row.coeffs.items())
-        resid = lhs - row.rhs
-        if row.rel == "<=":
-            worst = max(worst, resid)
-        elif row.rel == ">=":
-            worst = max(worst, -resid)
-        else:
-            worst = max(worst, abs(resid))
-    return worst
-
-
-def lp_solve(rows, bounds, max_iter: int | None = None):
+def lp_solve(rows, bounds, max_iter: int | None = None, *, start: LPState | None = None):
     """Feasibility solve of ``LinearRow`` rows over an (n, 2) array of finite bounds.
 
-    Returns (status, x, iterations) where status is 'feasible' or 'infeasible'
-    and x covers the structural variables (None when infeasible). On numerical
-    breakdown the solve is retried once with right-hand sides perturbed by
-    about 1e-9; a second failure raises SolverError.
+    Returns an ``LPResult`` that unpacks as (status, x, iterations), where
+    status is 'feasible' or 'infeasible' and x covers the structural
+    variables (None when infeasible); its ``state`` is the final state of a
+    feasible solve. ``start``, the state of an earlier feasible solve of the
+    same rows, makes this a warm restart from it under ``bounds``; ``start``
+    is not modified. A warm solve that breaks down is solved again cold. On
+    numerical breakdown a cold solve is retried once with right-hand sides
+    perturbed by about 1e-9; a second failure raises SolverError.
     """
-    for attempt in (0, 1):
-        use_rows = rows if attempt == 0 else _perturbed(rows)
+    bounds = np.asarray(bounds, dtype=float)
+    wasted = 0
+    if start is not None:
+        sx = start.restarted(bounds)
         try:
-            return _lp_solve_once(use_rows, rows, bounds, max_iter)
+            return _finish(sx, max_iter)
+        except SolverError:
+            wasted = sx.iterations
+    system = _standardize(rows, bounds.shape[0])
+    n_slack = system.A.shape[1] - system.n
+    lower = np.concatenate([bounds[:, 0], np.zeros(n_slack)])
+    upper = np.concatenate([bounds[:, 1], np.full(n_slack, np.inf)])
+    for attempt in (0, 1):
+        b = system.b if attempt == 0 else system.b + 1e-9 * ((np.arange(system.b.size) % 7) + 1) / 7.0
+        try:
+            result = _finish(_BoundedSimplex(system.A, b, lower, upper, system), max_iter)
         except SolverError:
             if attempt == 1:
                 raise
+            continue
+        status, x, iterations = result
+        return LPResult(status, x, iterations + wasted, result.state)
     raise SolverError("unreachable")
 
 
-def _perturbed(rows):
-    return [
-        dataclasses.replace(row, rhs=row.rhs + 1e-9 * ((i % 7) + 1) / 7.0)
-        for i, row in enumerate(rows)
-    ]
-
-
-def _lp_solve_once(rows, orig_rows, bounds, max_iter):
-    A, b, lower, upper, n = _standardize(rows, bounds)
-    sx = _BoundedSimplex(A, b, lower, upper)
+def _finish(sx: _BoundedSimplex, max_iter: int | None) -> LPResult:
+    """Phase 1 to its optimum, then the row-residual check of a feasible point."""
     if max_iter is None:
-        max_iter = 2000 + 40 * (sx.m + sx.n)
-    c = np.zeros(sx.n)
-    c[A.shape[1]:] = 1.0  # artificials; structural and slack columns cost nothing
-    if sx.minimize(c, max_iter) > _FEAS_SUM_TOL:
-        return "infeasible", None, sx.iterations
-    x = sx.values()[:n]
-    if _row_residuals(orig_rows, x) > _ROW_CHECK_TOL:
+        max_iter = 2000 + 40 * (sx.m + sx.T.shape[1])
+    if sx.minimize(max_iter) > _FEAS_SUM_TOL:
+        return LPResult("infeasible", None, sx.iterations)
+    x = sx.values()[: sx.system.n]
+    if sx.system.residual(x) > _ROW_CHECK_TOL:
         raise SolverError("solution failed the row-residual check")
-    return "feasible", x, sx.iterations
+    return LPResult("feasible", x, sx.iterations, sx)

@@ -31,6 +31,18 @@ at the model's strictness margin. Infeasible is returned only after the
 pattern tree is exhausted, so remaining false negatives are exactly the games
 whose true margins fall below the model's eps.
 
+Node and leaf LPs are warm-started. The root LP is solved cold; every other
+LP goes through ``lp_solve`` with ``start=``, the final simplex state of its
+parent's feasible solve (a leaf's start is its own node's state). That state
+sits on the DFS stack next to the node's fixes, siblings share it, and
+``lp_solve`` copies it before changing anything. A child differs from its
+parent in a few bounds only, so most restarts take a few pivots or none. The
+restart solves exactly the child's system, so an INFEASIBLE child is still
+proven infeasible and pruning stays sound; a warm solve that breaks down or
+fails the row-residual check is solved again cold inside ``lp_solve``. The
+LP point feeds branching, so the vertex a warm solve ends at can change the
+order in which the tree is searched, never which patterns it can accept.
+
 A solve owns its node stack and never mutates the model, so independent
 solves over shared models may run concurrently.
 """
@@ -44,10 +56,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import payoff_gaps
-from .enumeration import _solve_ties
+from .enumeration import _MARGIN_TOL, _TIE_TOL, _solve_ties
 from .game import MixedStrategy
 from .model import LinearRow, ModelIR, interpolation_assignment, verify_assignment
-from .simplex import SolverError, lp_solve
+from .simplex import LPState, SolverError, lp_solve
 
 __all__ = [
     "SolveStatus",
@@ -60,8 +72,6 @@ __all__ = [
 ]
 
 _INT_TOL = 1e-6
-_TIE_TOL = 1e-8
-_MARGIN_TOL = 1e-9
 
 
 class SolveStatus(enum.Enum):
@@ -160,15 +170,19 @@ def _attempt_pattern(
     rows: list[LinearRow],
     base_bounds: np.ndarray,
     stats: SolveStats,
+    start: LPState,
 ) -> dict[str, float] | None:
-    """Try to turn a fully pinned indicator pattern into a verified assignment."""
+    """Try to turn a fully pinned indicator pattern into a verified assignment.
+
+    The leaf LP restarts from ``start``, the final state of its node's LP.
+    """
     m = model.m
     pattern = sorted(j for j, v in pattern_set.items() if v == 1)
     if not pattern:
         return None  # every strategy strictly worse than the average: impossible
     bounds = _pinned(base_bounds, pattern_set, m)
     bounds[[j for j, v in pattern_set.items() if v == 0]] = 0.0  # x_j = 0 off the pattern
-    status, point, iters = lp_solve(rows, bounds)
+    status, point, iters = lp_solve(rows, bounds, start=start)
     stats.lp_iterations += iters
     if status != "feasible":
         return None
@@ -207,38 +221,41 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
 
     m = model.m
     rows, base_bounds = _search_rows(model)
-    stack: list[dict[int, int]] = [{}]
+    # (a node's fixes, its parent's final LP state or None at the root)
+    stack: list[tuple[dict[int, int], LPState | None]] = [({}, None)]
     while stack:
         if stats.nodes >= limits.max_nodes or elapsed_ms() >= limits.max_time_ms:
             return finish(SolveStatus.LIMIT_REACHED)
-        fixes = stack.pop()
+        fixes, start = stack.pop()
         stats.nodes += 1
 
-        status, point, iters = lp_solve(rows, _pinned(base_bounds, fixes, m))
+        result = lp_solve(rows, _pinned(base_bounds, fixes, m), start=start)
+        status, point, iters = result
         stats.lp_iterations += iters
         if status != "feasible":
             continue
+        state = result.state
 
         yvals = point[m + 1 :]
         unfixed = [j for j in range(m) if j not in fixes]
         fractional = [j for j in unfixed if min(yvals[j], 1.0 - yvals[j]) > _INT_TOL]
         if fractional:
             j = min(fractional, key=lambda jj: (abs(yvals[jj] - 0.5), jj))
-            stack.append({**fixes, j: 1})
-            stack.append({**fixes, j: 0})
+            stack.append(({**fixes, j: 1}, state))
+            stack.append(({**fixes, j: 0}, state))
             continue
 
         pattern_set = {
             j: fixes.get(j, int(round(yvals[j]))) for j in range(m)
         }
-        assignment = _attempt_pattern(model, pattern_set, rows, base_bounds, stats)
+        assignment = _attempt_pattern(model, pattern_set, rows, base_bounds, stats, state)
         if assignment is not None:
             return finish(SolveStatus.FEASIBLE, assignment)
         if not unfixed:
             continue  # the pattern is refuted and fully pinned: dead end
         j = unfixed[0]
-        stack.append({**fixes, j: 1})
-        stack.append({**fixes, j: 0})
+        stack.append(({**fixes, j: 1}, state))
+        stack.append(({**fixes, j: 0}, state))
 
     return finish(SolveStatus.INFEASIBLE)
 

@@ -51,4 +51,7 @@ def test_milp_mixed_trace():
     metrics = run_bench("--workload", "milp_mixed", "--trace", "1")["metrics"]
     assert metrics["solver.nodes"]["value"] > 0
     assert metrics["simplex.lp_calls"]["value"] > 0
+    # Every node solves one LP through solver.lp_solve, warm or cold; an LP
+    # that bypassed it would hide its time from simplex.lp_ms.
+    assert metrics["simplex.lp_calls"]["value"] >= metrics["solver.nodes"]["value"]
     assert metrics["model.verify_ms"]["value"] > 0

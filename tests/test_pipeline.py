@@ -8,6 +8,7 @@ from esspm import (
     BatchConfig,
     Infeasible,
     MixedEsspm,
+    MixedStrategy,
     PureEsspm,
     counterexample_game,
     mutation_population,
@@ -15,7 +16,7 @@ from esspm import (
     run_batch,
     solve_one,
 )
-from esspm.pipeline import CSV_COLUMNS, make_game
+from esspm.pipeline import CSV_COLUMNS, GameRecord, _csv_row, make_game
 
 
 def batch_csv(cfg):
@@ -126,6 +127,33 @@ class TestRunBatch:
         run_batch(cfg)
         content = out.read_text()
         assert content.count("\n") == 3  # header + 2 rows
+
+
+class TestNashEpsColumn:
+    @staticmethod
+    def cell(nash_eps):
+        record = GameRecord(
+            game_id=0,
+            game_class="mp",
+            m=2,
+            outcome=MixedEsspm(MixedStrategy(np.array([0.2, 0.8])), 0.0),
+            nash_eps=nash_eps,
+            runtime_ms=1.0,
+            support_size=2,
+            disagreement=0,
+        )
+        return _csv_row(record, BatchConfig(game_class="mp"))[CSV_COLUMNS.index("nash_eps")]
+
+    def test_rounding_noise_prints_zero(self):
+        assert self.cell(1.1e-16) == "0"
+        assert self.cell(0.0) == "0"
+
+    def test_values_above_the_floor_keep_their_format(self):
+        assert self.cell(2e-6) == "2e-06"
+        assert self.cell(1e-12) == "1e-12"
+
+    def test_missing_value_is_empty(self):
+        assert self.cell(None) == ""
 
 
 class TestConfigValidation:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -39,6 +41,48 @@ def is_infeasible(rows, bounds):
     return status == "infeasible" and x is None
 
 
+def random_system(rng):
+    """A random system of 1..5 rows of each relation over 2..6 bounded variables."""
+    n = int(rng.integers(2, 7))
+    n_rows = int(rng.integers(1, 6))
+    bounds = np.column_stack([rng.uniform(-2, 0, n), rng.uniform(0.1, 2, n)])
+    rows = []
+    for _ in range(n_rows):
+        coefs = rng.normal(size=n)
+        rhs = float(rng.normal())
+        rel = ["<=", ">=", "="][int(rng.integers(3))]
+        rows.append(LinearRow({i: float(c) for i, c in enumerate(coefs)}, rel, rhs))
+    return rows, bounds
+
+
+def highs_feasible(rows, bounds) -> bool:
+    n = len(bounds)
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for row in rows:
+        coefs = np.zeros(n)
+        for i, c in row.coeffs.items():
+            coefs[i] = c
+        if row.rel == "<=":
+            a_ub.append(coefs)
+            b_ub.append(row.rhs)
+        elif row.rel == ">=":
+            a_ub.append(-coefs)
+            b_ub.append(-row.rhs)
+        else:
+            a_eq.append(coefs)
+            b_eq.append(row.rhs)
+    ref = linprog(
+        np.zeros(n),
+        A_ub=np.array(a_ub) if a_ub else None,
+        b_ub=np.array(b_ub) if b_ub else None,
+        A_eq=np.array(a_eq) if a_eq else None,
+        b_eq=np.array(b_eq) if b_eq else None,
+        bounds=np.asarray(bounds).tolist(),
+        method="highs",
+    )
+    return ref.success
+
+
 def random_status_agreement(seed=100, trials=120):
     """Feasible/infeasible verdicts of random small systems agree with HiGHS.
 
@@ -47,40 +91,84 @@ def random_status_agreement(seed=100, trials=120):
     rng = np.random.default_rng(seed)
     agree = 0
     for trial in range(trials):
-        n = int(rng.integers(2, 7))
-        n_rows = int(rng.integers(1, 6))
-        bounds = np.column_stack([rng.uniform(-2, 0, n), rng.uniform(0.1, 2, n)])
-        rows = []
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for _ in range(n_rows):
-            coefs = rng.normal(size=n)
-            rhs = float(rng.normal())
-            rel = ["<=", ">=", "="][int(rng.integers(3))]
-            rows.append(LinearRow({i: float(c) for i, c in enumerate(coefs)}, rel, rhs))
-            if rel == "<=":
-                a_ub.append(coefs)
-                b_ub.append(rhs)
-            elif rel == ">=":
-                a_ub.append(-coefs)
-                b_ub.append(-rhs)
-            else:
-                a_eq.append(coefs)
-                b_eq.append(rhs)
-        ref = linprog(
-            np.zeros(n),
-            A_ub=np.array(a_ub) if a_ub else None,
-            b_ub=np.array(b_ub) if b_ub else None,
-            A_eq=np.array(a_eq) if a_eq else None,
-            b_eq=np.array(b_eq) if b_eq else None,
-            bounds=bounds.tolist(),
-            method="highs",
-        )
+        rows, bounds = random_system(rng)
         status, ours, _ = lp_solve(rows, bounds)
-        assert (status == "feasible") == ref.success, f"trial {trial}"
+        assert (status == "feasible") == highs_feasible(rows, bounds), f"trial {trial}"
         if ours is not None:
             assert rows_satisfied(rows, ours)
             agree += 1
     return agree
+
+
+def tightened(rng, bounds, state):
+    """New bounds: a basic structural variable pinned, a bound tightened, or a variable fixed."""
+    out = bounds.copy()
+    n = len(bounds)
+    basic = [int(j) for j in state.basis if j < n]
+    kind = int(rng.integers(3))
+    if kind == 0 and basic:
+        j = basic[int(rng.integers(len(basic)))]
+        out[j] = rng.uniform(out[j, 0], out[j, 1])
+    elif kind == 1:
+        j = int(rng.integers(n))
+        cut = rng.uniform(0.2, 0.8) * (out[j, 1] - out[j, 0])
+        if rng.random() < 0.5:
+            out[j, 0] += cut
+        else:
+            out[j, 1] -= cut
+    else:
+        j = int(rng.integers(n))
+        out[j] = out[j, int(rng.integers(2))]
+    return out
+
+
+def warm_cold_agreement(monkeypatch, seed=200, trials=150, chain=3):
+    """Warm restarts along chains of tightened bounds agree with cold solves and HiGHS.
+
+    Returns the number of feasible warm solves, each of whose points meets
+    its bounds and rows to 1e-7. No warm solve falls back to a cold one, and
+    one that opens no row takes no pivot.
+    """
+    cold_solves = []
+    real_standardize = simplex._standardize
+
+    def counted(rows, n):
+        cold_solves.append(n)
+        return real_standardize(rows, n)
+
+    monkeypatch.setattr(simplex, "_standardize", counted)
+    rng = np.random.default_rng(seed)
+    warm_feasible = cold_calls = 0
+    for trial in range(trials):
+        rows, bounds = random_system(rng)
+        result = lp_solve(rows, bounds)
+        cold_calls += 1
+        if result[0] != "feasible":
+            assert result.state is None
+            continue
+        again = lp_solve(rows, bounds, start=result.state)
+        assert again[0] == "feasible" and again[2] == 0, f"trial {trial}"
+        state = result.state
+        for step in range(chain):
+            saved = [a.copy() for a in (state.T, state.xB, state.basis, state.at_upper)]
+            new_bounds = tightened(rng, bounds, state)
+            warm = lp_solve(rows, new_bounds, start=state)
+            cold = lp_solve(rows, new_bounds)
+            cold_calls += 1
+            expected = "feasible" if highs_feasible(rows, new_bounds) else "infeasible"
+            assert warm[0] == cold[0] == expected, f"trial {trial} step {step}"
+            for a, b in zip(saved, (state.T, state.xB, state.basis, state.at_upper)):
+                np.testing.assert_array_equal(a, b)  # siblings may share the start
+            if warm[0] != "feasible":
+                break
+            x = warm[1]
+            assert np.all(x >= new_bounds[:, 0] - 1e-7) and np.all(x <= new_bounds[:, 1] + 1e-7)
+            assert rows_satisfied(rows, x)
+            assert warm[2] == 0 or warm.state.cost.size > 0
+            warm_feasible += 1
+            state, bounds = warm.state, new_bounds
+    assert len(cold_solves) == cold_calls
+    return warm_feasible
 
 
 class TestFeasibility:
@@ -130,6 +218,67 @@ class TestAgainstScipy:
         assert random_status_agreement() > 30
 
 
+class TestWarmRestart:
+    def test_warm_agrees_with_cold_and_highs(self, monkeypatch):
+        assert warm_cold_agreement(monkeypatch) > 60
+
+    def test_restart_opens_rows_and_pivots(self):
+        rows = [LinearRow({0: 1.0, 1: 1.0}, "=", 1.0)]
+        first = lp_solve(rows, [[0, 1], [0, 1]])
+        assert first[0] == "feasible"
+        basic = int(first.state.basis[0])
+        pinned = np.array([[0.0, 1.0], [0.0, 1.0]])
+        pinned[basic] = 0.25
+        status, x, pivots = lp_solve(rows, pinned, start=first.state)
+        assert status == "feasible" and pivots > 0
+        np.testing.assert_allclose(x[basic], 0.25)
+        assert x.sum() == pytest.approx(1.0, abs=1e-12)
+        # A small excess opens its row too, and the point meets the new bound.
+        pinned[basic] = first[1][basic] + 1e-6
+        status, x, pivots = lp_solve(rows, pinned, start=first.state)
+        assert status == "feasible" and pivots > 0
+        assert x[basic] == pytest.approx(pinned[basic, 0], abs=1e-12)
+        pinned[1 - basic] = 0.5
+        assert lp_solve(rows, pinned, start=first.state)[:2] == ("infeasible", None)
+
+    @pytest.mark.parametrize("fault", ["residual", "breakdown"])
+    def test_broken_warm_solve_falls_back_to_cold(self, monkeypatch, fault):
+        rows = [LinearRow({0: 1.0, 1: 2.0}, "<=", 1.5), LinearRow({0: 1.0, 1: 1.0}, ">=", 0.5)]
+        first = lp_solve(rows, [[0, 1], [0, 1]])
+        real_restarted = simplex._BoundedSimplex.restarted
+        real_minimize = simplex._BoundedSimplex.minimize
+        real_standardize = simplex._standardize
+        restarts, colds = [], []
+
+        def faulty(self, bounds):
+            sx = real_restarted(self, bounds)
+            if fault == "residual":
+                # The warm point is checked against shifted right-hand sides,
+                # so it fails the row-residual check as a drifted tableau would.
+                sx.system = dataclasses.replace(sx.system, b=sx.system.b + 1.0)
+            restarts.append(sx)
+            return sx
+
+        def minimize(self, max_iter):
+            if fault == "breakdown" and self in restarts:
+                raise SolverError("vanishing pivot")
+            return real_minimize(self, max_iter)
+
+        def counted(rows, n):
+            colds.append(n)
+            return real_standardize(rows, n)
+
+        monkeypatch.setattr(simplex._BoundedSimplex, "restarted", faulty)
+        monkeypatch.setattr(simplex._BoundedSimplex, "minimize", minimize)
+        monkeypatch.setattr(simplex, "_standardize", counted)
+        bounds = np.array([[0.0, 1.0], [0.25, 0.25]])
+        status, x, _ = lp_solve(rows, bounds, start=first.state)
+        assert len(restarts) == 1 and len(colds) == 1
+        assert status == "feasible"
+        assert rows_satisfied(rows, x)
+        assert x[1] == 0.25
+
+
 class TestBlandRule:
     """Bland's smallest-index rule, forced on every pivot by a negative stall limit."""
 
@@ -155,6 +304,10 @@ class TestBlandRule:
 
     def test_random_feasibility_status_agreement(self, bland_calls):
         assert random_status_agreement() > 30
+        assert bland_calls and all(bland_calls)
+
+    def test_warm_agrees_with_cold_and_highs(self, monkeypatch, bland_calls):
+        assert warm_cold_agreement(monkeypatch) > 60
         assert bland_calls and all(bland_calls)
 
     def test_mutation_population_milp(self, bland_calls):

@@ -178,9 +178,9 @@ class TestSearchModel:
         calls = []
         real_lp_solve = esspm.solver.lp_solve
 
-        def spy(rows, bounds):
+        def spy(rows, bounds, **kwargs):
             calls.append((rows, bounds))
-            return real_lp_solve(rows, bounds)
+            return real_lp_solve(rows, bounds, **kwargs)
 
         monkeypatch.setattr(esspm.solver, "lp_solve", spy)
         res = solve(model)
