@@ -1,9 +1,10 @@
 """Evolutionarily stable strategies against pure mutations for symmetric games.
 
 The package offers three routes to a solution: a pure-strategy preprocessing
-pass, a mixed-integer piecewise-linearized feasibility model solved by a
-built-in branch-and-bound solver, and a support-enumeration oracle that also
-serves as ground truth in tests and experiments.
+pass, a mixed-integer feasibility model solved by a built-in branch-and-bound
+solver (its piecewise linearization, ``linearize``, serves LP export), and a
+support-enumeration oracle that also serves as ground truth in tests and
+experiments.
 """
 
 from .analysis import (
@@ -48,6 +49,7 @@ from .model import (
     build_model,
     export_lp,
     linearization_error_bound,
+    linearize,
     verify_assignment,
 )
 from .pipeline import (
@@ -113,6 +115,7 @@ __all__ = [
     "build_model",
     "export_lp",
     "linearization_error_bound",
+    "linearize",
     "verify_assignment",
     "BatchConfig",
     "BatchStats",

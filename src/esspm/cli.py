@@ -7,7 +7,7 @@ import dataclasses
 import sys
 
 from .game import normalize, write_game
-from .model import BuildParams, build_model, export_lp
+from .model import BuildParams, build_model, export_lp, linearize
 from .pipeline import (
     BatchConfig,
     GAME_CLASSES,
@@ -148,7 +148,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     game = make_game(cfg, 0)
     model = build_model(normalize(game), BuildParams(k=args.k, eps=args.eps))
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(export_lp(model))
+        fh.write(export_lp(linearize(model)))
     print(f"wrote {args.out}")
     return 0
 

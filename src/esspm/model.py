@@ -2,25 +2,31 @@
 
 The candidate x* must satisfy, for every pure strategy x, either a strict
 payoff deficit against the population or a payoff tie combined with a strict
-self-play deficit. A binary y_x selects the branch via big-M rows. The one
-nonlinear quantity, the population self-payoff z = x*' A x*, is handled by a
-separable reformulation: every product x_i * x_j is written with the squares
-(x_i + x_j)^2 and (x_i - x_j)^2, and each square is approximated piecewise
-linearly with an SOS2 lambda system over a uniform breakpoint grid.
+self-play deficit. A binary y_x selects the branch via big-M rows over the
+population self-payoff z = x*' A x*.
 
-A secant through two grid points lies above the parabola by at most
-h^2 / 4 on a grid of spacing h, and never below it. The model therefore ties
-z to the lambda system with a two-sided corridor whose widths are the exact
-per-term secant-error bounds, instead of pinning z to the secant value. The
-corridor keeps every game whose exact solution sits between grid points
-feasible (pinning z would cut those solutions off) and guarantees
-|z - x*' A x*| stays within the advertised linearization bound for any
-feasible assignment.
+``build_model`` returns this x/z/y system in a fixed layout: columns
+x_0..x_{m-1}, then z at m, then y_0..y_{m-1} at m+1..2m; rows the four big-M
+rows per pure strategy, then the probability simplex row. ``ModelIR`` checks
+the column layout wherever a model is made. The branch-and-bound search runs
+on exactly this system, and its leaves check z = x*' A x* exactly.
+
+``linearize`` adds the paper's linearization of z, for ``export_lp`` and the
+tests: every product x_i * x_j is written with the squares (x_i + x_j)^2 and
+(x_i - x_j)^2, and each square is approximated piecewise linearly with an
+SOS2 lambda system over a uniform breakpoint grid. A secant through two grid
+points lies above the parabola by at most h^2 / 4 on a grid of spacing h,
+and never below it. The model therefore ties z to the lambda system with a
+two-sided corridor whose widths are the exact per-term secant-error bounds,
+instead of pinning z to the secant value. The corridor keeps every game
+whose exact solution sits between grid points feasible (pinning z would cut
+those solutions off) and guarantees |z - x*' A x*| stays within the
+advertised linearization bound for any feasible assignment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +39,7 @@ __all__ = [
     "SquareTerm",
     "ModelIR",
     "build_model",
+    "linearize",
     "export_lp",
     "verify_assignment",
     "secant_square_value",
@@ -118,14 +125,17 @@ class SquareTerm:
 
 @dataclass
 class ModelIR:
-    """Solver-agnostic linearized feasibility program.
+    """Solver-agnostic feasibility program.
 
-    Rows reference variables by index into ``variables``. ``sos2_sets`` are
-    ordered lambda-index lists; at most two members may be nonzero and they
-    must be adjacent. ``payoffs`` carries the normalized matrix whose
-    quadratic form the lambda system approximates, and ``eps`` the strictness
-    margin of the big-M rows, so a solver can verify candidates against the
-    original quadratic constraints at the model's own margin.
+    Rows reference variables by index into ``variables``; the first 2m+1
+    variables are x_0..x_{m-1}, z and the binaries y_0..y_{m-1}. ``payoffs``
+    carries the normalized matrix of the quadratic form z stands for, and
+    ``eps`` the strictness margin of the big-M rows, so a solver can verify
+    candidates against the original quadratic constraints at the model's own
+    margin. The linearization fields stay empty or zero until ``linearize``
+    fills them: ``sos2_sets`` are ordered lambda-index lists (at most two
+    members nonzero, and adjacent), ``squares`` the square-term records and
+    ``env_plus``/``env_minus`` the z corridor half-widths.
     """
 
     m: int
@@ -133,16 +143,21 @@ class ModelIR:
     eps: float
     variables: list[Variable]
     rows: list[LinearRow]
-    sos2_sets: list[list[int]]
-    squares: list[SquareTerm]
     payoffs: np.ndarray
-    x_indices: list[int]
-    y_indices: list[int]
-    z_index: int
-    env_plus: float
-    env_minus: float
+    sos2_sets: list[list[int]] = field(default_factory=list)
+    squares: list[SquareTerm] = field(default_factory=list)
+    env_plus: float = 0.0
+    env_minus: float = 0.0
 
     def __post_init__(self) -> None:
+        m = self.m
+        layout = [f"x_{i}" for i in range(m)] + ["z"] + [f"y_{j}" for j in range(m)]
+        names = [v.name for v in self.variables[: 2 * m + 1]]
+        if names != layout or not all(v.binary for v in self.variables[m + 1 : 2 * m + 1]):
+            raise ValueError(
+                f"the first 2m+1 variables must be x_0..x_{m - 1}, z and the binary "
+                f"branch indicators y_0..y_{m - 1}; got {names}"
+            )
         for row in self.rows:
             for idx in row.coeffs:
                 if not 0 <= idx < len(self.variables):
@@ -157,11 +172,7 @@ def secant_square_value(s: float, lo: float, hi: float, k: int) -> float:
     t = np.linspace(lo, hi, k + 1)
     if not lo <= s <= hi:
         raise ValueError(f"s={s} outside [{lo}, {hi}]")
-    r = min(int(np.searchsorted(t, s, side="right")) - 1, k - 1)
-    r = max(r, 0)
-    h = t[r + 1] - t[r]
-    w = (s - t[r]) / h
-    return float((1.0 - w) * t[r] ** 2 + w * t[r + 1] ** 2)
+    return float(_interp_lambdas(s, t) @ t**2)
 
 
 def secant_gap_bound(lo: float, hi: float, k: int) -> float:
@@ -220,23 +231,21 @@ def _envelope(plan, k: int) -> tuple[float, float]:
 
 
 def _emit_linearization(
-    payoffs: np.ndarray,
-    k: int,
-    x_indices: list[int],
-    z_index: int,
-    next_index: int,
+    payoffs: np.ndarray, k: int
 ) -> tuple[list[Variable], list[LinearRow], list[list[int]], list[SquareTerm], float, float]:
-    """Lambda/SOS2 subsystem tying z to the quadratic form over the given x variables.
+    """Lambda/SOS2 subsystem tying z to the quadratic form, in the fixed layout.
 
-    Returns the new variables (starting at next_index), their rows, the SOS2
+    x_i is column i and z column m; the new variables start at column 2m+1,
+    right after the y's. Returns the new variables, their rows, the SOS2
     sets, the square-term records, and the corridor half-widths (env_plus
     below the secant combination, env_minus above it).
     """
+    m = payoffs.shape[0]
     variables: list[Variable] = []
     rows: list[LinearRow] = []
     sos2: list[list[int]] = []
     squares: list[SquareTerm] = []
-    idx = next_index
+    idx = 2 * m + 1
 
     plan = _square_plan(payoffs, k)
     for kind, i, j, weight, lo, hi in plan:
@@ -259,7 +268,7 @@ def _emit_linearization(
         term = SquareTerm(kind, i, j, weight, lo, hi, t, q_index, lam_start, k + 1)
         link = {lam_start + r: float(t[r]) for r in range(k + 1)}
         for xi, coef in term.s_coeffs().items():
-            link[x_indices[xi]] = link.get(x_indices[xi], 0.0) - coef
+            link[xi] = -coef
         rows.append(LinearRow(link, "=", 0.0, name=f"link_{tag}"))
         qdef = {lam_start + r: -float(t[r] ** 2) for r in range(k + 1)}
         qdef[q_index] = 1.0
@@ -272,10 +281,10 @@ def _emit_linearization(
     # are negative, so the true value always lies inside.
     env_plus, env_minus = _envelope(plan, k)
     combo = {sq.q_index: sq.weight for sq in squares}
-    up = {z_index: 1.0}
+    up = {m: 1.0}
     up.update({qi: -w for qi, w in combo.items()})
     rows.append(LinearRow(up, "<=", env_minus, name="z_upper"))
-    down = {z_index: -1.0}
+    down = {m: -1.0}
     down.update({qi: w for qi, w in combo.items()})
     rows.append(LinearRow(down, "<=", env_plus, name="z_lower"))
 
@@ -290,13 +299,12 @@ def linearization_error_bound(game_or_payoffs, k: int) -> float:
 
 
 def build_model(game: GameMatrix, params: BuildParams = BuildParams()) -> ModelIR:
-    """Assemble the full feasibility model for a normalized game.
+    """Assemble the x/z/y feasibility model for a normalized game.
 
-    Variable order: x_0..x_{m-1}, z, then per square term its q followed by its
-    k+1 lambdas, then the binaries y_0..y_{m-1}. Row order: the four big-M rows
-    per pure strategy, the probability simplex row, the lambda subsystem, and
-    the two z corridor rows. Both orders are deterministic so exports are
-    byte-stable.
+    Variable order: x_0..x_{m-1}, z, y_0..y_{m-1}. Row order: the four big-M
+    rows per pure strategy, then the probability simplex row. ``linearize``
+    appends the lambda system for export. Both orders are deterministic so
+    exports are byte-stable.
     """
     if not game.is_normalized:
         raise ValueError(
@@ -306,96 +314,83 @@ def build_model(game: GameMatrix, params: BuildParams = BuildParams()) -> ModelI
     m = game.m
     eps = params.eps
     big = 1.0 + eps
-    k = params.k
+    z = m
 
     variables = [Variable(f"x_{i}", 0.0, 1.0) for i in range(m)]
-    x_indices = list(range(m))
-    z_index = m
     variables.append(Variable("z", -1.0, 2.0))
-
-    lin_vars, lin_rows, sos2, squares, env_plus, env_minus = _emit_linearization(
-        a, k, x_indices, z_index, len(variables)
-    )
-    variables.extend(lin_vars)
-
-    y_indices = []
-    for i in range(m):
-        y_indices.append(len(variables))
-        variables.append(Variable(f"y_{i}", 0.0, 1.0, binary=True))
+    variables.extend(Variable(f"y_{j}", 0.0, 1.0, binary=True) for j in range(m))
 
     rows: list[LinearRow] = []
     for j in range(m):
-        row_j = {x_indices[i]: float(a[j, i]) for i in range(m)}
-        col_j = {x_indices[i]: float(a[i, j]) for i in range(m)}
-        yj = y_indices[j]
+        row_j = {i: float(a[j, i]) for i in range(m)}
+        col_j = {i: float(a[i, j]) for i in range(m)}
+        yj = m + 1 + j
 
         # u1(j, x*) <= z - eps + M y_j   (y_j = 0: mutant strictly worse)
-        c = dict(row_j)
-        c[z_index] = c.get(z_index, 0.0) - 1.0
-        c[yj] = -big
-        rows.append(LinearRow(c, "<=", -eps, name=f"strict_{j}"))
+        rows.append(LinearRow({**row_j, z: -1.0, yj: -big}, "<=", -eps, name=f"strict_{j}"))
 
         # u1(j, x*) <= z + M (1 - y_j)    (y_j = 1: payoff tie, upper half)
-        c = dict(row_j)
-        c[z_index] = c.get(z_index, 0.0) - 1.0
-        c[yj] = big
-        rows.append(LinearRow(c, "<=", big, name=f"tie_ub_{j}"))
+        rows.append(LinearRow({**row_j, z: -1.0, yj: big}, "<=", big, name=f"tie_ub_{j}"))
 
         # z <= u1(j, x*) + M (1 - y_j)    (tie, lower half)
-        c = {idx: -v for idx, v in row_j.items()}
-        c[z_index] = c.get(z_index, 0.0) + 1.0
-        c[yj] = big
-        rows.append(LinearRow(c, "<=", big, name=f"tie_lb_{j}"))
+        c = {i: -v for i, v in row_j.items()}
+        rows.append(LinearRow({**c, z: 1.0, yj: big}, "<=", big, name=f"tie_lb_{j}"))
 
         # u1(j, j) <= u1(x*, j) - eps + M (1 - y_j)   (self-play deficit)
-        c = {idx: -v for idx, v in col_j.items()}
-        c[yj] = big
+        c = {i: -v for i, v in col_j.items()}
         rows.append(
-            LinearRow(c, "<=", big - eps - float(a[j, j]), name=f"selfplay_{j}")
+            LinearRow({**c, yj: big}, "<=", big - eps - float(a[j, j]), name=f"selfplay_{j}")
         )
 
-    rows.append(LinearRow({i: 1.0 for i in x_indices}, "=", 1.0, name="simplex"))
-    rows.extend(lin_rows)
+    rows.append(LinearRow({i: 1.0 for i in range(m)}, "=", 1.0, name="simplex"))
+    return ModelIR(m=m, k=params.k, eps=eps, variables=variables, rows=rows, payoffs=a)
 
+
+def linearize(model: ModelIR) -> ModelIR:
+    """The model with the paper's lambda/SOS2 linearization of z appended.
+
+    The q and lambda columns follow y, and the lambda, link, qdef and z
+    corridor rows follow the model's own rows. The input is not changed.
+    """
+    if len(model.variables) != 2 * model.m + 1:
+        raise ValueError("linearize expects the x/z/y model that build_model returns")
+    lin_vars, lin_rows, sos2, squares, env_plus, env_minus = _emit_linearization(
+        model.payoffs, model.k
+    )
     return ModelIR(
-        m=m,
-        k=k,
-        eps=eps,
-        variables=variables,
-        rows=rows,
+        m=model.m,
+        k=model.k,
+        eps=model.eps,
+        variables=[*model.variables, *lin_vars],
+        rows=[*model.rows, *lin_rows],
+        payoffs=model.payoffs,
         sos2_sets=sos2,
         squares=squares,
-        payoffs=a,
-        x_indices=x_indices,
-        y_indices=y_indices,
-        z_index=z_index,
         env_plus=env_plus,
         env_minus=env_minus,
     )
 
 
 def interpolation_assignment(model: ModelIR, x: np.ndarray, y: np.ndarray | None = None) -> dict[str, float]:
-    """Assignment at a given strategy: secant lambdas, q values, z at the true quadratic.
+    """Assignment at a given strategy: z at the true quadratic, and on a
+    linearized model secant lambdas and q values.
 
     Used to certify feasibility constructively and by the solver to assemble
     candidate leaves. y defaults to all zeros.
     """
+    m = model.m
     x = np.asarray(x, dtype=float)
-    values: dict[str, float] = {}
-    for i, xi in enumerate(model.x_indices):
-        values[model.variables[xi].name] = float(x[i])
-    z_true = float(x @ model.payoffs @ x)
-    values[model.variables[model.z_index].name] = z_true
+    yvals = y if y is not None else np.zeros(m)
+    names = [v.name for v in model.variables]
+    values = {names[i]: float(x[i]) for i in range(m)}
+    values[names[m]] = float(x @ model.payoffs @ x)
+    values.update((names[m + 1 + j], float(yvals[j])) for j in range(m))
     for sq in model.squares:
-        coeffs = sq.s_coeffs()
-        s = sum(coef * x[i] for i, coef in coeffs.items())
+        s = sum(coef * x[i] for i, coef in sq.s_coeffs().items())
         lam = _interp_lambdas(s, sq.breakpoints)
         for r in range(sq.lam_count):
-            values[model.variables[sq.lam_start + r].name] = float(lam[r])
-        values[model.variables[sq.q_index].name] = float(lam @ sq.breakpoints**2)
-    yvals = y if y is not None else np.zeros(model.m)
-    for i, yi in enumerate(model.y_indices):
-        values[model.variables[yi].name] = float(yvals[i])
+            values[names[sq.lam_start + r]] = float(lam[r])
+        values[names[sq.q_index]] = float(lam @ sq.breakpoints**2)
     return values
 
 

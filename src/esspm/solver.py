@@ -1,28 +1,49 @@
-"""Branch-and-bound feasibility solver for the linearized stability models.
+"""Branch-and-bound feasibility solver for the stability models.
 
-Depth-first search over the branch indicators y: each node pins a subset of
-them and solves the LP relaxation (binaries relaxed to [0, 1]); infeasible
-relaxations prune the subtree. When every indicator is integral the node's
-pattern S = {j : y_j = 1} is attempted: one more feasibility LP, with the
-strategies outside S fixed at zero by their bounds, decides whether the
-pattern has a point; the candidate is refined by solving the S-tie system with
-the oracle's stacked tie kernel (the one ``enumeration.solve_support``
-calls), and the result is accepted only if its payoff gaps
-(``analysis.payoff_gaps``) meet the branch conditions at the model's ``eps``
-with the exact quadratic value x' A x in place of z. The final
-assignment carries secant-interpolated lambdas, so it meets the SOS2
-adjacency requirement by construction, and it is re-verified against every
-row of the full model.
+Depth-first search over the branch indicators y, on the rows of the model it
+is given: ``build_model``'s x/z/y system (2m+1 columns, 4m+1 rows), or that
+system with ``linearize``'s lambda rows appended. A node is its bounds array,
+and y_j is fixed where its bounds meet. Each node solves the LP relaxation
+(binaries relaxed to [0, 1]); infeasible relaxations prune the subtree. When
+every indicator is integral the node's pattern S = {j : y_j = 1} is
+attempted: one more feasibility LP, with the strategies outside S fixed at
+zero by their bounds, decides whether the pattern has a point; the candidate
+is refined by solving the S-tie system with the oracle's stacked tie kernel
+(the one ``enumeration.solve_support`` calls), and the result is accepted
+only if its payoff gaps (``analysis.payoff_gaps``) meet the branch
+conditions at the model's ``eps`` with the exact quadratic value x' A x in
+place of z. The accepted assignment (``interpolation_assignment``) sets z to
+x' A x and, on a linearized model, secant-interpolated lambdas; it is
+re-verified against every bound, binary and row of the model
+(``verify_assignment``).
 
-Every node and leaf LP runs on the x/z/y rows only: the rows of the model
-whose columns all lie in x, z or y (the big-M rows, the simplex row and any
-user row over those columns), remapped onto 2m+1 columns. The lambda/SOS2
-subsystem is never enforced by the search, so its columns and rows would only
-enlarge every LP; it serves ``export_lp`` and the final leaf verification.
-This loses nothing: at a leaf with no off-pattern mass the ties give
-x' A x = sum_{j in S} x_j (A x)_j = z, so the x/z/y rows are exact where a
-candidate is accepted, and every point the exact check accepts lies inside the
-lambda corridor anyway.
+The search never needs the lambda/SOS2 subsystem: it would only enlarge
+every LP, and an accepted leaf satisfies it anyway. Proof, for an accepted
+leaf with pattern S, strategy x on the simplex, z = x' A x and y = 1_S,
+writing d_j = (A x)_j - z and margin_j = (A' x)_j - a_jj, with payoffs in
+[0, 1] so that |d_j| <= 1 and a_jj - (A' x)_j <= 1:
+  - Big-M rows (M = 1 + eps). strict_j reads d_j - M y_j <= -eps: off S the
+    exact check gives d_j <= 1e-9 - eps, on S it reads d_j <= 1. tie_ub_j
+    and tie_lb_j read +-d_j + M y_j <= M: on S the check gives
+    |d_j| <= 1e-8, off S they read +-d_j <= M. selfplay_j reads
+    a_jj - (A' x)_j + M y_j <= M - eps: on S the check gives
+    margin_j >= eps - 1e-9, off S it reads a_jj - (A' x)_j <= 1. The tie
+    (``_TIE_TOL``, 1e-8) and margin (``_MARGIN_TOL``, 1e-9) tolerances both
+    sit below ``LIN_FEAS_TOL`` (1e-7), so every big-M row verifies. The
+    simplex row, x in [0, 1], z in [0, 1] inside its bounds [-1, 2] and the
+    binary y hold as well.
+  - Lambda rows. Each square term has s = x_i, x_i + x_j or x_i - x_j inside
+    its grid [lo, hi]. The interpolated lambdas put 1 - w and w, w in
+    [0, 1], on the two ends t_r <= s <= t_r+1 of one segment, so lamsum
+    (sum = 1), link (sum lam_r t_r = s), qdef (q = sum lam_r t_r^2) and SOS2
+    adjacency hold by construction, and q lies in [0, max(lo^2, hi^2)].
+  - Corridor. q - s^2 = w (1 - w) h^2 is the secant overshoot, in
+    [0, h^2/4]. The weighted squares sum to x' A x exactly, so
+    z - sum weight * q = -sum weight * (q - s^2), which lies in
+    [-env_plus, env_minus] because env_plus and env_minus sum the h^2/4
+    bounds of the positive and the negative weights.
+So verifying against the linearized model never rejects a leaf that the
+x/z/y rows accept; the test suite checks this on a fuzzed deck.
 
 The exactness gate is what keeps the solver sound: z is free in the search
 LPs, so their margins may be pure relaxation artifact, and rejecting those at
@@ -34,7 +55,7 @@ whose true margins fall below the model's eps.
 Node and leaf LPs are warm-started. The root LP is solved cold; every other
 LP goes through ``lp_solve`` with ``start=``, the final simplex state of its
 parent's feasible solve (a leaf's start is its own node's state). That state
-sits on the DFS stack next to the node's fixes, siblings share it, and
+sits on the DFS stack next to the node's bounds, siblings share it, and
 ``lp_solve`` copies it before changing anything. A child differs from its
 parent in a few bounds only, so most restarts take a few pivots or none. The
 restart solves exactly the child's system, so an INFEASIBLE child is still
@@ -58,7 +79,7 @@ import numpy as np
 from .analysis import payoff_gaps
 from .enumeration import _MARGIN_TOL, _TIE_TOL, _solve_ties
 from .game import MixedStrategy
-from .model import LinearRow, ModelIR, interpolation_assignment, verify_assignment
+from .model import ModelIR, interpolation_assignment, verify_assignment
 from .simplex import LPState, SolverError, lp_solve
 
 __all__ = [
@@ -104,29 +125,6 @@ class SolveResult:
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-def _search_rows(model: ModelIR) -> tuple[list[LinearRow], np.ndarray]:
-    """The x/z/y rows of the model and their bounds, on columns x_0..x_{m-1}, z, y_0..y_{m-1}.
-
-    Rows touching any other column (the lambda/SOS2 subsystem) are left out.
-    """
-    cols = [*model.x_indices, model.z_index, *model.y_indices]
-    pos = {full: i for i, full in enumerate(cols)}
-    rows = [
-        LinearRow({pos[i]: c for i, c in row.coeffs.items()}, row.rel, row.rhs, row.name)
-        for row in model.rows
-        if all(i in pos for i in row.coeffs)
-    ]
-    return rows, model.bounds_array()[cols]
-
-
-def _pinned(bounds: np.ndarray, fixes: dict[int, int], m: int) -> np.ndarray:
-    """Search bounds with y_j pinned to fixes[j]; y_j sits at column m + 1 + j."""
-    out = bounds.copy()
-    for j, v in fixes.items():
-        out[m + 1 + j] = float(v)
-    return out
-
-
 def _refine_pattern(model: ModelIR, pattern: list[int], x_lp: np.ndarray) -> np.ndarray:
     """Sharpen the LP point by solving the tie system of the pattern directly.
 
@@ -165,50 +163,44 @@ def _exact_candidate_check(model: ModelIR, pattern: list[int], x: np.ndarray) ->
 
 
 def _attempt_pattern(
-    model: ModelIR,
-    pattern_set: dict[int, int],
-    rows: list[LinearRow],
-    base_bounds: np.ndarray,
-    stats: SolveStats,
-    start: LPState,
+    model: ModelIR, pattern: np.ndarray, bounds: np.ndarray, stats: SolveStats, start: LPState
 ) -> dict[str, float] | None:
-    """Try to turn a fully pinned indicator pattern into a verified assignment.
+    """Try to turn a 0/1 indicator pattern into a verified assignment.
 
-    The leaf LP restarts from ``start``, the final state of its node's LP.
+    ``bounds`` are the node's; the leaf LP pins every y_j to pattern[j] and
+    x_j to zero off the pattern, and restarts from ``start``, the final state
+    of its node's LP.
     """
     m = model.m
-    pattern = sorted(j for j, v in pattern_set.items() if v == 1)
-    if not pattern:
+    support = np.flatnonzero(pattern).tolist()
+    if not support:
         return None  # every strategy strictly worse than the average: impossible
-    bounds = _pinned(base_bounds, pattern_set, m)
-    bounds[[j for j, v in pattern_set.items() if v == 0]] = 0.0  # x_j = 0 off the pattern
-    status, point, iters = lp_solve(rows, bounds, start=start)
+    leaf = bounds.copy()
+    leaf[m + 1 : 2 * m + 1] = pattern[:, None]
+    leaf[:m][pattern == 0] = 0.0  # x_j = 0 off the pattern
+    status, point, iters = lp_solve(model.rows, leaf, start=start)
     stats.lp_iterations += iters
     if status != "feasible":
         return None
-    x = _refine_pattern(model, pattern, point[:m])
-    if not _exact_candidate_check(model, pattern, x):
+    x = _refine_pattern(model, support, point[:m])
+    if not _exact_candidate_check(model, support, x):
         return None
-    y = np.zeros(m)
-    y[pattern] = 1.0
-    assignment = interpolation_assignment(model, x, y)
+    assignment = interpolation_assignment(model, x, pattern)
     if verify_assignment(model, assignment):
         return None
     return assignment
 
 
 def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
-    """Search the indicator tree for a verified feasible assignment.
+    """Search the indicator tree of the model's rows for a verified feasible assignment.
 
-    Children of a branch node are ordered so the strict branch (y = 0) is
-    explored before the tie branch (y = 1): ties between distinct payoffs are
-    rare in generated games, so strict patterns usually resolve faster.
-    A model without branch indicators raises ValueError.
+    A node is its bounds array: y_j is fixed where its lower and upper bounds
+    meet. Children of a branch node are ordered so the strict branch (y = 0)
+    is explored before the tie branch (y = 1): ties between distinct payoffs
+    are rare in generated games, so strict patterns usually resolve faster.
     """
     if not isinstance(model, ModelIR):
         raise TypeError(f"expected ModelIR, got {type(model).__name__}")
-    if not model.y_indices:
-        raise ValueError("model has no branch indicators y; build it with build_model")
     t0 = time.perf_counter()
     stats = SolveStats()
 
@@ -220,42 +212,43 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
         return SolveResult(status, assignment, stats)
 
     m = model.m
-    rows, base_bounds = _search_rows(model)
-    # (a node's fixes, its parent's final LP state or None at the root)
-    stack: list[tuple[dict[int, int], LPState | None]] = [({}, None)]
+    ys = slice(m + 1, 2 * m + 1)
+    # (a node's bounds, its parent's final LP state or None at the root)
+    stack: list[tuple[np.ndarray, LPState | None]] = [(model.bounds_array(), None)]
+
+    def children(bounds: np.ndarray, j: int, state: LPState) -> None:
+        for v in (1.0, 0.0):  # popped y_j = 0 first
+            child = bounds.copy()
+            child[m + 1 + j] = v
+            stack.append((child, state))
+
     while stack:
         if stats.nodes >= limits.max_nodes or elapsed_ms() >= limits.max_time_ms:
             return finish(SolveStatus.LIMIT_REACHED)
-        fixes, start = stack.pop()
+        bounds, start = stack.pop()
         stats.nodes += 1
 
-        result = lp_solve(rows, _pinned(base_bounds, fixes, m), start=start)
+        result = lp_solve(model.rows, bounds, start=start)
         status, point, iters = result
         stats.lp_iterations += iters
         if status != "feasible":
             continue
         state = result.state
 
-        yvals = point[m + 1 :]
-        unfixed = [j for j in range(m) if j not in fixes]
-        fractional = [j for j in unfixed if min(yvals[j], 1.0 - yvals[j]) > _INT_TOL]
-        if fractional:
-            j = min(fractional, key=lambda jj: (abs(yvals[jj] - 0.5), jj))
-            stack.append(({**fixes, j: 1}, state))
-            stack.append(({**fixes, j: 0}, state))
+        y = point[ys]
+        lo, hi = bounds[ys].T
+        unfixed = lo < hi
+        fractional = unfixed & (np.minimum(y, 1.0 - y) > _INT_TOL)
+        if fractional.any():
+            children(bounds, int(np.argmin(np.where(fractional, np.abs(y - 0.5), np.inf))), state)
             continue
 
-        pattern_set = {
-            j: fixes.get(j, int(round(yvals[j]))) for j in range(m)
-        }
-        assignment = _attempt_pattern(model, pattern_set, rows, base_bounds, stats, state)
+        pattern = np.where(unfixed, y > 0.5, lo)
+        assignment = _attempt_pattern(model, pattern, bounds, stats, state)
         if assignment is not None:
             return finish(SolveStatus.FEASIBLE, assignment)
-        if not unfixed:
-            continue  # the pattern is refuted and fully pinned: dead end
-        j = unfixed[0]
-        stack.append(({**fixes, j: 1}, state))
-        stack.append(({**fixes, j: 0}, state))
+        if unfixed.any():  # else the pattern is refuted and fully pinned: dead end
+            children(bounds, int(np.argmax(unfixed)), state)
 
     return finish(SolveStatus.INFEASIBLE)
 

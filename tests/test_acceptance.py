@@ -28,6 +28,7 @@ from esspm import (
     find_pure_esspm,
     invasion_test,
     linearization_error_bound,
+    linearize,
     mutation_population,
     nash_epsilon,
     normalize,
@@ -38,10 +39,18 @@ from esspm import (
     uniform_random,
     verify_assignment,
 )
-from esspm.model import secant_gap_bound, secant_square_value
+from esspm.model import interpolation_assignment, secant_gap_bound, secant_square_value
 
 DELTA = 1e-7
 EPS = 1e-5
+
+
+def full_violations(model, res):
+    """A FEASIBLE result's x and y, interpolated into the linearized model, checked against all of it."""
+    full = linearize(model)
+    x = np.array([res.assignment[f"x_{i}"] for i in range(model.m)])
+    y = np.array([res.assignment[f"y_{j}"] for j in range(model.m)])
+    return verify_assignment(full, interpolation_assignment(full, x, y))
 
 
 def _report(criterion: int, detail: str) -> None:
@@ -153,6 +162,7 @@ def test_criterion_5_oracle_agreement():
             certs = enumerate_esspm(norm, tol)
             if res.status is SolveStatus.FEASIBLE:
                 assert verify_assignment(model, res.assignment) == []
+                assert full_violations(model, res) == []
                 strat = extract_strategy(res, m)
                 err = approximation_error(norm, strat, tol)
                 assert err <= 5e-3
@@ -317,6 +327,7 @@ class TestCriterion8PropertySuites:
             res = solve(model)
             if res.status is SolveStatus.FEASIBLE:
                 assert verify_assignment(model, res.assignment) == []
+                assert full_violations(model, res) == []
                 verified += 1
         assert verified >= 10
         _report(8, f"independent re-verification of {verified} feasible assignments")

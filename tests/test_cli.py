@@ -70,6 +70,8 @@ class TestExportLp:
         assert code == 0
         text = out.read_text()
         assert "Binary" in text and "y_0 y_1" in text
+        # The exported model is the linearized one: one SOS2 set per square term.
+        assert sum(": S2 ::" in line for line in text.splitlines()) == 4
 
 
 class TestErrors:

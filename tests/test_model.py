@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,14 +10,25 @@ from esspm import (
     build_model,
     export_lp,
     linearization_error_bound,
+    linearize,
     mutation_population,
     normalize,
     uniform_random,
     verify_assignment,
 )
-from esspm.model import interpolation_assignment, secant_gap_bound, secant_square_value
+from esspm.model import (
+    LinearRow,
+    Variable,
+    interpolation_assignment,
+    secant_gap_bound,
+    secant_square_value,
+)
 
 MP_NORM = normalize(mutation_population())
+
+
+def full_model(game, params=BuildParams()):
+    return linearize(build_model(game, params))
 
 
 def random_simplex(rng, m):
@@ -28,7 +42,8 @@ class TestBuildParams:
         assert eps == 1e-5
         model = build_model(MP_NORM)
         assert model.eps == eps
-        for j, yj in enumerate(model.y_indices):
+        for j in range(model.m):
+            yj = model.m + 1 + j
             rows = {r.name: r for r in model.rows if r.name.endswith(f"_{j}") and yj in r.coeffs}
             assert set(rows) == {f"strict_{j}", f"tie_ub_{j}", f"tie_lb_{j}", f"selfplay_{j}"}
             assert rows[f"strict_{j}"].rhs == -eps
@@ -41,8 +56,8 @@ class TestBuildParams:
 
 class TestModelCounts:
     def test_m2_k20(self):
-        model = build_model(MP_NORM, BuildParams(k=20))
-        assert len(model.y_indices) == 2
+        model = full_model(MP_NORM, BuildParams(k=20))
+        assert [v.name for v in model.variables if v.binary] == ["y_0", "y_1"]
         assert sum(1 for v in model.variables if v.binary) == 2
         big_m_rows = [r for r in model.rows if r.name.split("_")[0] in ("strict", "tie", "selfplay")]
         assert len(big_m_rows) == 8
@@ -54,8 +69,8 @@ class TestModelCounts:
 
     def test_m3_k10(self):
         g = normalize(uniform_random(3, seed=1))
-        model = build_model(g, BuildParams(k=10))
-        assert len(model.y_indices) == 3
+        model = full_model(g, BuildParams(k=10))
+        assert [v.name for v in model.variables if v.binary] == ["y_0", "y_1", "y_2"]
         big_m_rows = [r for r in model.rows if r.name.split("_")[0] in ("strict", "tie", "selfplay")]
         assert len(big_m_rows) == 12
         assert len(model.sos2_sets) == 9  # 3 diagonal + 2 * C(3,2) separable squares
@@ -70,7 +85,7 @@ class TestBranchSemantics:
     """y = 0 activates the strict row; y = 1 activates the tie and self-play rows."""
 
     def test_exact_solution_feasible_on_tie_branch(self):
-        model = build_model(MP_NORM, BuildParams(k=20))
+        model = full_model(MP_NORM, BuildParams(k=20))
         assignment = interpolation_assignment(model, np.array([0.2, 0.8]), np.array([1.0, 1.0]))
         assert verify_assignment(model, assignment) == []
 
@@ -107,10 +122,9 @@ class TestBranchSemantics:
                     ):
                         row = next(r for r in model.rows if r.name == name)
                         values = {idx: 0.0 for idx in range(len(model.variables))}
-                        for xi, xval in zip(model.x_indices, x):
-                            values[xi] = xval
-                        values[model.z_index] = float(x @ a @ x)
-                        values[model.y_indices[j]] = y
+                        values.update(enumerate(x))
+                        values[m] = float(x @ a @ x)
+                        values[m + 1 + j] = y
                         lhs = sum(c * values[idx] for idx, c in row.coeffs.items())
                         assert lhs <= row.rhs + 1e-12, (name, i, j)
 
@@ -148,7 +162,7 @@ class TestLinearization:
         rng = np.random.default_rng(8)
         for m, k in ((2, 20), (3, 10), (4, 6)):
             game = normalize(GameMatrix(rng.random((m, m))))
-            model = build_model(game, BuildParams(k=k))
+            model = full_model(game, BuildParams(k=k))
             for _ in range(10):
                 x = random_simplex(rng, m)
                 assignment = interpolation_assignment(model, x)
@@ -164,7 +178,7 @@ class TestLinearization:
         rng = np.random.default_rng(9)
         for m, k in ((2, 20), (3, 10)):
             game = normalize(GameMatrix(rng.random((m, m))))
-            model = build_model(game, BuildParams(k=k))
+            model = full_model(game, BuildParams(k=k))
             h = 1.0 / k
             bound = m * m * h * h * float(np.abs(game.payoffs).max()) / 4.0
             combo_bound = model.env_plus + model.env_minus
@@ -179,29 +193,86 @@ class TestLinearization:
         games = [MP_NORM] + [normalize(uniform_random(m, seed=m)) for m in range(2, 6)]
         for game in games:
             for k in (2, 5, 20):
-                model = build_model(game, BuildParams(k=k))
+                model = full_model(game, BuildParams(k=k))
                 assert linearization_error_bound(game, k) == model.env_plus + model.env_minus
 
 
 class TestExportLp:
     def test_binary_section(self):
-        text = export_lp(build_model(MP_NORM, BuildParams(k=20)))
+        text = export_lp(full_model(MP_NORM, BuildParams(k=20)))
         lines = text.splitlines()
         bi = lines.index("Binary")
         assert lines[bi + 1].strip() == "y_0 y_1"
 
     def test_sos_section_format(self):
-        text = export_lp(build_model(MP_NORM, BuildParams(k=3)))
+        text = export_lp(full_model(MP_NORM, BuildParams(k=3)))
         sos_lines = [l for l in text.splitlines() if ": S2 ::" in l]
         assert len(sos_lines) == 4
         assert sos_lines[0].strip().startswith("s0: S2 :: lam_diag_0_0:1 lam_diag_0_1:2")
 
     def test_deterministic_bytes(self):
-        a = export_lp(build_model(MP_NORM, BuildParams(k=20)))
-        b = export_lp(build_model(MP_NORM, BuildParams(k=20)))
+        a = export_lp(full_model(MP_NORM, BuildParams(k=20)))
+        b = export_lp(full_model(MP_NORM, BuildParams(k=20)))
         assert a == b
 
     def test_sections_present(self):
-        text = export_lp(build_model(MP_NORM, BuildParams(k=5)))
+        text = export_lp(full_model(MP_NORM, BuildParams(k=5)))
         for section in ("Subject To", "Bounds", "Binary", "SOS", "End"):
             assert section in text
+
+    def test_golden_bytes(self):
+        # sha256 of the full lambda model's export, taken when build_model
+        # still built that model itself; linearize must reproduce it.
+        golden = {
+            "mp": "6f118ea86afeada6a146b5604a420d71920284e387a7e73732405689e7f8b273",
+            "u3": "b998ce7081fc25555652b274e7456f10bc449bf88f04cf3eb61ca3c3fab21fa5",
+        }
+        games = {"mp": MP_NORM, "u3": normalize(uniform_random(3, seed=1))}
+        for name, game in games.items():
+            text = export_lp(full_model(game, BuildParams(k=3)))
+            assert hashlib.sha256(text.encode()).hexdigest() == golden[name], name
+
+
+class TestLayout:
+    """build_model gives the x/z/y system; linearize appends the lambda system after it."""
+
+    def test_build_model_is_the_x_z_y_system(self):
+        for m in range(2, 6):
+            model = build_model(normalize(uniform_random(m, seed=m)), BuildParams(k=5))
+            names = [v.name for v in model.variables]
+            assert names == [f"x_{i}" for i in range(m)] + ["z"] + [f"y_{j}" for j in range(m)]
+            assert len(model.rows) == 4 * m + 1
+            assert model.rows[-1].name == "simplex"
+            assert model.sos2_sets == [] and model.squares == []
+            assert model.env_plus == model.env_minus == 0.0
+
+    def test_linearize_appends_after_y(self):
+        model = build_model(normalize(uniform_random(3, seed=2)), BuildParams(k=4))
+        full = linearize(model)
+        assert len(model.variables) == 7 and len(model.rows) == 13  # input untouched
+        assert full.variables[:7] == model.variables
+        assert full.rows[:13] == model.rows
+        assert min(i for lam in full.sos2_sets for i in lam) > 7
+        assert all(sq.q_index >= 7 for sq in full.squares)
+        assert full.env_plus + full.env_minus == linearization_error_bound(model.payoffs, 4)
+
+    def test_linearize_rejects_a_linearized_model(self):
+        with pytest.raises(ValueError, match="x/z/y"):
+            linearize(full_model(MP_NORM, BuildParams(k=3)))
+
+    def test_layout_is_checked(self):
+        model = build_model(MP_NORM, BuildParams(k=3))
+        x0, x1, z, y0, y1 = model.variables
+        for variables in (
+            [x1, x0, z, y0, y1],  # x out of order
+            [x0, x1, y0, z, y1],  # z not at m
+            [x0, x1, z, Variable("y_0", 0.0, 1.0), y1],  # y_0 not binary
+            [x0, x1, z, y0],  # y_1 missing
+        ):
+            with pytest.raises(ValueError, match="branch indicators"):
+                dataclasses.replace(model, variables=variables, rows=[])
+
+    def test_row_indices_are_checked(self):
+        model = build_model(MP_NORM, BuildParams(k=3))
+        with pytest.raises(ValueError, match="unknown variable 5"):
+            dataclasses.replace(model, rows=[LinearRow({5: 1.0}, "<=", 1.0, name="bad")])

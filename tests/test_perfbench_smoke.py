@@ -55,3 +55,7 @@ def test_milp_mixed_trace():
     # that bypassed it would hide its time from simplex.lp_ms.
     assert metrics["simplex.lp_calls"]["value"] >= metrics["solver.nodes"]["value"]
     assert metrics["model.verify_ms"]["value"] > 0
+    # Every milp_mixed game has m <= 5, so the x/z/y model has at most 11
+    # columns and 21 rows; more means the lambda system is back on the hot path.
+    assert metrics["model.cols_per_model"]["value"] <= 11
+    assert metrics["model.rows_per_model"]["value"] <= 21

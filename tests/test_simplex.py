@@ -10,6 +10,7 @@ from esspm import (
     SolveStatus,
     build_model,
     extract_strategy,
+    linearize,
     mutation_population,
     normalize,
     solve,
@@ -186,7 +187,8 @@ class TestFeasibility:
         assert is_infeasible(rows, [[0, 1], [0, 1]])
 
     def test_mp_root_relaxation_feasible(self):
-        model = build_model(normalize(mutation_population()), BuildParams(k=20))
+        model = linearize(build_model(normalize(mutation_population()), BuildParams(k=20)))
+        assert len(model.variables) > 80  # the full lambda model, not the x/z/y system
         x = feasible_point(model.rows, model.bounds_array())
         assert rows_satisfied(model.rows, x)
 

@@ -5,6 +5,7 @@ import pytest
 
 from esspm import (
     BuildParams,
+    GameMatrix,
     LinearRow,
     SolveLimits,
     SolveStatus,
@@ -16,6 +17,7 @@ from esspm import (
     enumerate_esspm,
     extract_strategy,
     find_pure_esspm,
+    linearize,
     mutation_population,
     normalize,
     random_cancer_params,
@@ -25,7 +27,7 @@ from esspm import (
     uniform_random,
     verify_assignment,
 )
-from esspm.model import linearization_error_bound
+from esspm.model import Variable, interpolation_assignment, linearization_error_bound
 from esspm.solver import SolveResult, SolveStats
 
 
@@ -33,6 +35,14 @@ def solve_game(game, k=20, eps=1e-5):
     norm = normalize(game)
     model = build_model(norm, BuildParams(k=k, eps=eps))
     return norm, model, solve(model)
+
+
+def full_violations(model, res):
+    """A FEASIBLE result's x and y, interpolated into the linearized model, checked against all of it."""
+    full = linearize(model)
+    x = np.array([res.assignment[f"x_{i}"] for i in range(model.m)])
+    y = np.array([res.assignment[f"y_{j}"] for j in range(model.m)])
+    return verify_assignment(full, interpolation_assignment(full, x, y))
 
 
 class TestKnownGames:
@@ -53,7 +63,7 @@ class TestKnownGames:
 
     def test_contradictory_bound_infeasible_at_root(self):
         model = build_model(normalize(mutation_population()), BuildParams(k=5))
-        model.rows.append(LinearRow({model.x_indices[0]: 1.0}, ">=", 2.0, name="inject"))
+        model.rows.append(LinearRow({0: 1.0}, ">=", 2.0, name="inject"))
         res = solve(model)
         assert res.status is SolveStatus.INFEASIBLE
         assert res.stats.nodes == 1
@@ -86,6 +96,7 @@ class TestSolveMechanics:
             res = solve(model)
             if res.status is SolveStatus.FEASIBLE:
                 assert verify_assignment(model, res.assignment) == []
+                assert full_violations(model, res) == []
                 checked += 1
         assert checked >= 2
 
@@ -104,6 +115,7 @@ class TestSolveMechanics:
         res = solve(model)
         assert res.status is SolveStatus.FEASIBLE
         assert verify_assignment(model, res.assignment) == []
+        assert full_violations(model, res) == []
 
     def test_rejects_non_model(self):
         with pytest.raises(TypeError):
@@ -169,10 +181,11 @@ class TestSearchModel:
         norm = normalize(uniform_random(m, seed=seed))
         assert find_pure_esspm(norm) is None
         model = build_model(norm, BuildParams(k=10))
+        full = linearize(model)
         lambda_rows = {
             row.name
-            for row in model.rows
-            if any(model.variables[i].name.startswith(("q_", "lam_")) for i in row.coeffs)
+            for row in full.rows
+            if any(full.variables[i].name.startswith(("q_", "lam_")) for i in row.coeffs)
         }
         assert lambda_rows
         calls = []
@@ -186,6 +199,7 @@ class TestSearchModel:
         res = solve(model)
         assert res.status is SolveStatus.FEASIBLE
         assert verify_assignment(model, res.assignment) == []
+        assert full_violations(model, res) == []
         assert calls
         for rows, bounds in calls:
             assert len(bounds) == 2 * m + 1
@@ -193,6 +207,70 @@ class TestSearchModel:
             for row in rows:
                 assert row.name not in lambda_rows
                 assert all(0 <= i < 2 * m + 1 for i in row.coeffs)
+
+
+def _no_pure(games, n):
+    """The first n normalized games without a pure ESSPM."""
+    found = []
+    for game in games:
+        norm = normalize(game)
+        if find_pure_esspm(norm) is None:
+            found.append(norm)
+            if len(found) == n:
+                return found
+    raise AssertionError("too few games without a pure ESSPM")
+
+
+def _integer_games(m, seed, n):
+    """n games with payoffs drawn from {0, 1, 2}: ties and duplicated strategies abound."""
+    rng = np.random.default_rng(seed)
+    while n:
+        a = rng.integers(0, 3, (m, m)).astype(float)
+        if a.max() > a.min():
+            n -= 1
+            yield GameMatrix(a)
+
+
+class TestLinearizedModel:
+    """The x/z/y search, checked against the paper's full lambda/SOS2 model."""
+
+    def test_feasible_results_verify_against_the_lambda_model(self):
+        # The solver docstring's proof, as a property: every accepted leaf,
+        # interpolated into linearize(model), meets every row, bound, binary
+        # and SOS2 set of the full model.
+        decks = [_no_pure(_integer_games(m, 40 + m, 400), 25) for m in (2, 3, 4)]
+        decks += [_no_pure((uniform_random(m, seed=3_000 * m + s) for s in range(400)), 15) for m in (3, 4, 5)]
+        decks.append([normalize(chicken(900 + s)) for s in range(15)])
+        decks.append(_no_pure((cancer_game(random_cancer_params(900 + s)) for s in range(400)), 15))
+        feasible = 0
+        for norm in (g for deck in decks for g in deck):
+            for k in (3, 20):
+                model = build_model(norm, BuildParams(k=k))
+                res = solve(model)
+                if res.status is SolveStatus.FEASIBLE:
+                    assert full_violations(model, res) == []
+                    feasible += 1
+        assert feasible >= 180
+
+    @pytest.mark.parametrize(
+        "norm",
+        [
+            normalize(mutation_population()),
+            normalize(rock_paper_scissors()),
+            normalize(chicken(3)),
+            *_no_pure((uniform_random(3, seed=s) for s in range(200)), 3),
+            *_no_pure(_integer_games(3, 7, 200), 2),
+        ],
+        ids=["mp", "rps", "chicken-3", "u3-a", "u3-b", "u3-c", "int3-a", "int3-b"],
+    )
+    def test_same_verdict_on_the_linearized_model(self, norm):
+        model = build_model(norm, BuildParams(k=5))
+        full = linearize(model)
+        compact_res, full_res = solve(model), solve(full)
+        assert compact_res.status is full_res.status
+        if full_res.status is SolveStatus.FEASIBLE:
+            assert verify_assignment(full, full_res.assignment) == []
+            assert {v.name for v in full.variables} == set(full_res.assignment)
 
 
 def _highs_status(model) -> int:
@@ -266,7 +344,7 @@ class TestHighsCrossCheck:
         pytest.importorskip("scipy")
         assert find_pure_esspm(norm) is None
         model = build_model(norm, BuildParams(k=k, eps=eps))
-        highs_feasible = _highs_status(model) == 0
+        highs_feasible = _highs_status(linearize(model)) == 0
         ours = solve(model).status
         assert ours in (SolveStatus.FEASIBLE, SolveStatus.INFEASIBLE)
         if ours is SolveStatus.FEASIBLE:
@@ -277,18 +355,6 @@ class TestHighsCrossCheck:
             certs = enumerate_esspm(norm, Tolerances())
             best = max((c.min_slack() for c in certs), default=-np.inf)
             assert best <= eps + linearization_error_bound(norm, k)
-
-
-def _no_pure(games, n):
-    """The first n normalized games without a pure ESSPM."""
-    found = []
-    for game in games:
-        norm = normalize(game)
-        if find_pure_esspm(norm) is None:
-            found.append(norm)
-            if len(found) == n:
-                return found
-    raise AssertionError("too few games without a pure ESSPM")
 
 
 class TestSharedTieSolve:
@@ -312,9 +378,9 @@ class TestSharedTieSolve:
 
     def test_model_without_indicators_rejected(self):
         model = build_model(normalize(mutation_population()), BuildParams(k=5))
-        model = dataclasses.replace(model, y_indices=[])
+        relaxed = [Variable(v.name, v.lb, v.ub) for v in model.variables]
         with pytest.raises(ValueError, match="indicators"):
-            solve(model)
+            dataclasses.replace(model, variables=relaxed)
 
 
 class TestExtractStrategy:
