@@ -1,6 +1,9 @@
 """Brute-force oracle: enumerate supports, solve each tie system, certify stability.
 
-Runs independently of the MILP path so the two can cross-check each other.
+Supports are taken in stacked chunks: one tie solve and one payoff-gap screen
+per chunk, so only the candidates that the screen cannot rule out become
+objects and are certified by the scalar spec, ``check_conditions``. Runs
+independently of the MILP path so the two can cross-check each other.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import Condition, ConditionOutcome, Tolerances, check_conditions
+from .analysis import Condition, ConditionOutcome, Tolerances, check_conditions, payoff_gaps
 from .game import GameMatrix, MixedStrategy, Support
 
 __all__ = ["EsspmCertificate", "solve_support", "enumerate_esspm", "DEFAULT_SUPPORT_CAP"]
@@ -39,6 +42,12 @@ _SIMPLEX_TOL = 1e-9  # components below -this leave the simplex; those in (-this
 _DEGENERATE_TOL = 1e-9  # a support member at or below this weight is not really played
 _TIE_TOL = 1e-8  # MILP leaf: a pattern member's |d| at most this counts as a tie
 _MARGIN_TOL = 1e-9  # MILP leaf: slack by which a margin may fall short of eps
+# Oracle screen guard, per unit of max|a|. The stacked and the scalar products
+# sum the same m <= 20 terms in different orders, so their gaps differ by at
+# most a few times 20 * 2^-52 * max|a|, about 1e-14 * max|a|. A mutant rules a
+# candidate out before certification only when it fails by more than this
+# guard, so every candidate that check_conditions would certify survives.
+_SCREEN_GUARD = 1e-12
 
 # Supports per stacked solve: large enough to amortize the numpy call overhead,
 # small enough that a first-certificate search does not solve far past its stop.
@@ -115,27 +124,45 @@ def _certify(
     return EsspmCertificate(strategy, support, tuple(outcomes))
 
 
-def _candidates(game: GameMatrix, counts: list[int]):
-    """Yield (support, strategy) for each tie solution that uses its whole support.
+def _fails_clearly(d: np.ndarray, margin: np.ndarray, delta: float, guard: float) -> np.ndarray:
+    """Rows of a gap stack in which some mutant fails by more than ``guard``.
 
-    Supports come in (size, indices) order. ``counts`` holds [supports
-    visited, singular skipped] and is brought up to date through each support
-    before it is yielded, so it stays exact when the caller stops early.
+    A mutant fails clearly when d > delta + guard, or when |d| <= delta - guard
+    and margin < -guard: then it fails :func:`check_conditions` whatever the
+    last bits of the products, so the row cannot be certified.
     """
+    tie_lost = (np.abs(d) <= delta - guard) & (margin < -guard)
+    return ((d > delta + guard) | tie_lost).any(axis=1)
+
+
+def _survivors(game: GameMatrix, delta: float, counts: list[int]):
+    """Yield (indices, probs) for each candidate that the chunk screen keeps.
+
+    Supports come in (size, indices) order. Each chunk's tie solutions that
+    use their whole support form one (n, m) probability stack, screened with
+    one :func:`payoff_gaps` call; rows in which some mutant fails clearly are
+    dropped. ``counts`` holds [supports visited, singular skipped] and is
+    brought up to date through each support before it is yielded, so it
+    stays exact when the caller stops early.
+    """
+    payoffs = game.payoffs
+    guard = _SCREEN_GUARD * float(np.abs(payoffs).max())
     for size in range(1, game.m + 1):
         combos = itertools.combinations(range(game.m), size)
         while chunk := list(itertools.islice(combos, CHUNK)):
             idx = np.array(chunk)
-            rejected, weights = _solve_ties(game.payoffs, idx)
+            rejected, weights = _solve_ties(payoffs, idx)
             used = ~np.any(weights <= _DEGENERATE_TOL, axis=1)
+            rows = np.flatnonzero(~rejected)[used]
+            probs = np.zeros((len(rows), game.m))
+            np.put_along_axis(probs, idx[rows], weights[used], axis=1)
+            keep = ~_fails_clearly(*payoff_gaps(payoffs, probs), delta, guard)
             done = 0
-            for k, w in zip(np.flatnonzero(~rejected)[used].tolist(), weights[used]):
+            for k, p in zip(rows[keep].tolist(), probs[keep]):
                 counts[0] += k + 1 - done
                 counts[1] += int(np.count_nonzero(rejected[done : k + 1]))
                 done = k + 1
-                probs = np.zeros(game.m)
-                probs[idx[k]] = w
-                yield Support(chunk[k]), MixedStrategy(probs)
+                yield chunk[k], p
             counts[0] += len(chunk) - done
             counts[1] += int(np.count_nonzero(rejected[done:]))
 
@@ -151,10 +178,15 @@ def enumerate_esspm(
 
     Supports are visited in (size, indices) order. Each size's supports are
     taken in chunks of at most ``CHUNK``, whose tie systems are solved as one
-    stack; every candidate that uses its whole support is then certified
-    against every pure mutant, in order. ``limit`` stops the enumeration once
-    that many certificates are found, so ``limit=1`` returns the first
-    certificate in (size, indices) order, ``enumerate_esspm(game)[:1]``.
+    stack. The candidates that use their whole support are screened as one
+    stack with :func:`payoff_gaps`: a candidate against which some pure
+    mutant fails by more than a rounding guard (``_SCREEN_GUARD`` times
+    max|a|) is dropped. Each survivor, in order, is certified against every
+    pure mutant by :func:`check_conditions`, so certificates, tags and slacks
+    are those of the scalar spec, bit for bit. ``limit`` stops the
+    enumeration once that many certificates are found, so ``limit=1``
+    returns the first certificate in (size, indices) order,
+    ``enumerate_esspm(game)[:1]``.
     The returned list is in that order too. Games with more than
     ``DEFAULT_SUPPORT_CAP`` strategies raise ValueError.
 
@@ -169,8 +201,8 @@ def enumerate_esspm(
         raise ValueError(f"limit must be at least 1, got {limit}")
     counts = [0, 0]  # supports visited, singular skipped
     found: list[EsspmCertificate] = []
-    for support, strategy in _candidates(game, counts):
-        cert = _certify(game, strategy, support, tol)
+    for indices, probs in _survivors(game, tol.delta, counts):
+        cert = _certify(game, MixedStrategy(probs), Support(indices), tol)
         if cert is not None:
             found.append(cert)
             if len(found) == limit:

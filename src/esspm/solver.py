@@ -6,16 +6,20 @@ system with ``linearize``'s lambda rows appended. A node is its bounds array,
 and y_j is fixed where its bounds meet. Each node solves the LP relaxation
 (binaries relaxed to [0, 1]); infeasible relaxations prune the subtree. When
 every indicator is integral the node's pattern S = {j : y_j = 1} is
-attempted: one more feasibility LP, with the strategies outside S fixed at
-zero by their bounds, decides whether the pattern has a point; the candidate
-is refined by solving the S-tie system with the oracle's stacked tie kernel
-(the one ``enumeration.solve_support`` calls), and the result is accepted
-only if its payoff gaps (``analysis.payoff_gaps``) meet the branch
-conditions at the model's ``eps`` with the exact quadratic value x' A x in
-place of z. The accepted assignment (``interpolation_assignment``) sets z to
-x' A x and, on a linearized model, secant-interpolated lambdas; it is
-re-verified against every bound, binary and row of the model
-(``verify_assignment``).
+attempted. The candidate is the solution of the S-tie system, from the
+oracle's stacked tie kernel (the one ``enumeration.solve_support`` calls);
+only when that system is singular or leaves the simplex does one more
+feasibility LP run, with the strategies outside S fixed at zero by their
+bounds, and its point becomes the candidate. The candidate is accepted only
+if its payoff gaps (``analysis.payoff_gaps``) meet the branch conditions at
+the model's ``eps`` with the exact quadratic value x' A x in place of z.
+Skipping the leaf LP for a regular tie system loses nothing: a tie point
+that passes that exact check satisfies every row of the leaf (the proof
+below), so the skipped LP would have been feasible, and a tie point that
+fails it is rejected whatever the LP says. The accepted assignment
+(``interpolation_assignment``) sets z to x' A x and, on a linearized model,
+secant-interpolated lambdas; it is re-verified against every bound, binary
+and row of the model (``verify_assignment``).
 
 The search never needs the lambda/SOS2 subsystem: it would only enlarge
 every LP, and an accepted leaf satisfies it anyway. Proof, for an accepted
@@ -125,20 +129,37 @@ class SolveResult:
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-def _refine_pattern(model: ModelIR, pattern: list[int], x_lp: np.ndarray) -> np.ndarray:
-    """Sharpen the LP point by solving the tie system of the pattern directly.
+def _leaf_point(
+    model: ModelIR,
+    pattern: np.ndarray,
+    support: list[int],
+    bounds: np.ndarray,
+    stats: SolveStats,
+    start: LPState,
+) -> np.ndarray | None:
+    """The pattern's candidate strategy, or None when the leaf LP proves it has none.
 
-    The oracle's kernel solves it, so an accepted leaf is the strategy that
-    ``solve_support`` gives on the same support. Falls back to the LP point
-    (with off-pattern mass zeroed) if the system is singular or its solution
-    leaves the simplex.
+    The tie system of the support is solved first, by the oracle's kernel, so
+    an accepted leaf is the strategy that ``solve_support`` gives on the same
+    support. Only when that system is singular or its solution leaves the
+    simplex does the leaf LP run: it pins every y_j to pattern[j] and x_j to
+    zero off the pattern, restarts from ``start`` (the final state of its
+    node's LP), and its point, clamped and renormalized, is the candidate.
     """
-    x = np.zeros(model.m)
-    rejected, weights = _solve_ties(model.payoffs, np.array([pattern]))
+    m = model.m
+    x = np.zeros(m)
+    rejected, weights = _solve_ties(model.payoffs, np.array([support]))
     if not rejected[0]:
-        x[pattern] = weights[0]
+        x[support] = weights[0]
         return x
-    x[pattern] = np.clip(x_lp[pattern], 0.0, None)
+    leaf = bounds.copy()
+    leaf[m + 1 : 2 * m + 1] = pattern[:, None]
+    leaf[:m][pattern == 0] = 0.0  # x_j = 0 off the pattern
+    status, point, iters = lp_solve(model.rows, leaf, start=start)
+    stats.lp_iterations += iters
+    if status != "feasible":
+        return None
+    x[support] = np.clip(point[support], 0.0, None)
     total = x.sum()
     return x / total if total > 0.0 else x
 
@@ -167,23 +188,14 @@ def _attempt_pattern(
 ) -> dict[str, float] | None:
     """Try to turn a 0/1 indicator pattern into a verified assignment.
 
-    ``bounds`` are the node's; the leaf LP pins every y_j to pattern[j] and
-    x_j to zero off the pattern, and restarts from ``start``, the final state
-    of its node's LP.
+    ``bounds`` are the node's and ``start`` its final LP state; see
+    :func:`_leaf_point`.
     """
-    m = model.m
     support = np.flatnonzero(pattern).tolist()
     if not support:
         return None  # every strategy strictly worse than the average: impossible
-    leaf = bounds.copy()
-    leaf[m + 1 : 2 * m + 1] = pattern[:, None]
-    leaf[:m][pattern == 0] = 0.0  # x_j = 0 off the pattern
-    status, point, iters = lp_solve(model.rows, leaf, start=start)
-    stats.lp_iterations += iters
-    if status != "feasible":
-        return None
-    x = _refine_pattern(model, support, point[:m])
-    if not _exact_candidate_check(model, support, x):
+    x = _leaf_point(model, pattern, support, bounds, stats, start)
+    if x is None or not _exact_candidate_check(model, support, x):
         return None
     assignment = interpolation_assignment(model, x, pattern)
     if verify_assignment(model, assignment):

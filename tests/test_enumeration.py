@@ -169,16 +169,32 @@ def fuzzed_games(seed, ms, per_m):
             yield GameMatrix(rng.random((m, m)))
 
 
+def chunk_delta_params(chunks):
+    """(chunk, delta) pairs; the default delta keeps the bare chunk as its id.
+
+    The integer-{0,1,2} games put exact ties in the SECOND_EQUALITY band at
+    every delta; the wider bands add inexact ones (0 < |d| <= delta), so the
+    oracle's screen also decides ties whose d is not rounding noise.
+    """
+    default = Tolerances().delta
+    return [
+        pytest.param(chunk, delta, id=str(chunk) if delta == default else f"{chunk}-delta{delta:g}")
+        for delta in (default, 1e-3, 0.05)
+        for chunk in chunks
+    ]
+
+
 class TestStackedKernel:
-    @pytest.mark.parametrize("chunk", [enumeration.CHUNK, 5])
-    def test_matches_scalar_reference_bitwise(self, monkeypatch, chunk):
+    @pytest.mark.parametrize("chunk, delta", chunk_delta_params([enumeration.CHUNK, 5]))
+    def test_matches_scalar_reference_bitwise(self, monkeypatch, chunk, delta):
         # A 5-support chunk puts chunk boundaries inside every size from m=4 on.
         monkeypatch.setattr(enumeration, "CHUNK", chunk)
+        tol = Tolerances(delta=delta)
         n_certs = 0
         for game in fuzzed_games(50, range(2, 10), 4):
-            expected, expected_counters = reference_enumeration(game)
+            expected, expected_counters = reference_enumeration(game, tol)
             counters = {}
-            got = enumerate_esspm(game, counters=counters)
+            got = enumerate_esspm(game, tol, counters=counters)
             assert cert_keys(got) == cert_keys(expected)
             assert counters == expected_counters
             n_certs += len(got)
@@ -225,18 +241,57 @@ class TestStackedKernel:
         assert counters["singular_skipped"] >= 4  # (0,1), (0,1,2), (0,1,3), (0,1,2,3)
 
 
+class TestScreen:
+    def test_rows_inside_the_guard_survive(self):
+        delta = 1e-3
+        g = enumeration._SCREEN_GUARD * 2.0  # the guard of a game with max|a| = 2
+        # (d, margin) of the one interesting mutant; the other two hold clearly.
+        cases = [
+            ((delta + g / 2, 1.0), False),  # gain within the guard of the band
+            ((delta + 2 * g, 1.0), True),  # clear gain
+            ((delta - g / 2, -2 * g), False),  # tie lost, but d within the guard of the band edge
+            ((-delta + g / 2, -2 * g), False),
+            ((delta - 2 * g, -2 * g), True),  # clear tie, clearly lost
+            ((-delta + 2 * g, -2 * g), True),
+            ((delta - 2 * g, -g / 2), False),  # clear tie, loss within the guard
+            ((-delta - g / 2, -1.0), False),  # first condition within the guard
+            ((-delta - 2 * g, -1.0), False),  # first condition holds
+        ]
+        d = np.full((len(cases), 3), -1.0)
+        margin = np.ones((len(cases), 3))
+        for row, ((dj, mj), _) in enumerate(cases):
+            d[row, 1], margin[row, 1] = dj, mj
+        dropped = enumeration._fails_clearly(d, margin, delta, g)
+        assert dropped.tolist() == [fails for _, fails in cases]
+
+
 class TestLimit:
-    @pytest.mark.parametrize("chunk", [enumeration.CHUNK, 3])
-    def test_first_certificate_is_prefix_of_full_list(self, monkeypatch, chunk):
+    @pytest.mark.parametrize("chunk, delta", chunk_delta_params([enumeration.CHUNK, 3]))
+    def test_first_certificate_is_prefix_of_full_list(self, monkeypatch, chunk, delta):
         monkeypatch.setattr(enumeration, "CHUNK", chunk)
+        tol = Tolerances(delta=delta)
         games = [counterexample_game(), rock_paper_scissors(), mutation_population()]
         games += list(fuzzed_games(52, range(3, 9), 3))
         for game in games:
             counters = {}
-            first = enumerate_esspm(game, limit=1, counters=counters)
-            assert cert_keys(first) == cert_keys(enumerate_esspm(game)[:1])
+            first = enumerate_esspm(game, tol, limit=1, counters=counters)
+            assert cert_keys(first) == cert_keys(enumerate_esspm(game, tol)[:1])
             # Counters stop at the support of the first certificate.
-            assert counters == reference_enumeration(game, limit=1)[1]
+            assert counters == reference_enumeration(game, tol, limit=1)[1]
+
+    def test_planted_full_support_is_the_first_certificate(self):
+        # -I plus small noise: every proper support loses to a mutant outside
+        # it, so limit=1 visits all 2^m - 1 supports and certifies the last.
+        m = 12
+        rng = np.random.default_rng(12)
+        game = normalize(GameMatrix(-np.eye(m) + 0.05 * rng.standard_normal((m, m))))
+        counters = {}
+        first = enumerate_esspm(game, limit=1, counters=counters)
+        expected, expected_counters = reference_enumeration(game, limit=1)
+        assert [c.support.indices for c in first] == [tuple(range(m))]
+        assert cert_keys(first) == cert_keys(expected)
+        assert counters == expected_counters
+        assert counters["supports_visited"] == 2**m - 1
 
     def test_limit_two_on_counterexample(self):
         certs = enumerate_esspm(counterexample_game(), limit=2)
