@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .game import normalize, write_game
@@ -120,8 +119,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    cfg = dataclasses.replace(_config(args, n_games=args.n), out_path=args.out)
-    stats = run_batch(cfg)
+    cfg = _config(args, n_games=args.n)
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        stats = run_batch(cfg, fh)
     print(
         f"games={cfg.n_games} pure={stats.n_pure} optimal={stats.n_optimal} "
         f"infeasible={stats.n_infeasible} limit={stats.n_limit}"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import Condition, ConditionOutcome, Tolerances, check_conditions, payoff_gaps
-from .game import GameMatrix, MixedStrategy, Support
+from .game import PLAYED_TOL, GameMatrix, MixedStrategy, Support
 
 __all__ = ["EsspmCertificate", "solve_support", "enumerate_esspm", "DEFAULT_SUPPORT_CAP"]
 
@@ -36,10 +36,10 @@ class EsspmCertificate:
 
 # The fixed thresholds of a candidate strategy, defined once for the oracle,
 # solve_support and the MILP leaves (solver.py imports the last two). Every
-# other threshold is a user's delta or eps.
+# other threshold is a user's delta or eps, or game.PLAYED_TOL, below which a
+# support member's weight is not really played.
 _RESIDUAL_TOL = 1e-8  # max |mat @ sol - rhs| of a numerically regular tie system
 _SIMPLEX_TOL = 1e-9  # components below -this leave the simplex; those in (-this, 0) are clamped
-_DEGENERATE_TOL = 1e-9  # a support member at or below this weight is not really played
 _TIE_TOL = 1e-8  # MILP leaf: a pattern member's |d| at most this counts as a tie
 _MARGIN_TOL = 1e-9  # MILP leaf: slack by which a margin may fall short of eps
 # Oracle screen guard, per unit of max|a|. The stacked and the scalar products
@@ -152,7 +152,7 @@ def _survivors(game: GameMatrix, delta: float, counts: list[int]):
         while chunk := list(itertools.islice(combos, CHUNK)):
             idx = np.array(chunk)
             rejected, weights = _solve_ties(payoffs, idx)
-            used = ~np.any(weights <= _DEGENERATE_TOL, axis=1)
+            used = ~np.any(weights <= PLAYED_TOL, axis=1)
             rows = np.flatnonzero(~rejected)[used]
             probs = np.zeros((len(rows), game.m))
             np.put_along_axis(probs, idx[rows], weights[used], axis=1)

@@ -25,6 +25,9 @@ __all__ = [
 
 # Largest plain-float sum deviation accepted for a probability vector.
 PROB_SUM_TOL = 1e-9
+# A pure strategy is played when its probability exceeds this. Supports,
+# support sizes and the oracle's whole-support test all use it.
+PLAYED_TOL = 1e-9
 
 
 class GameParseError(ValueError):
@@ -108,9 +111,9 @@ class MixedStrategy:
     def m(self) -> int:
         return self.probs.size
 
-    def support(self, threshold: float = 1e-9) -> "Support":
-        """Indices played with probability above ``threshold``."""
-        return Support(tuple(int(i) for i in np.nonzero(self.probs > threshold)[0]))
+    def support(self) -> "Support":
+        """Indices played with probability above ``PLAYED_TOL``."""
+        return Support(tuple(int(i) for i in np.nonzero(self.probs > PLAYED_TOL)[0]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MixedStrategy):

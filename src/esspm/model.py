@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 LIN_FEAS_TOL = 1e-7
-INT_TOL = 1e-6
+INT_TOL = 1e-6  # a binary within this of 0 or 1 is integral, in the verify and the search
 SOS_NONZERO_TOL = 1e-7
 
 
@@ -371,71 +371,66 @@ def linearize(model: ModelIR) -> ModelIR:
     )
 
 
-def interpolation_assignment(model: ModelIR, x: np.ndarray, y: np.ndarray | None = None) -> dict[str, float]:
+def interpolation_assignment(model: ModelIR, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     """Assignment at a given strategy: z at the true quadratic, and on a
     linearized model secant lambdas and q values.
 
-    Used to certify feasibility constructively and by the solver to assemble
-    candidate leaves. y defaults to all zeros.
+    Returns the column values in the model's layout (x, z, y, then the q and
+    lambda columns of each square term). Used to certify feasibility
+    constructively and by the solver to assemble candidate leaves. y defaults
+    to all zeros.
     """
     m = model.m
     x = np.asarray(x, dtype=float)
-    yvals = y if y is not None else np.zeros(m)
-    names = [v.name for v in model.variables]
-    values = {names[i]: float(x[i]) for i in range(m)}
-    values[names[m]] = float(x @ model.payoffs @ x)
-    values.update((names[m + 1 + j], float(yvals[j])) for j in range(m))
+    values = np.zeros(len(model.variables))
+    values[:m] = x
+    values[m] = x @ model.payoffs @ x
+    if y is not None:
+        values[m + 1 : 2 * m + 1] = y
     for sq in model.squares:
         s = sum(coef * x[i] for i, coef in sq.s_coeffs().items())
         lam = _interp_lambdas(s, sq.breakpoints)
-        for r in range(sq.lam_count):
-            values[names[sq.lam_start + r]] = float(lam[r])
-        values[names[sq.q_index]] = float(lam @ sq.breakpoints**2)
+        values[sq.lam_start : sq.lam_start + sq.lam_count] = lam
+        values[sq.q_index] = lam @ sq.breakpoints**2
     return values
 
 
-def verify_assignment(
-    model: ModelIR,
-    assignment: dict[str, float],
-    lin_tol: float = LIN_FEAS_TOL,
-    int_tol: float = INT_TOL,
-    sos_tol: float = SOS_NONZERO_TOL,
-) -> list[str]:
+def verify_assignment(model: ModelIR, values: np.ndarray) -> list[str]:
     """Independent feasibility check of an assignment against the IR.
 
+    ``values`` holds one value per column of the model, in its layout.
     Re-evaluates every bound, row, binary, and SOS2 set from scratch (no solver
     state involved) and returns human-readable violation descriptions; an empty
-    list means the assignment is feasible.
+    list means the assignment is feasible. A ``values`` of the wrong length
+    raises ValueError.
     """
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(model.variables),):
+        raise ValueError(
+            f"assignment has shape {values.shape}, the model has {len(model.variables)} columns"
+        )
     violations: list[str] = []
-    values = np.empty(len(model.variables))
     for i, v in enumerate(model.variables):
-        if v.name not in assignment:
-            violations.append(f"missing value for {v.name}")
-            return violations
-        values[i] = assignment[v.name]
-
-    for i, v in enumerate(model.variables):
-        if values[i] < v.lb - lin_tol or values[i] > v.ub + lin_tol:
+        if values[i] < v.lb - LIN_FEAS_TOL or values[i] > v.ub + LIN_FEAS_TOL:
             violations.append(
                 f"{v.name}={values[i]!r} outside bounds [{v.lb}, {v.ub}]"
             )
-        if v.binary and min(abs(values[i]), abs(values[i] - 1.0)) > int_tol:
+        if v.binary and min(abs(values[i]), abs(values[i] - 1.0)) > INT_TOL:
             violations.append(f"binary {v.name}={values[i]!r} not integral")
 
     for row in model.rows:
         lhs = sum(coef * values[idx] for idx, coef in row.coeffs.items())
         resid = lhs - row.rhs
         ok = (
-            resid <= lin_tol
+            resid <= LIN_FEAS_TOL
             if row.rel == "<="
-            else (resid >= -lin_tol if row.rel == ">=" else abs(resid) <= lin_tol)
+            else (resid >= -LIN_FEAS_TOL if row.rel == ">=" else abs(resid) <= LIN_FEAS_TOL)
         )
         if not ok:
             violations.append(f"row {row.name} violated by {resid!r}")
 
     for si, lam_idx in enumerate(model.sos2_sets):
-        nz = [pos for pos, idx in enumerate(lam_idx) if abs(values[idx]) > sos_tol]
+        nz = [pos for pos, idx in enumerate(lam_idx) if abs(values[idx]) > SOS_NONZERO_TOL]
         if len(nz) > 2 or (len(nz) == 2 and nz[1] - nz[0] != 1):
             violations.append(f"sos2 set {si} has nonzeros at positions {nz}")
 

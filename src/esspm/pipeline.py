@@ -9,7 +9,6 @@ instance can be regenerated in isolation, and emit one CSV row per game.
 from __future__ import annotations
 
 import csv
-import io
 import time
 from dataclasses import dataclass, field
 
@@ -105,7 +104,6 @@ class BatchConfig:
     delta: float = 1e-7
     solver: str = "milp"
     limits: SolveLimits = field(default_factory=SolveLimits)
-    out_path: str | None = None
     game_file: str | None = None
 
     def __post_init__(self) -> None:
@@ -301,48 +299,38 @@ def _csv_row(record: GameRecord, cfg: BatchConfig) -> list:
     ]
 
 
-def run_batch(cfg: BatchConfig, out=None) -> BatchStats:
-    """Generate and solve ``cfg.n_games`` instances, writing one CSV row each.
+def run_batch(cfg: BatchConfig, out) -> BatchStats:
+    """Generate and solve ``cfg.n_games`` instances, writing one CSV row each to ``out``.
 
-    ``out`` may be any text stream; when omitted, ``cfg.out_path`` is opened.
-    Rows appear in game-index order and, runtime column aside, rerunning the
-    same config reproduces the file exactly.
+    ``out`` may be any text stream; a file should be opened with
+    ``newline=""``, as for any ``csv.writer``. Rows appear in game-index
+    order and, runtime column aside, rerunning the same config reproduces
+    the file exactly.
     """
-    own_handle = False
-    if out is None:
-        if cfg.out_path is None:
-            out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(CSV_COLUMNS)
+    stats = BatchStats()
+    opt_times: list[float] = []
+    inf_times: list[float] = []
+    opt_errors: list[float] = []
+    for i in range(cfg.n_games):
+        record = solve_record(make_game(cfg, i), cfg, i)
+        writer.writerow(_csv_row(record, cfg))
+        outcome = record.outcome
+        if isinstance(outcome, PureEsspm):
+            stats.n_pure += 1
+        elif isinstance(outcome, MixedEsspm):
+            stats.n_optimal += 1
+            opt_times.append(record.runtime_ms)
+            opt_errors.append(outcome.error)
+        elif isinstance(outcome, Infeasible):
+            stats.n_infeasible += 1
+            inf_times.append(record.runtime_ms)
         else:
-            out = open(cfg.out_path, "w", encoding="utf-8", newline="")
-            own_handle = True
-    try:
-        writer = csv.writer(out)
-        writer.writerow(CSV_COLUMNS)
-        stats = BatchStats()
-        opt_times: list[float] = []
-        inf_times: list[float] = []
-        opt_errors: list[float] = []
-        for i in range(cfg.n_games):
-            record = solve_record(make_game(cfg, i), cfg, i)
-            writer.writerow(_csv_row(record, cfg))
-            outcome = record.outcome
-            if isinstance(outcome, PureEsspm):
-                stats.n_pure += 1
-            elif isinstance(outcome, MixedEsspm):
-                stats.n_optimal += 1
-                opt_times.append(record.runtime_ms)
-                opt_errors.append(outcome.error)
-            elif isinstance(outcome, Infeasible):
-                stats.n_infeasible += 1
-                inf_times.append(record.runtime_ms)
-            else:
-                stats.n_limit += 1
-        if opt_times:
-            stats.mean_runtime_optimal_ms = float(np.mean(opt_times))
-            stats.mean_error_optimal = float(np.mean(opt_errors))
-        if inf_times:
-            stats.mean_runtime_infeasible_ms = float(np.mean(inf_times))
-        return stats
-    finally:
-        if own_handle:
-            out.close()
+            stats.n_limit += 1
+    if opt_times:
+        stats.mean_runtime_optimal_ms = float(np.mean(opt_times))
+        stats.mean_error_optimal = float(np.mean(opt_errors))
+    if inf_times:
+        stats.mean_runtime_infeasible_ms = float(np.mean(inf_times))
+    return stats

@@ -9,17 +9,20 @@ every indicator is integral the node's pattern S = {j : y_j = 1} is
 attempted. The candidate is the solution of the S-tie system, from the
 oracle's stacked tie kernel (the one ``enumeration.solve_support`` calls);
 only when that system is singular or leaves the simplex does one more
-feasibility LP run, with the strategies outside S fixed at zero by their
-bounds, and its point becomes the candidate. The candidate is accepted only
-if its payoff gaps (``analysis.payoff_gaps``) meet the branch conditions at
-the model's ``eps`` with the exact quadratic value x' A x in place of z.
+feasibility LP run, cold from the model's bounds with the y's pinned to the
+pattern and the strategies outside S fixed at zero, and its point becomes
+the candidate. The candidate therefore depends on the model and S only, not
+on the search path. It is accepted only if its payoff gaps
+(``analysis.payoff_gaps``) meet the branch conditions at the model's ``eps``
+with the exact quadratic value x' A x in place of z.
 Skipping the leaf LP for a regular tie system loses nothing: a tie point
 that passes that exact check satisfies every row of the leaf (the proof
 below), so the skipped LP would have been feasible, and a tie point that
 fails it is rejected whatever the LP says. The accepted assignment
-(``interpolation_assignment``) sets z to x' A x and, on a linearized model,
-secant-interpolated lambdas; it is re-verified against every bound, binary
-and row of the model (``verify_assignment``).
+(``interpolation_assignment``) is the array of the model's column values: x,
+z at x' A x, y = 1_S and, on a linearized model, secant-interpolated q and
+lambdas. It is re-verified against every bound, binary and row of the model
+(``verify_assignment``).
 
 The search never needs the lambda/SOS2 subsystem: it would only enlarge
 every LP, and an accepted leaf satisfies it anyway. Proof, for an accepted
@@ -56,17 +59,18 @@ at the model's strictness margin. Infeasible is returned only after the
 pattern tree is exhausted, so remaining false negatives are exactly the games
 whose true margins fall below the model's eps.
 
-Node and leaf LPs are warm-started. The root LP is solved cold; every other
-LP goes through ``lp_solve`` with ``start=``, the final simplex state of its
-parent's feasible solve (a leaf's start is its own node's state). That state
-sits on the DFS stack next to the node's bounds, siblings share it, and
-``lp_solve`` copies it before changing anything. A child differs from its
-parent in a few bounds only, so most restarts take a few pivots or none. The
-restart solves exactly the child's system, so an INFEASIBLE child is still
-proven infeasible and pruning stays sound; a warm solve that breaks down or
-fails the row-residual check is solved again cold inside ``lp_solve``. The
-LP point feeds branching, so the vertex a warm solve ends at can change the
-order in which the tree is searched, never which patterns it can accept.
+Node LPs are warm-started. The root LP is solved cold; every other node LP
+goes through ``lp_solve`` with ``start=``, the final simplex state of its
+parent's feasible solve. That state sits on the DFS stack next to the node's
+bounds, siblings share it, and ``lp_solve`` copies it before changing
+anything. A child differs from its parent in a few bounds only, so most
+restarts take a few pivots or none. The restart solves exactly the child's
+system, so an INFEASIBLE child is still proven infeasible and pruning stays
+sound; a warm solve that breaks down or fails the row-residual check is
+solved again cold inside ``lp_solve``. The LP point feeds branching, so the
+vertex a warm solve ends at can change the order in which the tree is
+searched, never which patterns it can accept. The leaf LP is solved cold so
+that a leaf's strategy does not depend on that order.
 
 A solve owns its node stack and never mutates the model, so independent
 solves over shared models may run concurrently.
@@ -83,7 +87,7 @@ import numpy as np
 from .analysis import payoff_gaps
 from .enumeration import _MARGIN_TOL, _TIE_TOL, _solve_ties
 from .game import MixedStrategy
-from .model import ModelIR, interpolation_assignment, verify_assignment
+from .model import INT_TOL, ModelIR, interpolation_assignment, verify_assignment
 from .simplex import LPState, SolverError, lp_solve
 
 __all__ = [
@@ -95,8 +99,6 @@ __all__ = [
     "extract_strategy",
     "SolverError",
 ]
-
-_INT_TOL = 1e-6
 
 
 class SolveStatus(enum.Enum):
@@ -124,27 +126,27 @@ class SolveStats:
 
 @dataclass
 class SolveResult:
+    """``assignment`` holds the column values of a FEASIBLE result in the
+    model's layout (x, z, y, ...); it is None otherwise."""
+
     status: SolveStatus
-    assignment: dict[str, float] | None
+    assignment: np.ndarray | None
     stats: SolveStats = field(default_factory=SolveStats)
 
 
 def _leaf_point(
-    model: ModelIR,
-    pattern: np.ndarray,
-    support: list[int],
-    bounds: np.ndarray,
-    stats: SolveStats,
-    start: LPState,
+    model: ModelIR, pattern: np.ndarray, support: list[int], stats: SolveStats
 ) -> np.ndarray | None:
     """The pattern's candidate strategy, or None when the leaf LP proves it has none.
 
     The tie system of the support is solved first, by the oracle's kernel, so
     an accepted leaf is the strategy that ``solve_support`` gives on the same
     support. Only when that system is singular or its solution leaves the
-    simplex does the leaf LP run: it pins every y_j to pattern[j] and x_j to
-    zero off the pattern, restarts from ``start`` (the final state of its
-    node's LP), and its point, clamped and renormalized, is the candidate.
+    simplex does the leaf LP run: it starts cold from the model's bounds,
+    pins every y_j to pattern[j] and x_j to zero off the pattern, and its
+    point, clamped and renormalized, is the candidate. The candidate thus
+    depends on the model and the pattern only, not on the search path that
+    reached the leaf.
     """
     m = model.m
     x = np.zeros(m)
@@ -152,10 +154,10 @@ def _leaf_point(
     if not rejected[0]:
         x[support] = weights[0]
         return x
-    leaf = bounds.copy()
+    leaf = model.bounds_array()
     leaf[m + 1 : 2 * m + 1] = pattern[:, None]
     leaf[:m][pattern == 0] = 0.0  # x_j = 0 off the pattern
-    status, point, iters = lp_solve(model.rows, leaf, start=start)
+    status, point, iters = lp_solve(model.rows, leaf)
     stats.lp_iterations += iters
     if status != "feasible":
         return None
@@ -183,18 +185,12 @@ def _exact_candidate_check(model: ModelIR, pattern: list[int], x: np.ndarray) ->
     return bool(ok.all())
 
 
-def _attempt_pattern(
-    model: ModelIR, pattern: np.ndarray, bounds: np.ndarray, stats: SolveStats, start: LPState
-) -> dict[str, float] | None:
-    """Try to turn a 0/1 indicator pattern into a verified assignment.
-
-    ``bounds`` are the node's and ``start`` its final LP state; see
-    :func:`_leaf_point`.
-    """
+def _attempt_pattern(model: ModelIR, pattern: np.ndarray, stats: SolveStats) -> np.ndarray | None:
+    """Try to turn a 0/1 indicator pattern into a verified assignment; see :func:`_leaf_point`."""
     support = np.flatnonzero(pattern).tolist()
     if not support:
         return None  # every strategy strictly worse than the average: impossible
-    x = _leaf_point(model, pattern, support, bounds, stats, start)
+    x = _leaf_point(model, pattern, support, stats)
     if x is None or not _exact_candidate_check(model, support, x):
         return None
     assignment = interpolation_assignment(model, x, pattern)
@@ -250,13 +246,13 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
         y = point[ys]
         lo, hi = bounds[ys].T
         unfixed = lo < hi
-        fractional = unfixed & (np.minimum(y, 1.0 - y) > _INT_TOL)
+        fractional = unfixed & (np.minimum(y, 1.0 - y) > INT_TOL)
         if fractional.any():
             children(bounds, int(np.argmin(np.where(fractional, np.abs(y - 0.5), np.inf))), state)
             continue
 
         pattern = np.where(unfixed, y > 0.5, lo)
-        assignment = _attempt_pattern(model, pattern, bounds, stats, state)
+        assignment = _attempt_pattern(model, pattern, stats)
         if assignment is not None:
             return finish(SolveStatus.FEASIBLE, assignment)
         if unfixed.any():  # else the pattern is refuted and fully pinned: dead end
@@ -273,12 +269,7 @@ def extract_strategy(result: SolveResult, m: int) -> MixedStrategy:
     """
     if result.status != SolveStatus.FEASIBLE or result.assignment is None:
         raise ValueError(f"cannot extract a strategy from status {result.status}")
-    probs = np.empty(m)
-    for i in range(m):
-        try:
-            probs[i] = result.assignment[f"x_{i}"]
-        except KeyError:
-            raise ValueError(f"assignment lacks component x_{i}") from None
+    probs = result.assignment[:m]
     if probs.min() < -1e-6:
         raise ValueError(f"strategy component {probs.min()!r} below tolerance")
     probs = np.clip(probs, 0.0, None)

@@ -48,8 +48,8 @@ EPS = 1e-5
 def full_violations(model, res):
     """A FEASIBLE result's x and y, interpolated into the linearized model, checked against all of it."""
     full = linearize(model)
-    x = np.array([res.assignment[f"x_{i}"] for i in range(model.m)])
-    y = np.array([res.assignment[f"y_{j}"] for j in range(model.m)])
+    m = model.m
+    x, y = res.assignment[:m], res.assignment[m + 1 : 2 * m + 1]
     return verify_assignment(full, interpolation_assignment(full, x, y))
 
 

@@ -102,6 +102,13 @@ class TestBranchSemantics:
         violations = verify_assignment(model, assignment)
         assert any("tie_" in v for v in violations)
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_length_rejected(self, extra):
+        model = build_model(MP_NORM, BuildParams(k=20))
+        values = interpolation_assignment(model, np.array([0.2, 0.8]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="columns"):
+            verify_assignment(model, np.resize(values, len(values) + extra))
+
     def test_big_m_deactivates_rows_at_simplex_vertices(self):
         # With the branch indicator at its deactivating value, every big-M row
         # must hold at every pure strategy (big-M validity on [0, 1] payoffs).
@@ -185,7 +192,7 @@ class TestLinearization:
             for _ in range(20):
                 x = random_simplex(rng, m)
                 assignment = interpolation_assignment(model, x)
-                z = assignment["z"]
+                z = assignment[m]
                 true = float(x @ game.payoffs @ x)
                 assert abs(z - true) <= min(bound, combo_bound) + 1e-12
 

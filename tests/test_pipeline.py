@@ -123,8 +123,9 @@ class TestRunBatch:
 
     def test_writes_file(self, tmp_path):
         out = tmp_path / "r.csv"
-        cfg = BatchConfig(game_class="mp", n_games=2, seed=0, out_path=str(out))
-        run_batch(cfg)
+        cfg = BatchConfig(game_class="mp", n_games=2, seed=0)
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            run_batch(cfg, fh)
         content = out.read_text()
         assert content.count("\n") == 3  # header + 2 rows
 

@@ -28,7 +28,8 @@ from esspm import (
     verify_assignment,
 )
 from esspm.model import Variable, interpolation_assignment, linearization_error_bound
-from esspm.solver import SolveResult, SolveStats
+from esspm.enumeration import _solve_ties
+from esspm.solver import SolveResult, SolveStats, _leaf_point
 
 
 def solve_game(game, k=20, eps=1e-5):
@@ -40,8 +41,8 @@ def solve_game(game, k=20, eps=1e-5):
 def full_violations(model, res):
     """A FEASIBLE result's x and y, interpolated into the linearized model, checked against all of it."""
     full = linearize(model)
-    x = np.array([res.assignment[f"x_{i}"] for i in range(model.m)])
-    y = np.array([res.assignment[f"y_{j}"] for j in range(model.m)])
+    m = model.m
+    x, y = res.assignment[:m], res.assignment[m + 1 : 2 * m + 1]
     return verify_assignment(full, interpolation_assignment(full, x, y))
 
 
@@ -75,7 +76,7 @@ class TestSolveMechanics:
         _, _, res1 = solve_game(g)
         _, _, res2 = solve_game(g)
         assert res1.status == res2.status
-        assert res1.assignment == res2.assignment
+        assert res1.assignment.tobytes() == res2.assignment.tobytes()
         assert res1.stats.nodes == res2.stats.nodes
 
     def test_node_limit(self):
@@ -270,7 +271,7 @@ class TestLinearizedModel:
         assert compact_res.status is full_res.status
         if full_res.status is SolveStatus.FEASIBLE:
             assert verify_assignment(full, full_res.assignment) == []
-            assert {v.name for v in full.variables} == set(full_res.assignment)
+            assert len(full_res.assignment) == len(full.variables)
 
 
 def _highs_status(model) -> int:
@@ -376,6 +377,25 @@ class TestSharedTieSolve:
             feasible += 1
         assert feasible >= 120
 
+    def test_leaf_depends_only_on_model_and_pattern(self):
+        # Integer payoffs make singular tie systems, whose leaves the leaf LP
+        # decides; its point must not depend on the search path to the leaf.
+        feasible = fallback = 0
+        for m in (2, 3, 4):
+            for norm in _no_pure(_integer_games(m, 100 + m, 2000), 150):
+                model = build_model(norm, BuildParams(k=20))
+                res = solve(model)
+                if res.status is not SolveStatus.FEASIBLE:
+                    continue
+                pattern = res.assignment[m + 1 : 2 * m + 1]
+                support = np.flatnonzero(pattern).tolist()
+                x = _leaf_point(model, pattern, support, SolveStats())
+                assert res.assignment[:m].tobytes() == x.tobytes()
+                feasible += 1
+                fallback += bool(_solve_ties(norm.payoffs, np.array([support]))[0][0])
+        assert feasible >= 200
+        assert fallback >= 3
+
     def test_model_without_indicators_rejected(self):
         model = build_model(normalize(mutation_population()), BuildParams(k=5))
         relaxed = [Variable(v.name, v.lb, v.ub) for v in model.variables]
@@ -384,21 +404,21 @@ class TestSharedTieSolve:
 
 
 class TestExtractStrategy:
-    def _feasible(self, mapping):
-        return SolveResult(SolveStatus.FEASIBLE, mapping, SolveStats())
+    def _feasible(self, x):
+        return SolveResult(SolveStatus.FEASIBLE, x, SolveStats())
 
     def test_identity(self):
-        res = self._feasible({"x_0": 0.19972, "x_1": 0.80028})
+        res = self._feasible(np.array([0.19972, 0.80028]))
         strat = extract_strategy(res, 2)
         np.testing.assert_allclose(strat.probs, [0.19972, 0.80028])
 
     def test_clamp_and_renormalize(self):
-        res = self._feasible({"x_0": 1.0000000001, "x_1": -1e-12})
+        res = self._feasible(np.array([1.0000000001, -1e-12]))
         strat = extract_strategy(res, 2)
         np.testing.assert_array_equal(strat.probs, [1.0, 0.0])
 
     def test_tolerance_breach(self):
-        res = self._feasible({"x_0": -0.01, "x_1": 1.01})
+        res = self._feasible(np.array([-0.01, 1.01]))
         with pytest.raises(ValueError, match="below tolerance"):
             extract_strategy(res, 2)
 
