@@ -28,6 +28,16 @@ and the row-residual check against the unperturbed rows hold on every warm
 solve, and a warm solve that breaks down or fails that check is solved again
 cold, with the cold path's perturbed retry.
 
+Activity check. Before the warm restart or phase 1, each row's activity
+range over the bounds box is computed from the structural bounds alone. A
+row whose range misses its right-hand side by more than ``_FEAS_SUM_TOL``
+(a <= row whose smallest activity exceeds it, a >= row whose largest falls
+short, an equality row either way) refutes the LP with no pivot: any point of
+the box leaves at least that miss on the row's artificial, so phase 1 would
+end above the same threshold and report INFEASIBLE anyway. This is the
+single-row node presolve of Savelsbergh (1994). A miss at or below the
+threshold goes on to phase 1.
+
 Sized for the search LPs (at most 4m+1 rows on 2m+1 structural columns for an
 m-strategy game); everything is dense numpy.
 """
@@ -75,6 +85,22 @@ class _System:
         """Worst violation of the rows by the structural point x."""
         r = self.A[:, : self.n] @ x - self.b
         return float(np.max(np.where(self.sense == 0.0, np.abs(r), self.sense * r), initial=0.0))
+
+    def refutes(self, bounds: np.ndarray) -> bool:
+        """Whether some row misses its right-hand side by more than ``_FEAS_SUM_TOL`` over the box.
+
+        A row's activity ranges over [low, high] as the structural variables
+        range over their bounds. A <= row misses by low - b, a >= row by
+        b - high, an equality row by the larger of the two. Any point of the
+        box leaves at least that miss on the row's artificial, so phase 1
+        would end with more mass than ``_FEAS_SUM_TOL`` and report infeasible.
+        """
+        A = self.A[:, : self.n]
+        at_lo, at_hi = A * bounds[:, 0], A * bounds[:, 1]
+        over = np.minimum(at_lo, at_hi).sum(axis=1) - self.b
+        under = self.b - np.maximum(at_lo, at_hi).sum(axis=1)
+        miss = np.maximum(np.where(self.sense >= 0.0, over, 0.0), np.where(self.sense <= 0.0, under, 0.0))
+        return bool(miss.max(initial=0.0) > _FEAS_SUM_TOL)
 
 
 def _standardize(rows, n: int) -> _System:
@@ -270,19 +296,25 @@ def lp_solve(rows, bounds, max_iter: int | None = None, *, start: LPState | None
     variables (None when infeasible); its ``state`` is the final state of a
     feasible solve. ``start``, the state of an earlier feasible solve of the
     same rows, makes this a warm restart from it under ``bounds``; ``start``
-    is not modified. A warm solve that breaks down is solved again cold. On
+    is not modified. A row that the bounds box cannot meet (see the module
+    docstring's activity check) returns ('infeasible', None, 0) before any
+    pivot. A warm solve that breaks down is solved again cold. On
     numerical breakdown a cold solve is retried once with right-hand sides
     perturbed by about 1e-9; a second failure raises SolverError.
     """
     bounds = np.asarray(bounds, dtype=float)
     wasted = 0
     if start is not None:
+        if start.system.refutes(bounds):
+            return LPResult("infeasible", None, 0)
         sx = start.restarted(bounds)
         try:
             return _finish(sx, max_iter)
         except SolverError:
             wasted = sx.iterations
     system = _standardize(rows, bounds.shape[0])
+    if system.refutes(bounds):
+        return LPResult("infeasible", None, wasted)
     n_slack = system.A.shape[1] - system.n
     lower = np.concatenate([bounds[:, 0], np.zeros(n_slack)])
     upper = np.concatenate([bounds[:, 1], np.full(n_slack, np.inf)])

@@ -3,7 +3,10 @@
 Depth-first search over the branch indicators y, on the rows of the model it
 is given: ``build_model``'s x/z/y system (2m+1 columns, 4m+1 rows), or that
 system with ``linearize``'s lambda rows appended. A node is its bounds array,
-and y_j is fixed where its bounds meet. Each node solves the LP relaxation
+and y_j is fixed where its bounds meet. A child that fixes y_j at 0 also
+fixes x_j at [0, 0]: the support link x_j <= y_j of Sandholm, Gilpin &
+Conitzer (2005), applied as a bound on that branch only, so the root LP and
+the model's rows are untouched. Each node solves the LP relaxation
 (binaries relaxed to [0, 1]); infeasible relaxations prune the subtree. When
 every indicator is integral the node's pattern S = {j : y_j = 1} is
 attempted. The candidate is the solution of the S-tie system, from the
@@ -51,6 +54,14 @@ writing d_j = (A x)_j - z and margin_j = (A' x)_j - a_jj, with payoffs in
     bounds of the positive and the negative weights.
 So verifying against the linearized model never rejects a leaf that the
 x/z/y rows accept; the test suite checks this on a fuzzed deck.
+
+The x_j = 0 bound of a y_j = 0 child cuts off no pattern the search could
+accept. An accepted leaf's candidate has no mass off its pattern S, and the
+point (x, x' A x, 1_S) meets every row (the proof above) and every bound a
+node on the path to S adds: y is fixed at 1_S's values, and x_j is fixed at
+zero only where y_j = 0, that is off S, where x_j is zero. So every node on
+that path keeps a feasible LP, and an INFEASIBLE verdict is still a proof
+that no pattern is acceptable.
 
 The exactness gate is what keeps the solver sound: z is free in the search
 LPs, so their margins may be pure relaxation artifact, and rejecting those at
@@ -203,9 +214,10 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
     """Search the indicator tree of the model's rows for a verified feasible assignment.
 
     A node is its bounds array: y_j is fixed where its lower and upper bounds
-    meet. Children of a branch node are ordered so the strict branch (y = 0)
-    is explored before the tie branch (y = 1): ties between distinct payoffs
-    are rare in generated games, so strict patterns usually resolve faster.
+    meet. Children of a branch node are ordered so the strict branch (y = 0,
+    with x_j fixed at zero) is explored before the tie branch (y = 1): ties
+    between distinct payoffs are rare in generated games, so strict patterns
+    usually resolve faster.
     """
     if not isinstance(model, ModelIR):
         raise TypeError(f"expected ModelIR, got {type(model).__name__}")
@@ -228,6 +240,8 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
         for v in (1.0, 0.0):  # popped y_j = 0 first
             child = bounds.copy()
             child[m + 1 + j] = v
+            if v == 0.0:
+                child[j] = 0.0  # x_j = 0 off the pattern
             stack.append((child, state))
 
     while stack:

@@ -48,6 +48,29 @@ class TestSolveOne:
         out = solve_one(rock_paper_scissors(), BatchConfig(game_class="rps", solver="both"))
         assert isinstance(out, Infeasible)
 
+    @pytest.mark.parametrize(
+        "cls, game", [("mp", mutation_population()), ("rps", rock_paper_scissors())], ids=["mp", "rps"]
+    )
+    def test_milp_solves_the_compact_model(self, monkeypatch, cls, game):
+        # The search runs on the x/z/y system alone; a linearize() between
+        # build_model and solve would put the lambda system back on the hot path.
+        import esspm.pipeline
+
+        models = []
+        real_solve = esspm.pipeline.solve
+
+        def spy(model, *args, **kwargs):
+            models.append(model)
+            return real_solve(model, *args, **kwargs)
+
+        monkeypatch.setattr(esspm.pipeline, "solve", spy)
+        solve_one(game, BatchConfig(game_class=cls, k=20))
+        (model,) = models
+        m = game.m
+        assert len(model.variables) == 2 * m + 1
+        assert len(model.rows) == 4 * m + 1
+        assert model.sos2_sets == []
+
 
 class TestMakeGame:
     def test_seeded_per_index(self):

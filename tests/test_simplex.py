@@ -281,6 +281,52 @@ class TestWarmRestart:
         assert x[1] == 0.25
 
 
+def phase1_status(rows, bounds):
+    """The cold phase-1 verdict, reached without the activity check."""
+    system = simplex._standardize(rows, len(bounds))
+    n_slack = system.A.shape[1] - system.n
+    lower = np.concatenate([bounds[:, 0], np.zeros(n_slack)])
+    upper = np.concatenate([bounds[:, 1], np.full(n_slack, np.inf)])
+    return simplex._finish(simplex._BoundedSimplex(system.A, system.b, lower, upper, system), None)[0]
+
+
+class TestActivityCheck:
+    """A row whose activity range over the bounds misses its right-hand side refutes the LP before any pivot."""
+
+    def test_refutations_agree_with_phase_1(self):
+        rng = np.random.default_rng(300)
+        fired = 0
+        for trial in range(300):
+            rows, bounds = random_system(rng)
+            first = lp_solve(rows, bounds)
+            boxes = [bounds]
+            if first[0] == "feasible":
+                boxes += [tightened(rng, bounds, first.state) for _ in range(3)]
+            for box in boxes:
+                if simplex._standardize(rows, len(box)).refutes(box):
+                    fired += 1
+                    assert phase1_status(rows, box) == "infeasible", f"trial {trial}"
+                    assert lp_solve(rows, box)[:] == ("infeasible", None, 0)
+        assert fired > 30
+
+    def test_unmeetable_row_refuted_cold_and_warm(self):
+        rows = [LinearRow({0: 1.0, 1: 1.0}, "=", 1.0), LinearRow({0: 1.0, 1: -1.0}, ">=", 0.0)]
+        first = lp_solve(rows, [[0, 1], [0, 1]])
+        assert first[0] == "feasible"
+        box = np.array([[0.0, 0.3], [0.0, 0.6]])  # x0 + x1 reaches 0.9 at most
+        assert lp_solve(rows, box)[:] == ("infeasible", None, 0)
+        assert lp_solve(rows, box, start=first.state)[:] == ("infeasible", None, 0)
+
+    def test_half_tolerance_gap_does_not_fire(self):
+        gap = 0.5 * simplex._FEAS_SUM_TOL
+        box = np.array([[0.0, 0.5], [0.0, 0.5]])
+        near = [LinearRow({0: 1.0, 1: 1.0}, ">=", 1.0 + gap)]
+        assert not simplex._standardize(near, 2).refutes(box)
+        assert lp_solve(near, box)[0] == phase1_status(near, box) == "feasible"
+        far = [LinearRow({0: 1.0, 1: 1.0}, ">=", 1.0 + 4 * gap)]
+        assert simplex._standardize(far, 2).refutes(box)
+
+
 class TestBlandRule:
     """Bland's smallest-index rule, forced on every pivot by a negative stall limit."""
 

@@ -210,6 +210,74 @@ class TestSearchModel:
                 assert all(0 <= i < 2 * m + 1 for i in row.coeffs)
 
 
+def _planted_full(m, seed):
+    """-I + 0.05 N(0, 1), normalized: its only ESSPM has full support."""
+    rng = np.random.default_rng(seed)
+    return normalize(GameMatrix(-np.eye(m) + 0.05 * rng.normal(size=(m, m))))
+
+
+def _planted_half(m, seed):
+    """A permuted game whose only ESSPM has the m/2 strategies of its planted block.
+
+    The block plays -I + noise among itself and +0.5 against the others, which
+    lose about 1.5 against the block. Returns the game and the block's indices.
+    """
+    rng = np.random.default_rng(seed)
+    s = m // 2
+    a = 0.05 * rng.normal(size=(m, m))
+    a[:s, :s] -= np.eye(s)
+    a[s:, :s] -= 1.5
+    a[:s, s:] += 0.5
+    perm = rng.permutation(m)
+    return normalize(GameMatrix(a[np.ix_(perm, perm)])), tuple(np.flatnonzero(perm < s).tolist())
+
+
+class TestSupportBound:
+    """A y_j = 0 child also fixes x_j at zero: x_j <= y_j as a bound, never as a row."""
+
+    def test_every_strict_child_fixes_its_strategy_at_zero(self, monkeypatch):
+        import esspm.solver
+
+        calls = []
+        real_lp_solve = esspm.solver.lp_solve
+
+        def spy(rows, bounds, **kwargs):
+            calls.append(bounds.copy())
+            return real_lp_solve(rows, bounds, **kwargs)
+
+        monkeypatch.setattr(esspm.solver, "lp_solve", spy)
+        games = [_no_pure((uniform_random(m, seed=700 * m + s) for s in range(400)), 10) for m in (3, 4, 5)]
+        games.append([normalize(chicken(s)) for s in range(10)])
+        strict = 0
+        for norm in (g for group in games for g in group):
+            m = norm.m
+            calls.clear()
+            solve(build_model(norm, BuildParams(k=20)))
+            for bounds in calls:
+                y_zero = (bounds[m + 1 : 2 * m + 1] == 0.0).all(axis=1)
+                assert (bounds[:m][y_zero] == 0.0).all()
+                strict += int(y_zero.sum())
+        assert strict > 100
+
+    @pytest.mark.parametrize("m", [10, 12, 14])
+    def test_planted_full_support_closes_at_the_root(self, m):
+        norm = _planted_full(m, seed=m)
+        assert find_pure_esspm(norm) is None
+        res = solve(build_model(norm, BuildParams(k=20)))
+        assert res.status is SolveStatus.FEASIBLE
+        assert res.stats.nodes == 1
+        assert extract_strategy(res, m).support().indices == tuple(range(m))
+
+    def test_planted_half_support_returns_its_block(self):
+        norm, block = _planted_half(10, seed=10)
+        assert find_pure_esspm(norm) is None
+        res = solve(build_model(norm, BuildParams(k=20)))
+        assert res.status is SolveStatus.FEASIBLE
+        strategy = extract_strategy(res, norm.m)
+        assert strategy.support().indices == block
+        assert [c.strategy.support().indices for c in enumerate_esspm(norm, Tolerances())] == [block]
+
+
 def _no_pure(games, n):
     """The first n normalized games without a pure ESSPM."""
     found = []
