@@ -41,7 +41,6 @@ from .generators import (
     uniform_random,
 )
 from .model import (
-    BuildParams,
     LinearRow,
     ModelIR,
     SquareTerm,
@@ -107,7 +106,6 @@ __all__ = [
     "random_cancer_params",
     "rock_paper_scissors",
     "uniform_random",
-    "BuildParams",
     "LinearRow",
     "ModelIR",
     "SquareTerm",

@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .game import normalize, write_game
-from .model import BuildParams, build_model, export_lp, linearize
+from .model import build_model, export_lp, linearize
 from .pipeline import (
     BatchConfig,
     GAME_CLASSES,
@@ -31,7 +31,13 @@ def _add_game_source(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solve_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=20, help="breakpoint segments per square term")
+    p.add_argument(
+        "--k",
+        type=int,
+        default=20,
+        help="breakpoint segments per square term; echoed in the batch CSV, "
+        "the search does not read it",
+    )
     p.add_argument("--eps", type=float, default=1e-5, help="strict-inequality margin")
     p.add_argument("--delta", type=float, default=1e-7, help="payoff-equality precision")
     p.add_argument("--solver", choices=("milp", "enum", "both"), default="milp")
@@ -62,7 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     export = sub.add_parser("export-lp", help="write the feasibility model in LP format")
     _add_game_source(export)
-    export.add_argument("--k", type=int, default=20)
+    export.add_argument(
+        "--k", type=int, default=20, help="breakpoint segments per square term of the linearization"
+    )
     export.add_argument("--eps", type=float, default=1e-5)
     export.add_argument("--out", required=True, help="LP output path")
     return parser
@@ -138,17 +146,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     cfg = BatchConfig(
-        game_class=args.game_class,
-        m=args.m,
-        seed=args.seed,
-        k=args.k,
-        eps=args.eps,
-        game_file=args.game_file,
+        game_class=args.game_class, m=args.m, seed=args.seed, game_file=args.game_file
     )
-    game = make_game(cfg, 0)
-    model = build_model(normalize(game), BuildParams(k=args.k, eps=args.eps))
+    model = linearize(build_model(normalize(make_game(cfg, 0)), args.eps), args.k)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(export_lp(linearize(model)))
+        fh.write(export_lp(model))
     print(f"wrote {args.out}")
     return 0
 

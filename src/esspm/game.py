@@ -223,6 +223,10 @@ def read_game(text: str) -> GameMatrix:
                 raise GameParseError(
                     f"line {lineno}: row {r} has non-numeric entry {tok!r}"
                 ) from None
+            if not np.isfinite(payoffs[r - 1, c]):
+                raise GameParseError(
+                    f"line {lineno}: row {r} has non-finite entry {tok!r}"
+                )
     return GameMatrix(payoffs)
 
 

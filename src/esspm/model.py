@@ -11,10 +11,11 @@ rows per pure strategy, then the probability simplex row. ``ModelIR`` checks
 the column layout wherever a model is made. The branch-and-bound search runs
 on exactly this system, and its leaves check z = x*' A x* exactly.
 
-``linearize`` adds the paper's linearization of z, for ``export_lp`` and the
-tests: every product x_i * x_j is written with the squares (x_i + x_j)^2 and
+``linearize(model, k)`` adds the paper's linearization of z over k breakpoint
+segments, for ``export_lp`` and the tests; the search never reads k. Every
+product x_i * x_j is written with the squares (x_i + x_j)^2 and
 (x_i - x_j)^2, and each square is approximated piecewise linearly with an
-SOS2 lambda system over a uniform breakpoint grid. A secant through two grid
+SOS2 lambda system over a uniform grid of k + 1 breakpoints. A secant through two grid
 points lies above the parabola by at most h^2 / 4 on a grid of spacing h,
 and never below it. The model therefore ties z to the lambda system with a
 two-sided corridor whose widths are the exact per-term secant-error bounds,
@@ -33,7 +34,6 @@ import numpy as np
 from .game import GameMatrix
 
 __all__ = [
-    "BuildParams",
     "Variable",
     "LinearRow",
     "SquareTerm",
@@ -50,26 +50,6 @@ __all__ = [
 LIN_FEAS_TOL = 1e-7
 INT_TOL = 1e-6  # a binary within this of 0 or 1 is integral, in the verify and the search
 SOS_NONZERO_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class BuildParams:
-    """Model construction parameters.
-
-    k is the number of breakpoint segments per square term (k+1 grid points).
-    eps is the strict-inequality margin of both strict row families; every
-    big-M constant is 1 + eps, the smallest that deactivates a row for
-    payoffs in [0, 1].
-    """
-
-    k: int = 20
-    eps: float = 1e-5
-
-    def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError(f"breakpoint count k must be >= 2, got {self.k}")
-        if self.eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +80,8 @@ class SquareTerm:
 
     kind 'diag' has s = x_i, 'plus' has s = x_i + x_j, 'minus' has s = x_i - x_j.
     weight is the coefficient of q in the z corridor rows. The lambdas occupy
-    variable indices lam_start .. lam_start + k (inclusive) and form one SOS2 set.
+    variable indices lam_start .. lam_start + k (inclusive), one per breakpoint,
+    and form one SOS2 set.
     """
 
     kind: str
@@ -112,7 +93,6 @@ class SquareTerm:
     breakpoints: np.ndarray
     q_index: int
     lam_start: int
-    lam_count: int
 
     def s_coeffs(self) -> dict[int, float]:
         """Coefficients of s over the x variables (x_i at index i)."""
@@ -132,22 +112,20 @@ class ModelIR:
     carries the normalized matrix of the quadratic form z stands for, and
     ``eps`` the strictness margin of the big-M rows, so a solver can verify
     candidates against the original quadratic constraints at the model's own
-    margin. The linearization fields stay empty or zero until ``linearize``
-    fills them: ``sos2_sets`` are ordered lambda-index lists (at most two
-    members nonzero, and adjacent), ``squares`` the square-term records and
-    ``env_plus``/``env_minus`` the z corridor half-widths.
+    margin. The linearization fields stay empty until ``linearize`` fills
+    them: ``sos2_sets`` are ordered lambda-index lists (at most two members
+    nonzero, and adjacent) and ``squares`` the square-term records. The z
+    corridor half-widths are the right-hand sides of the ``z_upper`` and
+    ``z_lower`` rows.
     """
 
     m: int
-    k: int
     eps: float
     variables: list[Variable]
     rows: list[LinearRow]
     payoffs: np.ndarray
     sos2_sets: list[list[int]] = field(default_factory=list)
     squares: list[SquareTerm] = field(default_factory=list)
-    env_plus: float = 0.0
-    env_minus: float = 0.0
 
     def __post_init__(self) -> None:
         m = self.m
@@ -194,7 +172,7 @@ def _interp_lambdas(s: float, breakpoints: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _square_plan(payoffs: np.ndarray, k: int) -> list[tuple[str, int, int | None, float, float, float]]:
+def _square_plan(payoffs: np.ndarray) -> list[tuple[str, int, int | None, float, float, float]]:
     """Canonical square-term listing: (kind, i, j, weight, lo, hi).
 
     z = sum_i a_ii x_i^2 + sum_{i<j} (a_ij + a_ji) x_i x_j, and each product is
@@ -232,13 +210,12 @@ def _envelope(plan, k: int) -> tuple[float, float]:
 
 def _emit_linearization(
     payoffs: np.ndarray, k: int
-) -> tuple[list[Variable], list[LinearRow], list[list[int]], list[SquareTerm], float, float]:
+) -> tuple[list[Variable], list[LinearRow], list[list[int]], list[SquareTerm]]:
     """Lambda/SOS2 subsystem tying z to the quadratic form, in the fixed layout.
 
     x_i is column i and z column m; the new variables start at column 2m+1,
     right after the y's. Returns the new variables, their rows, the SOS2
-    sets, the square-term records, and the corridor half-widths (env_plus
-    below the secant combination, env_minus above it).
+    sets and the square-term records.
     """
     m = payoffs.shape[0]
     variables: list[Variable] = []
@@ -247,7 +224,7 @@ def _emit_linearization(
     squares: list[SquareTerm] = []
     idx = 2 * m + 1
 
-    plan = _square_plan(payoffs, k)
+    plan = _square_plan(payoffs)
     for kind, i, j, weight, lo, hi in plan:
         tag = f"{kind}_{i}" if j is None else f"{kind}_{i}_{j}"
         t = np.linspace(lo, hi, k + 1)
@@ -265,7 +242,7 @@ def _emit_linearization(
         rows.append(
             LinearRow({li: 1.0 for li in lam_idx}, "=", 1.0, name=f"lamsum_{tag}")
         )
-        term = SquareTerm(kind, i, j, weight, lo, hi, t, q_index, lam_start, k + 1)
+        term = SquareTerm(kind, i, j, weight, lo, hi, t, q_index, lam_start)
         link = {lam_start + r: float(t[r]) for r in range(k + 1)}
         for xi, coef in term.s_coeffs().items():
             link[xi] = -coef
@@ -288,31 +265,36 @@ def _emit_linearization(
     down.update({qi: w for qi, w in combo.items()})
     rows.append(LinearRow(down, "<=", env_plus, name="z_lower"))
 
-    return variables, rows, sos2, squares, env_plus, env_minus
+    return variables, rows, sos2, squares
 
 
 def linearization_error_bound(game_or_payoffs, k: int) -> float:
     """A-priori bound on |z - x' A x| over feasible assignments at k segments."""
     a = game_or_payoffs.payoffs if isinstance(game_or_payoffs, GameMatrix) else np.asarray(game_or_payoffs)
-    env_plus, env_minus = _envelope(_square_plan(a, k), k)
+    env_plus, env_minus = _envelope(_square_plan(a), k)
     return env_plus + env_minus
 
 
-def build_model(game: GameMatrix, params: BuildParams = BuildParams()) -> ModelIR:
+def build_model(game: GameMatrix, eps: float = 1e-5) -> ModelIR:
     """Assemble the x/z/y feasibility model for a normalized game.
+
+    eps is the strict-inequality margin of both strict row families; every
+    big-M constant is 1 + eps, the smallest that deactivates a row for
+    payoffs in [0, 1].
 
     Variable order: x_0..x_{m-1}, z, y_0..y_{m-1}. Row order: the four big-M
     rows per pure strategy, then the probability simplex row. ``linearize``
     appends the lambda system for export. Both orders are deterministic so
     exports are byte-stable.
     """
+    if eps <= 0.0:
+        raise ValueError(f"eps must be positive, got {eps}")
     if not game.is_normalized:
         raise ValueError(
             "build_model requires payoffs in [0, 1]; the big-M constants assume it"
         )
     a = game.payoffs
     m = game.m
-    eps = params.eps
     big = 1.0 + eps
     z = m
 
@@ -343,31 +325,29 @@ def build_model(game: GameMatrix, params: BuildParams = BuildParams()) -> ModelI
         )
 
     rows.append(LinearRow({i: 1.0 for i in range(m)}, "=", 1.0, name="simplex"))
-    return ModelIR(m=m, k=params.k, eps=eps, variables=variables, rows=rows, payoffs=a)
+    return ModelIR(m=m, eps=eps, variables=variables, rows=rows, payoffs=a)
 
 
-def linearize(model: ModelIR) -> ModelIR:
+def linearize(model: ModelIR, k: int) -> ModelIR:
     """The model with the paper's lambda/SOS2 linearization of z appended.
 
+    k is the number of breakpoint segments per square term (k+1 grid points).
     The q and lambda columns follow y, and the lambda, link, qdef and z
     corridor rows follow the model's own rows. The input is not changed.
     """
+    if k < 2:
+        raise ValueError(f"breakpoint count k must be >= 2, got {k}")
     if len(model.variables) != 2 * model.m + 1:
         raise ValueError("linearize expects the x/z/y model that build_model returns")
-    lin_vars, lin_rows, sos2, squares, env_plus, env_minus = _emit_linearization(
-        model.payoffs, model.k
-    )
+    lin_vars, lin_rows, sos2, squares = _emit_linearization(model.payoffs, k)
     return ModelIR(
         m=model.m,
-        k=model.k,
         eps=model.eps,
         variables=[*model.variables, *lin_vars],
         rows=[*model.rows, *lin_rows],
         payoffs=model.payoffs,
         sos2_sets=sos2,
         squares=squares,
-        env_plus=env_plus,
-        env_minus=env_minus,
     )
 
 
@@ -390,7 +370,7 @@ def interpolation_assignment(model: ModelIR, x: np.ndarray, y: np.ndarray | None
     for sq in model.squares:
         s = sum(coef * x[i] for i, coef in sq.s_coeffs().items())
         lam = _interp_lambdas(s, sq.breakpoints)
-        values[sq.lam_start : sq.lam_start + sq.lam_count] = lam
+        values[sq.lam_start : sq.lam_start + lam.size] = lam
         values[sq.q_index] = lam @ sq.breakpoints**2
     return values
 

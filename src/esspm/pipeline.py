@@ -26,7 +26,7 @@ from .generators import (
     rock_paper_scissors,
     uniform_random,
 )
-from .model import BuildParams, build_model, linearization_error_bound
+from .model import build_model
 from .solver import SolveLimits, SolveStatus, extract_strategy, solve
 
 __all__ = [
@@ -174,7 +174,7 @@ def make_game(cfg: BatchConfig, index: int) -> GameMatrix:
 
 
 def _milp_outcome(norm: GameMatrix, cfg: BatchConfig) -> EsspmOutcome:
-    model = build_model(norm, BuildParams(k=cfg.k, eps=cfg.eps))
+    model = build_model(norm, cfg.eps)
     result = solve(model, cfg.limits)
     if result.status is SolveStatus.FEASIBLE:
         strategy = extract_strategy(result, norm.m)
@@ -205,11 +205,11 @@ def _solve_normalized(norm: GameMatrix, cfg: BatchConfig) -> tuple[EsspmOutcome,
     milp = _milp_outcome(norm, cfg)
     certs = enumerate_esspm(norm, cfg.tolerances)
     disagreement = 0
-    resolution = cfg.eps + linearization_error_bound(norm, cfg.k)
     if isinstance(milp, Infeasible) and certs:
-        # Only count the miss when the oracle's margin exceeds what the
-        # model can resolve; anything finer is an expected false negative.
-        if max(c.min_slack() for c in certs) > resolution:
+        # Only count the miss when the oracle's margin exceeds the model's
+        # eps; a finer margin is an expected false negative (the leaf check
+        # demands a strict margin of eps).
+        if max(c.min_slack() for c in certs) > cfg.eps:
             disagreement = 1
     elif isinstance(milp, MixedEsspm) and not certs:
         disagreement = 1

@@ -288,7 +288,7 @@ class _BoundedSimplex:
 LPState = _BoundedSimplex
 
 
-def lp_solve(rows, bounds, max_iter: int | None = None, *, start: LPState | None = None):
+def lp_solve(rows, bounds, *, start: LPState | None = None):
     """Feasibility solve of ``LinearRow`` rows over an (n, 2) array of finite bounds.
 
     Returns an ``LPResult`` that unpacks as (status, x, iterations), where
@@ -298,9 +298,11 @@ def lp_solve(rows, bounds, max_iter: int | None = None, *, start: LPState | None
     same rows, makes this a warm restart from it under ``bounds``; ``start``
     is not modified. A row that the bounds box cannot meet (see the module
     docstring's activity check) returns ('infeasible', None, 0) before any
-    pivot. A warm solve that breaks down is solved again cold. On
-    numerical breakdown a cold solve is retried once with right-hand sides
-    perturbed by about 1e-9; a second failure raises SolverError.
+    pivot. Each phase 1 may take at most 2000 + 40 (rows + tableau
+    columns) iterations; going past that counts as a breakdown. A warm
+    solve that breaks down is solved again cold. On numerical breakdown a
+    cold solve is retried once with right-hand sides perturbed by about
+    1e-9; a second failure raises SolverError.
     """
     bounds = np.asarray(bounds, dtype=float)
     wasted = 0
@@ -309,7 +311,7 @@ def lp_solve(rows, bounds, max_iter: int | None = None, *, start: LPState | None
             return LPResult("infeasible", None, 0)
         sx = start.restarted(bounds)
         try:
-            return _finish(sx, max_iter)
+            return _finish(sx)
         except SolverError:
             wasted = sx.iterations
     system = _standardize(rows, bounds.shape[0])
@@ -321,7 +323,7 @@ def lp_solve(rows, bounds, max_iter: int | None = None, *, start: LPState | None
     for attempt in (0, 1):
         b = system.b if attempt == 0 else system.b + 1e-9 * ((np.arange(system.b.size) % 7) + 1) / 7.0
         try:
-            result = _finish(_BoundedSimplex(system.A, b, lower, upper, system), max_iter)
+            result = _finish(_BoundedSimplex(system.A, b, lower, upper, system))
         except SolverError:
             if attempt == 1:
                 raise
@@ -331,11 +333,9 @@ def lp_solve(rows, bounds, max_iter: int | None = None, *, start: LPState | None
     raise SolverError("unreachable")
 
 
-def _finish(sx: _BoundedSimplex, max_iter: int | None) -> LPResult:
-    """Phase 1 to its optimum, then the row-residual check of a feasible point."""
-    if max_iter is None:
-        max_iter = 2000 + 40 * (sx.m + sx.T.shape[1])
-    if sx.minimize(max_iter) > _FEAS_SUM_TOL:
+def _finish(sx: _BoundedSimplex) -> LPResult:
+    """Phase 1 to its optimum under the iteration cap, then the row-residual check."""
+    if sx.minimize(2000 + 40 * (sx.m + sx.T.shape[1])) > _FEAS_SUM_TOL:
         return LPResult("infeasible", None, sx.iterations)
     x = sx.values()[: sx.system.n]
     if sx.system.residual(x) > _ROW_CHECK_TOL:

@@ -49,9 +49,11 @@ writing d_j = (A x)_j - z and margin_j = (A' x)_j - a_jj, with payoffs in
     adjacency hold by construction, and q lies in [0, max(lo^2, hi^2)].
   - Corridor. q - s^2 = w (1 - w) h^2 is the secant overshoot, in
     [0, h^2/4]. The weighted squares sum to x' A x exactly, so
-    z - sum weight * q = -sum weight * (q - s^2), which lies in
-    [-env_plus, env_minus] because env_plus and env_minus sum the h^2/4
-    bounds of the positive and the negative weights.
+    z - sum weight * q = -sum weight * (q - s^2). The z_upper row bounds
+    this from above by its right-hand side, the sum of |weight| h^2/4 over
+    the negative weights, and the z_lower row from below by minus its
+    right-hand side, the same sum over the positive weights, so both
+    corridor rows hold.
 So verifying against the linearized model never rejects a leaf that the
 x/z/y rows accept; the test suite checks this on a fuzzed deck.
 

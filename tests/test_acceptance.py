@@ -11,7 +11,6 @@ import pytest
 
 from esspm import (
     BatchConfig,
-    BuildParams,
     GameMatrix,
     InvasionResult,
     MixedEsspm,
@@ -27,7 +26,6 @@ from esspm import (
     extract_strategy,
     find_pure_esspm,
     invasion_test,
-    linearization_error_bound,
     linearize,
     mutation_population,
     nash_epsilon,
@@ -46,8 +44,8 @@ EPS = 1e-5
 
 
 def full_violations(model, res):
-    """A FEASIBLE result's x and y, interpolated into the linearized model, checked against all of it."""
-    full = linearize(model)
+    """A FEASIBLE result's x and y, interpolated into the model linearized at k = 20, checked against all of it."""
+    full = linearize(model, 20)
     m = model.m
     x, y = res.assignment[:m], res.assignment[m + 1 : 2 * m + 1]
     return verify_assignment(full, interpolation_assignment(full, x, y))
@@ -82,19 +80,20 @@ def test_criterion_1_mutation_population_solve(capsys):
 
 
 def test_criterion_2_breakpoint_refinement():
-    """Error on the MP game is non-increasing in k and within 5x the reference values."""
+    """Error on the MP game is the same at every k and within 5x the reference values.
+
+    The search checks z = x'Ax exactly at its leaves, so the breakpoint count
+    leaves the solve unchanged: equal errors are the non-increasing case.
+    """
     ceilings = {10: 5 * 0.001, 20: 5 * 1.4e-4, 30: 5 * 5.5e-5}
-    norm = normalize(mutation_population())
     errors = {}
     for k in (10, 20, 30):
-        model = build_model(norm, BuildParams(k=k, eps=EPS))
-        res = solve(model)
-        assert res.status is SolveStatus.FEASIBLE, f"k={k}"
-        strat = extract_strategy(res, 2)
-        errors[k] = approximation_error(norm, strat)
+        outcome = solve_one(mutation_population(), BatchConfig(game_class="mp", k=k, eps=EPS))
+        assert isinstance(outcome, MixedEsspm), f"k={k}"
+        errors[k] = outcome.error
         assert errors[k] <= ceilings[k], f"k={k}"
-    assert errors[10] >= errors[20] >= errors[30]
-    _report(2, f"errors by k: {errors[10]:.2e} >= {errors[20]:.2e} >= {errors[30]:.2e}")
+    assert errors[10] == errors[20] == errors[30]
+    _report(2, f"errors by k: {errors[10]:.2e} == {errors[20]:.2e} == {errors[30]:.2e}")
 
 
 @pytest.mark.parametrize(
@@ -129,14 +128,13 @@ def test_criterion_4_chicken_class():
         certs = enumerate_esspm(norm, tol)
         if certs:
             n_certified += 1
-        res = solve(build_model(norm, BuildParams(k=20, eps=EPS)))
+        res = solve(build_model(norm, EPS))
         if res.status is SolveStatus.FEASIBLE:
             n_milp += 1
         elif certs:
             # A miss must be explainable: the oracle's own margin has to sit
-            # below what the model can resolve.
-            resolution = EPS + linearization_error_bound(norm, 20)
-            if max(c.min_slack() for c in certs) > resolution:
+            # at or below the model's strictness eps.
+            if max(c.min_slack() for c in certs) > EPS:
                 margin_explained = False
     assert n_pure == 0
     assert n_certified == n - n_pure
@@ -157,7 +155,7 @@ def test_criterion_5_oracle_agreement():
             norm = normalize(uniform_random(m, seed=base + i))
             if find_pure_esspm(norm, tol) is not None:
                 continue
-            model = build_model(norm, BuildParams(k=20, eps=EPS))
+            model = build_model(norm, EPS)
             res = solve(model)
             certs = enumerate_esspm(norm, tol)
             if res.status is SolveStatus.FEASIBLE:
@@ -175,9 +173,8 @@ def test_criterion_5_oracle_agreement():
                 worst_dist = max(worst_dist, dist)
                 n_solved += 1
             elif certs:
-                resolution = EPS + linearization_error_bound(norm, 20)
-                assert max(c.min_slack() for c in certs) <= resolution, (
-                    f"m={m} game {i}: miss beyond the linearization margin"
+                assert max(c.min_slack() for c in certs) <= EPS, (
+                    f"m={m} game {i}: miss with an oracle margin above eps"
                 )
     assert n_solved >= 100
     _report(5, f"{n_solved} mixed solves, worst error {worst_err:.2e}, worst L-inf {worst_dist:.2e}")
@@ -203,7 +200,7 @@ def test_criterion_6_known_answer_suite():
     rps = rock_paper_scissors()
     assert find_pure_esspm(rps) is None
     assert enumerate_esspm(normalize(rps)) == []
-    res = solve(build_model(normalize(rps), BuildParams(k=20, eps=EPS)))
+    res = solve(build_model(normalize(rps), EPS))
     assert res.status is SolveStatus.INFEASIBLE
     _report(6, "counterexample pure A + mixed (0, 1/2, 1/2); B/C resisted, blend invades; RPS empty on both routes")
 
@@ -219,7 +216,7 @@ def test_criterion_7_cancer_class():
         if find_pure_esspm(norm, tol) is not None:
             n_pure += 1
             continue
-        res = solve(build_model(norm, BuildParams(k=10, eps=EPS)))
+        res = solve(build_model(norm, EPS))
         if res.status is SolveStatus.FEASIBLE:
             strat = extract_strategy(res, 4)
             errors.append(approximation_error(norm, strat, tol))
@@ -251,7 +248,7 @@ class TestCriterion8PropertySuites:
             for cert in enumerate_esspm(norm, tol):
                 assert nash_epsilon(norm, cert.strategy) <= 10 * DELTA
                 outputs += 1
-            res = solve(build_model(norm, BuildParams(k=20, eps=EPS)))
+            res = solve(build_model(norm, EPS))
             if res.status is SolveStatus.FEASIBLE:
                 strat = extract_strategy(res, norm.m)
                 assert nash_epsilon(norm, strat) <= 10 * DELTA
@@ -323,7 +320,7 @@ class TestCriterion8PropertySuites:
             norm = normalize(uniform_random(2, seed=95_000 + seed))
             if find_pure_esspm(norm, tol) is not None:
                 continue
-            model = build_model(norm, BuildParams(k=20, eps=EPS))
+            model = build_model(norm, EPS)
             res = solve(model)
             if res.status is SolveStatus.FEASIBLE:
                 assert verify_assignment(model, res.assignment) == []

@@ -165,6 +165,11 @@ class TestGameText:
         with pytest.raises(GameParseError, match="non-numeric"):
             read_game("2\n4 x\n8 1\n")
 
+    @pytest.mark.parametrize("tok", ["inf", "nan", "-inf"])
+    def test_non_finite_entry(self, tok):
+        with pytest.raises(GameParseError, match=rf"line 2: row 1 has non-finite entry '{tok}'"):
+            read_game(f"2\n1 {tok}\n0 1\n")
+
     def test_missing_rows(self):
         with pytest.raises(GameParseError, match="expected 3 payoff rows"):
             read_game("3\n1 2 3\n4 5 6\n")

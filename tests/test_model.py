@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from esspm import (
-    BuildParams,
     GameMatrix,
     build_model,
+    cli_main,
     export_lp,
     linearization_error_bound,
     linearize,
@@ -27,8 +27,8 @@ from esspm.model import (
 MP_NORM = normalize(mutation_population())
 
 
-def full_model(game, params=BuildParams()):
-    return linearize(build_model(game, params))
+def full_model(game, k=20):
+    return linearize(build_model(game), k)
 
 
 def random_simplex(rng, m):
@@ -36,10 +36,15 @@ def random_simplex(rng, m):
     return raw / raw.sum()
 
 
-class TestBuildParams:
+def corridor(model):
+    """The z corridor half-widths: the right-hand sides of z_lower and z_upper."""
+    rhs = {row.name: row.rhs for row in model.rows}
+    return rhs["z_lower"], rhs["z_upper"]
+
+
+class TestModelParameters:
     def test_defaults(self):
-        eps = BuildParams().eps
-        assert eps == 1e-5
+        eps = 1e-5
         model = build_model(MP_NORM)
         assert model.eps == eps
         for j in range(model.m):
@@ -49,14 +54,24 @@ class TestBuildParams:
             assert rows[f"strict_{j}"].rhs == -eps
             assert all(abs(r.coeffs[yj]) == 1.0 + eps for r in rows.values())
 
+    def test_rejects_nonpositive_eps(self):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            build_model(MP_NORM, eps=0.0)
+
     def test_rejects_small_k(self):
-        with pytest.raises(ValueError):
-            BuildParams(k=1)
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            linearize(build_model(MP_NORM), 1)
+
+    def test_export_lp_rejects_small_k(self, tmp_path, capsys):
+        out = tmp_path / "mp.lp"
+        assert cli_main(["export-lp", "--class", "mp", "--k", "1", "--out", str(out)]) == 2
+        assert "k must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestModelCounts:
     def test_m2_k20(self):
-        model = full_model(MP_NORM, BuildParams(k=20))
+        model = full_model(MP_NORM, 20)
         assert [v.name for v in model.variables if v.binary] == ["y_0", "y_1"]
         assert sum(1 for v in model.variables if v.binary) == 2
         big_m_rows = [r for r in model.rows if r.name.split("_")[0] in ("strict", "tie", "selfplay")]
@@ -69,7 +84,7 @@ class TestModelCounts:
 
     def test_m3_k10(self):
         g = normalize(uniform_random(3, seed=1))
-        model = full_model(g, BuildParams(k=10))
+        model = full_model(g, 10)
         assert [v.name for v in model.variables if v.binary] == ["y_0", "y_1", "y_2"]
         big_m_rows = [r for r in model.rows if r.name.split("_")[0] in ("strict", "tie", "selfplay")]
         assert len(big_m_rows) == 12
@@ -85,26 +100,26 @@ class TestBranchSemantics:
     """y = 0 activates the strict row; y = 1 activates the tie and self-play rows."""
 
     def test_exact_solution_feasible_on_tie_branch(self):
-        model = full_model(MP_NORM, BuildParams(k=20))
+        model = full_model(MP_NORM, 20)
         assignment = interpolation_assignment(model, np.array([0.2, 0.8]), np.array([1.0, 1.0]))
         assert verify_assignment(model, assignment) == []
 
     def test_strict_branch_rejects_the_tie_point(self):
         # With y = 0 the strict rows demand a margin the tie point lacks.
-        model = build_model(MP_NORM, BuildParams(k=20))
+        model = build_model(MP_NORM)
         assignment = interpolation_assignment(model, np.array([0.2, 0.8]), np.array([0.0, 0.0]))
         violations = verify_assignment(model, assignment)
         assert any("strict_" in v for v in violations)
 
     def test_tie_branch_rejects_off_tie_point(self):
-        model = build_model(MP_NORM, BuildParams(k=20))
+        model = build_model(MP_NORM)
         assignment = interpolation_assignment(model, np.array([0.5, 0.5]), np.array([1.0, 1.0]))
         violations = verify_assignment(model, assignment)
         assert any("tie_" in v for v in violations)
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_wrong_length_rejected(self, extra):
-        model = build_model(MP_NORM, BuildParams(k=20))
+        model = build_model(MP_NORM)
         values = interpolation_assignment(model, np.array([0.2, 0.8]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="columns"):
             verify_assignment(model, np.resize(values, len(values) + extra))
@@ -115,7 +130,7 @@ class TestBranchSemantics:
         rng = np.random.default_rng(5)
         for m in (2, 3):
             game = normalize(GameMatrix(rng.random((m, m))))
-            model = build_model(game, BuildParams(k=4))
+            model = build_model(game)
             a = game.payoffs
             for i in range(m):
                 x = np.zeros(m)
@@ -169,7 +184,7 @@ class TestLinearization:
         rng = np.random.default_rng(8)
         for m, k in ((2, 20), (3, 10), (4, 6)):
             game = normalize(GameMatrix(rng.random((m, m))))
-            model = full_model(game, BuildParams(k=k))
+            model = full_model(game, k)
             for _ in range(10):
                 x = random_simplex(rng, m)
                 assignment = interpolation_assignment(model, x)
@@ -185,10 +200,10 @@ class TestLinearization:
         rng = np.random.default_rng(9)
         for m, k in ((2, 20), (3, 10)):
             game = normalize(GameMatrix(rng.random((m, m))))
-            model = full_model(game, BuildParams(k=k))
+            model = full_model(game, k)
             h = 1.0 / k
             bound = m * m * h * h * float(np.abs(game.payoffs).max()) / 4.0
-            combo_bound = model.env_plus + model.env_minus
+            combo_bound = sum(corridor(model))
             for _ in range(20):
                 x = random_simplex(rng, m)
                 assignment = interpolation_assignment(model, x)
@@ -200,30 +215,30 @@ class TestLinearization:
         games = [MP_NORM] + [normalize(uniform_random(m, seed=m)) for m in range(2, 6)]
         for game in games:
             for k in (2, 5, 20):
-                model = full_model(game, BuildParams(k=k))
-                assert linearization_error_bound(game, k) == model.env_plus + model.env_minus
+                model = full_model(game, k)
+                assert linearization_error_bound(game, k) == sum(corridor(model))
 
 
 class TestExportLp:
     def test_binary_section(self):
-        text = export_lp(full_model(MP_NORM, BuildParams(k=20)))
+        text = export_lp(full_model(MP_NORM, 20))
         lines = text.splitlines()
         bi = lines.index("Binary")
         assert lines[bi + 1].strip() == "y_0 y_1"
 
     def test_sos_section_format(self):
-        text = export_lp(full_model(MP_NORM, BuildParams(k=3)))
+        text = export_lp(full_model(MP_NORM, 3))
         sos_lines = [l for l in text.splitlines() if ": S2 ::" in l]
         assert len(sos_lines) == 4
         assert sos_lines[0].strip().startswith("s0: S2 :: lam_diag_0_0:1 lam_diag_0_1:2")
 
     def test_deterministic_bytes(self):
-        a = export_lp(full_model(MP_NORM, BuildParams(k=20)))
-        b = export_lp(full_model(MP_NORM, BuildParams(k=20)))
+        a = export_lp(full_model(MP_NORM, 20))
+        b = export_lp(full_model(MP_NORM, 20))
         assert a == b
 
     def test_sections_present(self):
-        text = export_lp(full_model(MP_NORM, BuildParams(k=5)))
+        text = export_lp(full_model(MP_NORM, 5))
         for section in ("Subject To", "Bounds", "Binary", "SOS", "End"):
             assert section in text
 
@@ -236,7 +251,7 @@ class TestExportLp:
         }
         games = {"mp": MP_NORM, "u3": normalize(uniform_random(3, seed=1))}
         for name, game in games.items():
-            text = export_lp(full_model(game, BuildParams(k=3)))
+            text = export_lp(full_model(game, 3))
             assert hashlib.sha256(text.encode()).hexdigest() == golden[name], name
 
 
@@ -245,30 +260,30 @@ class TestLayout:
 
     def test_build_model_is_the_x_z_y_system(self):
         for m in range(2, 6):
-            model = build_model(normalize(uniform_random(m, seed=m)), BuildParams(k=5))
+            model = build_model(normalize(uniform_random(m, seed=m)))
             names = [v.name for v in model.variables]
             assert names == [f"x_{i}" for i in range(m)] + ["z"] + [f"y_{j}" for j in range(m)]
             assert len(model.rows) == 4 * m + 1
             assert model.rows[-1].name == "simplex"
             assert model.sos2_sets == [] and model.squares == []
-            assert model.env_plus == model.env_minus == 0.0
+            assert not {"z_lower", "z_upper"} & {row.name for row in model.rows}
 
     def test_linearize_appends_after_y(self):
-        model = build_model(normalize(uniform_random(3, seed=2)), BuildParams(k=4))
-        full = linearize(model)
+        model = build_model(normalize(uniform_random(3, seed=2)))
+        full = linearize(model, 4)
         assert len(model.variables) == 7 and len(model.rows) == 13  # input untouched
         assert full.variables[:7] == model.variables
         assert full.rows[:13] == model.rows
         assert min(i for lam in full.sos2_sets for i in lam) > 7
         assert all(sq.q_index >= 7 for sq in full.squares)
-        assert full.env_plus + full.env_minus == linearization_error_bound(model.payoffs, 4)
+        assert sum(corridor(full)) == linearization_error_bound(model.payoffs, 4)
 
     def test_linearize_rejects_a_linearized_model(self):
         with pytest.raises(ValueError, match="x/z/y"):
-            linearize(full_model(MP_NORM, BuildParams(k=3)))
+            linearize(full_model(MP_NORM, 3), 3)
 
     def test_layout_is_checked(self):
-        model = build_model(MP_NORM, BuildParams(k=3))
+        model = build_model(MP_NORM)
         x0, x1, z, y0, y1 = model.variables
         for variables in (
             [x1, x0, z, y0, y1],  # x out of order
@@ -280,6 +295,6 @@ class TestLayout:
                 dataclasses.replace(model, variables=variables, rows=[])
 
     def test_row_indices_are_checked(self):
-        model = build_model(MP_NORM, BuildParams(k=3))
+        model = build_model(MP_NORM)
         with pytest.raises(ValueError, match="unknown variable 5"):
             dataclasses.replace(model, rows=[LinearRow({5: 1.0}, "<=", 1.0, name="bad")])

@@ -10,8 +10,14 @@ from esspm import (
     MixedEsspm,
     MixedStrategy,
     PureEsspm,
+    SolveResult,
+    SolveStats,
+    SolveStatus,
     counterexample_game,
+    enumerate_esspm,
+    linearization_error_bound,
     mutation_population,
+    normalize,
     rock_paper_scissors,
     run_batch,
     solve_one,
@@ -151,6 +157,35 @@ class TestRunBatch:
             run_batch(cfg, fh)
         content = out.read_text()
         assert content.count("\n") == 3  # header + 2 rows
+
+
+class TestBothExcuse:
+    """Under --solver both a MILP miss is excused only when every oracle margin is at most eps."""
+
+    MP = normalize(mutation_population())
+
+    @staticmethod
+    def miss_flag(monkeypatch, eps):
+        import esspm.pipeline
+
+        infeasible = SolveResult(SolveStatus.INFEASIBLE, None, SolveStats())
+        monkeypatch.setattr(esspm.pipeline, "solve", lambda model, limits: infeasible)
+        _, rows = batch_csv(BatchConfig(game_class="mp", eps=eps, solver="both"))
+        assert rows[1][CSV_COLUMNS.index("status")] == "INFEASIBLE"
+        return rows[1][CSV_COLUMNS.index("disagreement")]
+
+    def test_miss_above_eps_is_flagged(self, monkeypatch):
+        (cert,) = enumerate_esspm(self.MP)
+        slack = cert.min_slack()
+        bound = linearization_error_bound(self.MP, 20)
+        eps = slack - bound / 2
+        # eps + the k = 20 linearization bound would have excused this miss.
+        assert eps < slack <= eps + bound
+        assert self.miss_flag(monkeypatch, eps) == "1"
+
+    def test_miss_at_or_below_eps_is_excused(self, monkeypatch):
+        (cert,) = enumerate_esspm(self.MP)
+        assert self.miss_flag(monkeypatch, cert.min_slack()) == "0"
 
 
 class TestNashEpsColumn:

@@ -5,7 +5,6 @@ import pytest
 from scipy.optimize import linprog
 
 from esspm import (
-    BuildParams,
     LinearRow,
     SolveStatus,
     build_model,
@@ -187,7 +186,7 @@ class TestFeasibility:
         assert is_infeasible(rows, [[0, 1], [0, 1]])
 
     def test_mp_root_relaxation_feasible(self):
-        model = linearize(build_model(normalize(mutation_population()), BuildParams(k=20)))
+        model = linearize(build_model(normalize(mutation_population())), 20)
         assert len(model.variables) > 80  # the full lambda model, not the x/z/y system
         x = feasible_point(model.rows, model.bounds_array())
         assert rows_satisfied(model.rows, x)
@@ -287,7 +286,7 @@ def phase1_status(rows, bounds):
     n_slack = system.A.shape[1] - system.n
     lower = np.concatenate([bounds[:, 0], np.zeros(n_slack)])
     upper = np.concatenate([bounds[:, 1], np.full(n_slack, np.inf)])
-    return simplex._finish(simplex._BoundedSimplex(system.A, system.b, lower, upper, system), None)[0]
+    return simplex._finish(simplex._BoundedSimplex(system.A, system.b, lower, upper, system))[0]
 
 
 class TestActivityCheck:
@@ -360,14 +359,19 @@ class TestBlandRule:
 
     def test_mutation_population_milp(self, bland_calls):
         norm = normalize(mutation_population())
-        res = solve(build_model(norm, BuildParams(k=20)))
+        res = solve(build_model(norm))
         assert res.status is SolveStatus.FEASIBLE
         np.testing.assert_allclose(extract_strategy(res, norm.m).probs, [0.2, 0.8], atol=1e-12)
         assert bland_calls and all(bland_calls)
 
 
 class TestDegeneracy:
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
+        # A pivot rule that never reaches an optimum: column 0 always enters
+        # and flips between its bounds with a zero step. The cap of 2000 + 40
+        # (rows + tableau columns) stops phase 1, and the perturbed retry as well.
+        monkeypatch.setattr(simplex._BoundedSimplex, "_entering", lambda self, r, bland: 0)
+        monkeypatch.setattr(simplex._BoundedSimplex, "_ratio_test", lambda self, j, col: (0.0, None))
         rows = [LinearRow({0: 1.0, 1: 1.0}, "=", 1.0)]
-        with pytest.raises(SolverError, match="iteration limit"):
-            lp_solve(rows, [[0, 1], [0, 1]], max_iter=0)
+        with pytest.raises(SolverError, match="iteration limit 2160 exceeded"):
+            lp_solve(rows, [[0, 1], [0, 1]])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from esspm import (
-    BuildParams,
     GameMatrix,
     LinearRow,
     SolveLimits,
@@ -32,15 +31,15 @@ from esspm.enumeration import _solve_ties
 from esspm.solver import SolveResult, SolveStats, _leaf_point
 
 
-def solve_game(game, k=20, eps=1e-5):
+def solve_game(game, eps=1e-5):
     norm = normalize(game)
-    model = build_model(norm, BuildParams(k=k, eps=eps))
+    model = build_model(norm, eps)
     return norm, model, solve(model)
 
 
-def full_violations(model, res):
-    """A FEASIBLE result's x and y, interpolated into the linearized model, checked against all of it."""
-    full = linearize(model)
+def full_violations(model, res, k=20):
+    """A FEASIBLE result's x and y, interpolated into the model linearized at k, checked against all of it."""
+    full = linearize(model, k)
     m = model.m
     x, y = res.assignment[:m], res.assignment[m + 1 : 2 * m + 1]
     return verify_assignment(full, interpolation_assignment(full, x, y))
@@ -63,7 +62,7 @@ class TestKnownGames:
         assert res.status is SolveStatus.INFEASIBLE
 
     def test_contradictory_bound_infeasible_at_root(self):
-        model = build_model(normalize(mutation_population()), BuildParams(k=5))
+        model = build_model(normalize(mutation_population()))
         model.rows.append(LinearRow({0: 1.0}, ">=", 2.0, name="inject"))
         res = solve(model)
         assert res.status is SolveStatus.INFEASIBLE
@@ -80,7 +79,7 @@ class TestSolveMechanics:
         assert res1.stats.nodes == res2.stats.nodes
 
     def test_node_limit(self):
-        model = build_model(normalize(mutation_population()), BuildParams(k=20))
+        model = build_model(normalize(mutation_population()))
         res = solve(model, SolveLimits(max_nodes=1, max_time_ms=600_000))
         assert res.status is SolveStatus.LIMIT_REACHED
 
@@ -93,7 +92,7 @@ class TestSolveMechanics:
             norm = normalize(g)
             if find_pure_esspm(norm) is not None:
                 continue
-            model = build_model(norm, BuildParams(k=10))
+            model = build_model(norm)
             res = solve(model)
             if res.status is SolveStatus.FEASIBLE:
                 assert verify_assignment(model, res.assignment) == []
@@ -104,14 +103,14 @@ class TestSolveMechanics:
     def test_never_returns_a_pure_strategy(self):
         for seed in range(25):
             norm = normalize(chicken(seed))
-            model = build_model(norm, BuildParams(k=10))
+            model = build_model(norm)
             res = solve(model)
             assert res.status is SolveStatus.FEASIBLE
             strat = extract_strategy(res, 2)
             assert strat.probs.max() <= 1.0 - 1e-6
 
     def test_row_order_does_not_matter(self):
-        model = build_model(normalize(mutation_population()), BuildParams(k=10))
+        model = build_model(normalize(mutation_population()))
         model.rows.reverse()
         res = solve(model)
         assert res.status is SolveStatus.FEASIBLE
@@ -126,9 +125,9 @@ class TestSolveMechanics:
         # Strictness sweep on the same game: wide margins are unsatisfiable,
         # tight ones are fine. Thresholds are solver-specific by design.
         norm = normalize(mutation_population())
-        res_big = solve(build_model(norm, BuildParams(k=20, eps=1e-1)))
+        res_big = solve(build_model(norm, eps=1e-1))
         assert res_big.status is SolveStatus.INFEASIBLE
-        res_small = solve(build_model(norm, BuildParams(k=20, eps=1e-4)))
+        res_small = solve(build_model(norm, eps=1e-4))
         assert res_small.status is SolveStatus.FEASIBLE
 
 
@@ -145,7 +144,7 @@ class TestEndToEnd:
             if find_pure_esspm(norm) is not None:
                 continue
             total += 1
-            model = build_model(norm, BuildParams(k=20))
+            model = build_model(norm)
             res = solve(model)
             if res.status is SolveStatus.FEASIBLE:
                 strat = extract_strategy(res, 2)
@@ -160,7 +159,7 @@ class TestEndToEnd:
             if find_pure_esspm(norm) is not None:
                 continue
             certs = enumerate_esspm(norm, tol)
-            model = build_model(norm, BuildParams(k=10))
+            model = build_model(norm)
             res = solve(model)
             if res.status is SolveStatus.FEASIBLE:
                 strat = extract_strategy(res, 3)
@@ -181,8 +180,8 @@ class TestSearchModel:
 
         norm = normalize(uniform_random(m, seed=seed))
         assert find_pure_esspm(norm) is None
-        model = build_model(norm, BuildParams(k=10))
-        full = linearize(model)
+        model = build_model(norm)
+        full = linearize(model, 10)
         lambda_rows = {
             row.name
             for row in full.rows
@@ -252,7 +251,7 @@ class TestSupportBound:
         for norm in (g for group in games for g in group):
             m = norm.m
             calls.clear()
-            solve(build_model(norm, BuildParams(k=20)))
+            solve(build_model(norm))
             for bounds in calls:
                 y_zero = (bounds[m + 1 : 2 * m + 1] == 0.0).all(axis=1)
                 assert (bounds[:m][y_zero] == 0.0).all()
@@ -263,7 +262,7 @@ class TestSupportBound:
     def test_planted_full_support_closes_at_the_root(self, m):
         norm = _planted_full(m, seed=m)
         assert find_pure_esspm(norm) is None
-        res = solve(build_model(norm, BuildParams(k=20)))
+        res = solve(build_model(norm))
         assert res.status is SolveStatus.FEASIBLE
         assert res.stats.nodes == 1
         assert extract_strategy(res, m).support().indices == tuple(range(m))
@@ -271,7 +270,7 @@ class TestSupportBound:
     def test_planted_half_support_returns_its_block(self):
         norm, block = _planted_half(10, seed=10)
         assert find_pure_esspm(norm) is None
-        res = solve(build_model(norm, BuildParams(k=20)))
+        res = solve(build_model(norm))
         assert res.status is SolveStatus.FEASIBLE
         strategy = extract_strategy(res, norm.m)
         assert strategy.support().indices == block
@@ -305,7 +304,7 @@ class TestLinearizedModel:
 
     def test_feasible_results_verify_against_the_lambda_model(self):
         # The solver docstring's proof, as a property: every accepted leaf,
-        # interpolated into linearize(model), meets every row, bound, binary
+        # interpolated into linearize(model, k), meets every row, bound, binary
         # and SOS2 set of the full model.
         decks = [_no_pure(_integer_games(m, 40 + m, 400), 25) for m in (2, 3, 4)]
         decks += [_no_pure((uniform_random(m, seed=3_000 * m + s) for s in range(400)), 15) for m in (3, 4, 5)]
@@ -313,11 +312,11 @@ class TestLinearizedModel:
         decks.append(_no_pure((cancer_game(random_cancer_params(900 + s)) for s in range(400)), 15))
         feasible = 0
         for norm in (g for deck in decks for g in deck):
-            for k in (3, 20):
-                model = build_model(norm, BuildParams(k=k))
-                res = solve(model)
-                if res.status is SolveStatus.FEASIBLE:
-                    assert full_violations(model, res) == []
+            model = build_model(norm)
+            res = solve(model)
+            if res.status is SolveStatus.FEASIBLE:
+                for k in (3, 20):
+                    assert full_violations(model, res, k) == []
                     feasible += 1
         assert feasible >= 180
 
@@ -333,8 +332,8 @@ class TestLinearizedModel:
         ids=["mp", "rps", "chicken-3", "u3-a", "u3-b", "u3-c", "int3-a", "int3-b"],
     )
     def test_same_verdict_on_the_linearized_model(self, norm):
-        model = build_model(norm, BuildParams(k=5))
-        full = linearize(model)
+        model = build_model(norm)
+        full = linearize(model, 5)
         compact_res, full_res = solve(model), solve(full)
         assert compact_res.status is full_res.status
         if full_res.status is SolveStatus.FEASIBLE:
@@ -412,8 +411,8 @@ class TestHighsCrossCheck:
     def test_agrees_with_compact_search(self, norm, k, eps):
         pytest.importorskip("scipy")
         assert find_pure_esspm(norm) is None
-        model = build_model(norm, BuildParams(k=k, eps=eps))
-        highs_feasible = _highs_status(linearize(model)) == 0
+        model = build_model(norm, eps)
+        highs_feasible = _highs_status(linearize(model, k)) == 0
         ours = solve(model).status
         assert ours in (SolveStatus.FEASIBLE, SolveStatus.INFEASIBLE)
         if ours is SolveStatus.FEASIBLE:
@@ -435,7 +434,7 @@ class TestSharedTieSolve:
         games.append(_no_pure((cancer_game(random_cancer_params(s)) for s in range(400)), 40))
         feasible = 0
         for norm in (g for group in games for g in group):
-            res = solve(build_model(norm, BuildParams(k=10)))
+            res = solve(build_model(norm))
             if res.status is not SolveStatus.FEASIBLE:
                 continue
             strategy = extract_strategy(res, norm.m)
@@ -451,7 +450,7 @@ class TestSharedTieSolve:
         feasible = fallback = 0
         for m in (2, 3, 4):
             for norm in _no_pure(_integer_games(m, 100 + m, 2000), 150):
-                model = build_model(norm, BuildParams(k=20))
+                model = build_model(norm)
                 res = solve(model)
                 if res.status is not SolveStatus.FEASIBLE:
                     continue
@@ -465,7 +464,7 @@ class TestSharedTieSolve:
         assert fallback >= 3
 
     def test_model_without_indicators_rejected(self):
-        model = build_model(normalize(mutation_population()), BuildParams(k=5))
+        model = build_model(normalize(mutation_population()))
         relaxed = [Variable(v.name, v.lb, v.ub) for v in model.variables]
         with pytest.raises(ValueError, match="indicators"):
             dataclasses.replace(model, variables=relaxed)
