@@ -430,9 +430,7 @@ def export_lp(model: ModelIR) -> str:
 
     def term(coef: float, name: str, first: bool) -> str:
         sign = "-" if coef < 0 else ("" if first else "+")
-        mag = abs(coef)
-        lead = "" if first else " "
-        return f"{lead}{sign} {num(mag)} {name}" if not first else f"{sign}{num(mag)} {name}"
+        return f"{sign}{num(abs(coef))} {name}" if first else f" {sign} {num(abs(coef))} {name}"
 
     lines = ["Minimize", " obj:", "Subject To"]
     for ri, row in enumerate(model.rows):
@@ -442,9 +440,8 @@ def export_lp(model: ModelIR) -> str:
             if coef == 0.0:
                 continue
             parts.append(term(coef, model.variables[idx].name, not parts))
-        rel = {"<=": "<=", ">=": ">=", "=": "="}[row.rel]
         rname = row.name or f"c{ri}"
-        lines.append(f" {rname}: {' '.join(parts)} {rel} {num(row.rhs)}")
+        lines.append(f" {rname}: {' '.join(parts)} {row.rel} {num(row.rhs)}")
     lines.append("Bounds")
     for v in model.variables:
         if v.binary:

@@ -11,32 +11,33 @@ row m of the tableau and follow each pivot's rank-1 update, and the bounds of
 the basic variables and the set of columns that may enter are kept in step
 with the basis, so a pivot recomputes none of them.
 
-Warm restart. A feasible solve hands back its final state (tableau, basis,
-basic values and at-upper flags) on ``LPResult.state``; ``lp_solve(rows,
-bounds, start=state)`` solves the same rows under new bounds from there, as a
-branch-and-bound child differs from its parent in a few bounds only. The
-restart copies the state, applies the new bounds, fixes every artificial
-column at [0, 0], and shifts the basic values by T[:, j] * delta for each
-nonbasic column whose bound value moved. Each basic variable then outside its
-bounds becomes nonbasic at the bound it violates, and its row gets a fresh
-artificial column e_i (the row's sign flipped when the excess is negative),
-so phase 1 starts over the new artificials only. With the artificials at zero
-the system is exactly the child's, so INFEASIBLE (artificial mass above
-``_FEAS_SUM_TOL`` at the optimum) stays a proof, as in a cold solve; with no
-violated row the restart takes no pivot. The iteration cap, the Bland switch
-and the row-residual check against the unperturbed rows hold on every warm
-solve, and a warm solve that breaks down or fails that check is solved again
-cold, with the cold path's perturbed retry.
+Restart. Every phase 1 is entered by ``restarted(bounds)`` from a state. A
+feasible solve hands back its final state (tableau, basis, basic values and
+at-upper flags) on ``LPResult.state``, and ``lp_solve(rows, bounds,
+start=state)`` restarts from it, as a branch-and-bound child differs from its
+parent in a few bounds only. A cold LP restarts from the blank state: the
+artificials are the identity basis at the right-hand sides, and every real
+column sits at zero. The restart copies the state, applies the new bounds,
+fixes every artificial column at [0, 0], and shifts the basic values by
+T[:, j] * delta for each nonbasic column whose bound value moved. Each basic
+variable then outside its bounds becomes nonbasic at the bound it violates,
+and its row gets a fresh artificial column e_i (the row's sign flipped when
+the excess is negative), so phase 1 runs over the new artificials only. With
+the artificials at zero the system is exactly the LP's, so INFEASIBLE
+(artificial mass above ``_FEAS_SUM_TOL`` at the optimum) is a proof; with no
+violated row the restart takes no pivot. A solve that breaks down or fails
+the row-residual check against the unperturbed rows is retried down one
+ladder: the given state, the blank state, then the blank state on right-hand
+sides perturbed by about 1e-9.
 
-Activity check. Before the warm restart or phase 1, each row's activity
-range over the bounds box is computed from the structural bounds alone. A
-row whose range misses its right-hand side by more than ``_FEAS_SUM_TOL``
-(a <= row whose smallest activity exceeds it, a >= row whose largest falls
-short, an equality row either way) refutes the LP with no pivot: any point of
-the box leaves at least that miss on the row's artificial, so phase 1 would
-end above the same threshold and report INFEASIBLE anyway. This is the
-single-row node presolve of Savelsbergh (1994). A miss at or below the
-threshold goes on to phase 1.
+Activity check. Before any restart, each row's activity range over the
+bounds box is computed from the structural bounds alone. A row whose range
+misses its right-hand side by more than ``_FEAS_SUM_TOL`` (a <= row whose
+smallest activity exceeds it, a >= row whose largest falls short, an equality
+row either way) refutes the LP with no pivot: any point of the box leaves at
+least that miss on the row's artificial, so phase 1 would end above the same
+threshold and report INFEASIBLE anyway. This is the single-row node presolve
+of Savelsbergh (1994). A miss at or below the threshold goes on to phase 1.
 
 Sized for the search LPs (at most 4m+1 rows on 2m+1 structural columns for an
 m-strategy game); everything is dense numpy.
@@ -44,7 +45,6 @@ m-strategy game); everything is dense numpy.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +54,7 @@ __all__ = ["SolverError", "LPResult", "LPState", "lp_solve"]
 _ETOL = 1e-9  # reduced-cost threshold for entering candidates
 _PIV_TOL = 1e-9  # smallest usable pivot magnitude
 _FEAS_SUM_TOL = 1e-9  # artificial mass at or below which the point counts as feasible
-_BOUND_TOL = 1e-9  # a warm-restarted basic value this far outside its bounds opens a row
+_BOUND_TOL = 1e-9  # a restarted basic value this far outside its bounds opens a row
 _ROW_CHECK_TOL = 1e-7  # final row-residual acceptance
 _STALL_LIMIT = 64  # degenerate pivots before switching to Bland's rule
 
@@ -124,27 +124,18 @@ class _BoundedSimplex:
     that may fall from its upper bound, and 0 for a basic or fixed column.
     """
 
-    def __init__(self, A, b, lower, upper, system: _System | None = None):
-        m, n = A.shape
-        if not np.all(np.isfinite(lower)):
-            raise ValueError("all lower bounds must be finite")
+    def __init__(self, system: _System, b: np.ndarray):
+        """The blank state, a start for ``restarted``: the artificials basic at b, real columns at zero."""
+        m, n = system.A.shape
         self.m, self.n_real, self.system = m, n, system
-        # Start every real variable at its lower bound; artificials absorb the
-        # residual with +/-1 columns so the initial basis is an identity.
-        resid = b - A @ lower
-        T = np.zeros((m + 1, n + m))
-        T[:m, :n] = A * np.where(resid >= 0.0, 1.0, -1.0)[:, None]
-        T[:m, n:] = np.eye(m)
-        T[m, :n] = -T[:m, :n].sum(axis=0)
-        self.T = T
-        self.xB = np.abs(resid)
-        self.lower = np.concatenate([lower, np.zeros(m)])
-        self.upper = np.concatenate([upper, np.full(m, np.inf)])
+        self.T = np.zeros((m + 1, n + m))
+        self.T[:m, :n] = system.A
+        self.T[:m, n:] = np.eye(m)
+        self.xB = np.array(b, dtype=float)
+        self.lower = np.zeros(n + m)
+        self.upper = np.concatenate([np.zeros(system.n), np.full(n - system.n + m, np.inf)])
         self.basis = np.arange(n, n + m)
         self.at_upper = np.zeros(n + m, dtype=bool)
-        self.cost = self.basis.copy()
-        self.iterations = 0
-        self._sync()
 
     def _sync(self) -> None:
         """Derive the basic bounds and the move mask from basis, bounds and flags."""
@@ -168,10 +159,10 @@ class _BoundedSimplex:
         """Artificial mass, the phase-1 objective."""
         return float(self.values()[self.cost].sum())
 
-    # -- warm restart -------------------------------------------------------
+    # -- restart ------------------------------------------------------------
 
     def restarted(self, bounds: np.ndarray) -> _BoundedSimplex:
-        """A copy of this final state under new structural bounds, ready for phase 1.
+        """A copy of this state under new structural bounds, ready for phase 1.
 
         Every artificial is fixed at [0, 0]. A row whose basic variable is
         left outside its bounds takes a nonbasic artificial's column slot as
@@ -179,8 +170,10 @@ class _BoundedSimplex:
         other rows, so enough slots are free.
         """
         m, nr = self.m, self.n_real
-        sx = copy.copy(self)
-        sx.iterations = 0
+        # A fresh instance, not copy.copy: the pivot loop reads the attributes
+        # of a copied instance's dict about three times slower (CPython 3.11).
+        sx = object.__new__(_BoundedSimplex)
+        sx.m, sx.n_real, sx.system, sx.iterations = m, nr, self.system, 0
         T = sx.T = self.T.copy()
         basis = sx.basis = self.basis.copy()
         at_upper = sx.at_upper = self.at_upper.copy()
@@ -289,48 +282,53 @@ LPState = _BoundedSimplex
 
 
 def lp_solve(rows, bounds, *, start: LPState | None = None):
-    """Feasibility solve of ``LinearRow`` rows over an (n, 2) array of finite bounds.
+    """Feasibility solve of ``LinearRow`` rows over an (n, 2) array of bounds.
 
     Returns an ``LPResult`` that unpacks as (status, x, iterations), where
     status is 'feasible' or 'infeasible' and x covers the structural
     variables (None when infeasible); its ``state`` is the final state of a
     feasible solve. ``start``, the state of an earlier feasible solve of the
-    same rows, makes this a warm restart from it under ``bounds``; ``start``
-    is not modified. A row that the bounds box cannot meet (see the module
-    docstring's activity check) returns ('infeasible', None, 0) before any
-    pivot. Each phase 1 may take at most 2000 + 40 (rows + tableau
-    columns) iterations; going past that counts as a breakdown. A warm
-    solve that breaks down is solved again cold. On numerical breakdown a
-    cold solve is retried once with right-hand sides perturbed by about
-    1e-9; a second failure raises SolverError.
+    same rows, makes this a restart from it under ``bounds`` on its rows;
+    ``start`` is not modified. A NaN bound, an infinite lower bound, or an
+    n other than ``start``'s structural column count raises ValueError. A
+    crossed box (some lower bound above its upper bound) and a row that the
+    box cannot meet (see the module docstring's activity check) return
+    ('infeasible', None, 0) before any pivot. Each phase 1 may take at most
+    2000 + 40 (rows + tableau columns) iterations; going past that counts as
+    a breakdown. A breakdown moves down the module docstring's retry ladder;
+    the iterations count the pivots of every attempt, and the last attempt's
+    SolverError is raised.
     """
     bounds = np.asarray(bounds, dtype=float)
-    wasted = 0
-    if start is not None:
-        if start.system.refutes(bounds):
-            return LPResult("infeasible", None, 0)
-        sx = start.restarted(bounds)
-        try:
-            return _finish(sx)
-        except SolverError:
-            wasted = sx.iterations
-    system = _standardize(rows, bounds.shape[0])
+    if bounds.ndim != 2 or bounds.shape[1] != 2 or (start is not None and len(bounds) != start.system.n):
+        raise ValueError(f"bounds must be an (n, 2) array over the structural columns, got {bounds.shape}")
+    lower, upper = bounds[:, 0], bounds[:, 1]
+    if not (np.isfinite(lower) & (lower <= upper)).all():  # one reduction on the hot path
+        if np.isnan(upper).any() or not np.isfinite(lower).all():
+            raise ValueError("bounds must not be NaN and lower bounds must be finite")
+        return LPResult("infeasible", None, 0)  # a crossed box
+    system = start.system if start is not None else _standardize(rows, len(bounds))
     if system.refutes(bounds):
-        return LPResult("infeasible", None, wasted)
-    n_slack = system.A.shape[1] - system.n
-    lower = np.concatenate([bounds[:, 0], np.zeros(n_slack)])
-    upper = np.concatenate([bounds[:, 1], np.full(n_slack, np.inf)])
-    for attempt in (0, 1):
-        b = system.b if attempt == 0 else system.b + 1e-9 * ((np.arange(system.b.size) % 7) + 1) / 7.0
+        return LPResult("infeasible", None, 0)
+    wasted = 0
+    for origin in _ladder(start, system):
+        sx = origin.restarted(bounds)
         try:
-            result = _finish(_BoundedSimplex(system.A, b, lower, upper, system))
-        except SolverError:
-            if attempt == 1:
-                raise
+            status, x, iterations = result = _finish(sx)
+        except SolverError as exc:
+            wasted += sx.iterations
+            error = exc
             continue
-        status, x, iterations = result
         return LPResult(status, x, iterations + wasted, result.state)
-    raise SolverError("unreachable")
+    raise error
+
+
+def _ladder(start: LPState | None, system: _System):
+    """The states a solve restarts from, in order, each made only when reached."""
+    if start is not None:
+        yield start
+    yield _BoundedSimplex(system, system.b)
+    yield _BoundedSimplex(system, system.b + 1e-9 * ((np.arange(system.b.size) % 7) + 1) / 7.0)
 
 
 def _finish(sx: _BoundedSimplex) -> LPResult:

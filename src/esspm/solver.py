@@ -12,12 +12,12 @@ every indicator is integral the node's pattern S = {j : y_j = 1} is
 attempted. The candidate is the solution of the S-tie system, from the
 oracle's stacked tie kernel (the one ``enumeration.solve_support`` calls);
 only when that system is singular or leaves the simplex does one more
-feasibility LP run, cold from the model's bounds with the y's pinned to the
-pattern and the strategies outside S fixed at zero, and its point becomes
-the candidate. The candidate therefore depends on the model and S only, not
-on the search path. It is accepted only if its payoff gaps
-(``analysis.payoff_gaps``) meet the branch conditions at the model's ``eps``
-with the exact quadratic value x' A x in place of z.
+feasibility LP run from the blank state, under the model's bounds with the
+y's pinned to the pattern and the strategies outside S fixed at zero, and
+its point becomes the candidate. The candidate therefore depends on the
+model and S only, not on the search path. It is accepted only if its payoff
+gaps (``analysis.payoff_gaps``) meet the branch conditions at the model's
+``eps`` with the exact quadratic value x' A x in place of z.
 Skipping the leaf LP for a regular tie system loses nothing: a tie point
 that passes that exact check satisfies every row of the leaf (the proof
 below), so the skipped LP would have been feasible, and a tie point that
@@ -72,18 +72,19 @@ at the model's strictness margin. Infeasible is returned only after the
 pattern tree is exhausted, so remaining false negatives are exactly the games
 whose true margins fall below the model's eps.
 
-Node LPs are warm-started. The root LP is solved cold; every other node LP
-goes through ``lp_solve`` with ``start=``, the final simplex state of its
-parent's feasible solve. That state sits on the DFS stack next to the node's
-bounds, siblings share it, and ``lp_solve`` copies it before changing
-anything. A child differs from its parent in a few bounds only, so most
-restarts take a few pivots or none. The restart solves exactly the child's
-system, so an INFEASIBLE child is still proven infeasible and pruning stays
-sound; a warm solve that breaks down or fails the row-residual check is
-solved again cold inside ``lp_solve``. The LP point feeds branching, so the
-vertex a warm solve ends at can change the order in which the tree is
-searched, never which patterns it can accept. The leaf LP is solved cold so
-that a leaf's strategy does not depend on that order.
+Every LP is a restart (see ``simplex``). The root LP and the leaf LP restart
+from the blank state of the rows; every other node LP passes ``start=``, the
+final simplex state of its parent's feasible solve. That state sits on the
+DFS stack next to the node's bounds, siblings share it, and ``lp_solve``
+copies it before changing anything. A child differs from its parent in a few
+bounds only, so most restarts take a few pivots or none. The restart solves
+exactly the child's system, so an INFEASIBLE child is still proven
+infeasible and pruning stays sound; a solve that breaks down or fails the
+row-residual check is solved again from the blank state inside ``lp_solve``.
+The LP point feeds branching, so the vertex a parent's state leads to can
+change the order in which the tree is searched, never which patterns it can
+accept. The leaf LP starts blank so that its strategy does not depend on
+that order.
 
 A solve owns its node stack and never mutates the model, so independent
 solves over shared models may run concurrently.
@@ -155,7 +156,7 @@ def _leaf_point(
     The tie system of the support is solved first, by the oracle's kernel, so
     an accepted leaf is the strategy that ``solve_support`` gives on the same
     support. Only when that system is singular or its solution leaves the
-    simplex does the leaf LP run: it starts cold from the model's bounds,
+    simplex does the leaf LP run: it starts blank from the model's bounds,
     pins every y_j to pattern[j] and x_j to zero off the pattern, and its
     point, clamped and renormalized, is the candidate. The candidate thus
     depends on the model and the pattern only, not on the search path that

@@ -62,6 +62,9 @@ def test_milp_mixed_trace():
     # Each y_j = 0 child also fixes x_j at zero. Seed 1 searches 501 nodes
     # with that bound and 553 without it.
     assert metrics["solver.nodes"]["value"] <= 520
+    # Every phase 1 is a restart, from the parent's state or the blank one;
+    # seed 1 takes 1,850 pivots.
+    assert metrics["simplex.pivots"]["value"] <= 1900
     assert metrics["model.verify_ms"]["value"] > 0
     # Every milp_mixed game has m <= 5, so the x/z/y model has at most 11
     # columns and 21 rows; more means the lambda system is back on the hot path.

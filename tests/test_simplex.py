@@ -122,39 +122,50 @@ def tightened(rng, bounds, state):
     return out
 
 
+def count_blank_starts(monkeypatch):
+    """A list that grows by one for every blank state ``lp_solve`` makes for a cold attempt."""
+    blanks = []
+    real_init = simplex._BoundedSimplex.__init__
+
+    def counted(self, system, b):
+        blanks.append(system)
+        real_init(self, system, b)
+
+    monkeypatch.setattr(simplex._BoundedSimplex, "__init__", counted)
+    return blanks
+
+
 def warm_cold_agreement(monkeypatch, seed=200, trials=150, chain=3):
     """Warm restarts along chains of tightened bounds agree with cold solves and HiGHS.
 
     Returns the number of feasible warm solves, each of whose points meets
-    its bounds and rows to 1e-7. No warm solve falls back to a cold one, and
-    one that opens no row takes no pivot.
+    its bounds and rows to 1e-7. No warm solve falls back to a blank start,
+    and one that opens no row takes no pivot.
     """
-    cold_solves = []
-    real_standardize = simplex._standardize
+    blanks = count_blank_starts(monkeypatch)
 
-    def counted(rows, n):
-        cold_solves.append(n)
-        return real_standardize(rows, n)
+    def warm_solve(rows, bounds, state):
+        before = len(blanks)
+        result = lp_solve(rows, bounds, start=state)
+        assert len(blanks) == before
+        return result
 
-    monkeypatch.setattr(simplex, "_standardize", counted)
     rng = np.random.default_rng(seed)
-    warm_feasible = cold_calls = 0
+    warm_feasible = 0
     for trial in range(trials):
         rows, bounds = random_system(rng)
         result = lp_solve(rows, bounds)
-        cold_calls += 1
         if result[0] != "feasible":
             assert result.state is None
             continue
-        again = lp_solve(rows, bounds, start=result.state)
+        again = warm_solve(rows, bounds, result.state)
         assert again[0] == "feasible" and again[2] == 0, f"trial {trial}"
         state = result.state
         for step in range(chain):
             saved = [a.copy() for a in (state.T, state.xB, state.basis, state.at_upper)]
             new_bounds = tightened(rng, bounds, state)
-            warm = lp_solve(rows, new_bounds, start=state)
+            warm = warm_solve(rows, new_bounds, state)
             cold = lp_solve(rows, new_bounds)
-            cold_calls += 1
             expected = "feasible" if highs_feasible(rows, new_bounds) else "infeasible"
             assert warm[0] == cold[0] == expected, f"trial {trial} step {step}"
             for a, b in zip(saved, (state.T, state.xB, state.basis, state.at_upper)):
@@ -167,7 +178,6 @@ def warm_cold_agreement(monkeypatch, seed=200, trials=150, chain=3):
             assert warm[2] == 0 or warm.state.cost.size > 0
             warm_feasible += 1
             state, bounds = warm.state, new_bounds
-    assert len(cold_solves) == cold_calls
     return warm_feasible
 
 
@@ -248,11 +258,12 @@ class TestWarmRestart:
         first = lp_solve(rows, [[0, 1], [0, 1]])
         real_restarted = simplex._BoundedSimplex.restarted
         real_minimize = simplex._BoundedSimplex.minimize
-        real_standardize = simplex._standardize
-        restarts, colds = [], []
+        restarts = []
 
         def faulty(self, bounds):
             sx = real_restarted(self, bounds)
+            if self is not first.state:
+                return sx
             if fault == "residual":
                 # The warm point is checked against shifted right-hand sides,
                 # so it fails the row-residual check as a drifted tableau would.
@@ -265,28 +276,101 @@ class TestWarmRestart:
                 raise SolverError("vanishing pivot")
             return real_minimize(self, max_iter)
 
-        def counted(rows, n):
-            colds.append(n)
-            return real_standardize(rows, n)
-
         monkeypatch.setattr(simplex._BoundedSimplex, "restarted", faulty)
         monkeypatch.setattr(simplex._BoundedSimplex, "minimize", minimize)
-        monkeypatch.setattr(simplex, "_standardize", counted)
+        blanks = count_blank_starts(monkeypatch)
         bounds = np.array([[0.0, 1.0], [0.25, 0.25]])
         status, x, _ = lp_solve(rows, bounds, start=first.state)
-        assert len(restarts) == 1 and len(colds) == 1
+        assert len(restarts) == 1 and len(blanks) == 1
+        assert blanks[0] is first.state.system  # the fallback reuses the start's rows
         assert status == "feasible"
         assert rows_satisfied(rows, x)
         assert x[1] == 0.25
+
+    def test_every_phase_1_is_one_restart(self, monkeypatch):
+        # Cold and warm alike, an LP that passes the activity check enters
+        # phase 1 through exactly one restart.
+        calls = []
+        real_restarted = simplex._BoundedSimplex.restarted
+
+        def spy(self, bounds):
+            calls.append(self)
+            return real_restarted(self, bounds)
+
+        monkeypatch.setattr(simplex._BoundedSimplex, "restarted", spy)
+        rng = np.random.default_rng(400)
+        cold = warm = 0
+        for _ in range(60):
+            rows, bounds = random_system(rng)
+            first = lp_solve(rows, bounds)
+            assert len(calls) == (0 if simplex._standardize(rows, len(bounds)).refutes(bounds) else 1)
+            cold += len(calls)
+            calls.clear()
+            if first[0] != "feasible":
+                continue
+            box = tightened(rng, bounds, first.state)
+            lp_solve(rows, box, start=first.state)
+            assert calls == ([] if simplex._standardize(rows, len(box)).refutes(box) else [first.state])
+            warm += len(calls)
+            calls.clear()
+        assert cold > 30 and warm > 15
+
+    def test_failed_blank_attempt_pivots_are_counted(self, monkeypatch):
+        rows = [LinearRow({0: 1.0, 1: 2.0}, "<=", 1.5), LinearRow({0: 1.0, 1: 1.0}, ">=", 0.5)]
+        box = [[0.6, 1.0], [0.0, 1.0]]
+        clean = lp_solve(rows, box)
+        assert clean[0] == "feasible" and clean[2] > 0
+        real_minimize = simplex._BoundedSimplex.minimize
+        attempts = []
+
+        def minimize(self, max_iter):
+            mass = real_minimize(self, max_iter)
+            attempts.append(self.iterations)
+            if len(attempts) == 1:
+                raise SolverError("vanishing pivot")  # after the first blank's pivots
+            return mass
+
+        monkeypatch.setattr(simplex._BoundedSimplex, "minimize", minimize)
+        status, x, iterations = lp_solve(rows, box)
+        assert status == "feasible" and rows_satisfied(rows, x)
+        assert len(attempts) == 2 and attempts[0] == clean[2]
+        assert iterations == sum(attempts)
+
+
+class TestBoundsBox:
+    """The box is checked once on entry, on the cold and the warm path alike."""
+
+    rows = [LinearRow({0: 1.0, 1: 1.0}, "=", 1.0)]
+
+    @pytest.fixture(params=["cold", "warm"])
+    def start(self, request):
+        return None if request.param == "cold" else lp_solve(self.rows, [[0, 1], [0, 1]]).state
+
+    def test_crossed_box_is_infeasible(self, start):
+        assert lp_solve(self.rows, [[0.8, 0.2], [0, 1]], start=start)[:] == ("infeasible", None, 0)
+
+    def test_nan_bound_rejected(self, start):
+        with pytest.raises(ValueError, match="NaN"):
+            lp_solve(self.rows, [[0, np.nan], [0, 1]], start=start)
+
+    def test_infinite_lower_bound_rejected(self, start):
+        with pytest.raises(ValueError, match="finite"):
+            lp_solve(self.rows, [[-np.inf, 1], [0, 1]], start=start)
+
+    def test_box_shape_rejected(self, start):
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            lp_solve(self.rows, [[0, 1, 2], [0, 1, 2]], start=start)
+
+    def test_box_size_must_match_start(self):
+        start = lp_solve(self.rows, [[0, 1], [0, 1]]).state
+        with pytest.raises(ValueError, match="structural columns"):
+            lp_solve(self.rows, [[0, 1], [0, 1], [0, 1]], start=start)
 
 
 def phase1_status(rows, bounds):
     """The cold phase-1 verdict, reached without the activity check."""
     system = simplex._standardize(rows, len(bounds))
-    n_slack = system.A.shape[1] - system.n
-    lower = np.concatenate([bounds[:, 0], np.zeros(n_slack)])
-    upper = np.concatenate([bounds[:, 1], np.full(n_slack, np.inf)])
-    return simplex._finish(simplex._BoundedSimplex(system.A, system.b, lower, upper, system))[0]
+    return simplex._finish(simplex._BoundedSimplex(system, system.b).restarted(bounds))[0]
 
 
 class TestActivityCheck:
@@ -343,7 +427,8 @@ class TestBlandRule:
         return calls
 
     def test_smallest_eligible_index_enters(self):
-        sx = simplex._BoundedSimplex(np.ones((1, 3)), np.ones(1), np.zeros(3), np.ones(3))
+        system = simplex._standardize([LinearRow({0: 1.0, 1: 1.0, 2: 1.0}, "=", 1.0)], 3)
+        sx = simplex._BoundedSimplex(system, system.b).restarted(np.array([[0.0, 1.0]] * 3))
         # Column 0 does not improve and column 3, the artificial, is basic.
         r = np.array([0.0, -1e-3, -5.0, -2.0])
         assert sx._entering(r, bland=True) == 1
