@@ -1,5 +1,6 @@
 import csv
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,3 +230,32 @@ class TestConfigValidation:
             BatchConfig(n_games=0)
         with pytest.raises(ValueError):
             BatchConfig(k=1)
+
+
+GOLDEN_CSV = Path(__file__).parent / "data" / "batch_golden.csv"
+GOLDEN_DECK = [("uniform", 2, 40), ("uniform", 3, 40), ("uniform", 4, 40), ("chicken", 2, 40),
+               ("cancer", 2, 40), ("mp", 2, 1), ("rps", 2, 1), ("counterexample", 2, 1)]
+
+
+def golden_deck_csv() -> str:
+    """Every batch CSV column but runtime_ms, for each solver over the deck at seed 11."""
+    rt = CSV_COLUMNS.index("runtime_ms")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS[:rt] + CSV_COLUMNS[rt + 1 :])
+    for solver in ("milp", "enum", "both"):
+        for game_class, m, n in GOLDEN_DECK:
+            cfg = BatchConfig(game_class=game_class, m=m, n_games=n, seed=11, solver=solver)
+            for row in batch_csv(cfg)[1][1:]:
+                writer.writerow(row[:rt] + row[rt + 1 :])
+    return buf.getvalue()
+
+
+def test_batch_csv_matches_golden():
+    """The deck's CSV bytes, runtime aside, as the recorded file has them.
+
+    Regenerate the file with ``python -c "import test_pipeline as t;
+    t.GOLDEN_CSV.write_text(t.golden_deck_csv())"`` from ``tests/``, only for
+    a change that means to alter the CSV.
+    """
+    assert golden_deck_csv() == GOLDEN_CSV.read_text(encoding="utf-8")
