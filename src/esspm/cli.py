@@ -10,12 +10,12 @@ from .model import build_model, export_lp, linearize
 from .pipeline import (
     BatchConfig,
     GAME_CLASSES,
-    Infeasible,
-    MixedEsspm,
+    LimitReached,
     PureEsspm,
     make_game,
     run_batch,
     solve_record,
+    strategy_cell,
 )
 from .simplex import SolverError
 from .solver import SolveLimits
@@ -109,17 +109,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     game = make_game(cfg, 0)
     record = solve_record(game, cfg)
     outcome = record.outcome
+    print(f"status: {outcome.status}")
     if isinstance(outcome, PureEsspm):
-        print("status: PURE")
         print(f"strategy: pure {outcome.index}")
-    elif isinstance(outcome, MixedEsspm):
-        print("status: OPTIMAL")
-        print("strategy: " + ";".join(f"{p:.9g}" for p in outcome.strategy.probs))
-        print(f"error: {outcome.error:.9g}")
-    elif isinstance(outcome, Infeasible):
-        print("status: INFEASIBLE")
-    else:
-        print("status: LIMIT")
+    elif record.strategy is not None:
+        print("strategy: " + strategy_cell(record.strategy))
+        print(f"error: {record.error:.9g}")
+    if isinstance(outcome, LimitReached):
         return 1
     if cfg.solver == "both" and not isinstance(outcome, PureEsspm):
         print("oracle agreement: " + ("no" if record.disagreement else "yes"))

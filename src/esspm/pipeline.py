@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -69,25 +71,28 @@ CSV_COLUMNS = [
 ]
 
 
+# Each outcome class names its CSV status once, as ``status``.
 @dataclass(frozen=True)
 class PureEsspm:
+    status: ClassVar[str] = "PURE"
     index: int
 
 
 @dataclass(frozen=True)
 class MixedEsspm:
+    status: ClassVar[str] = "OPTIMAL"
     strategy: MixedStrategy
     error: float
 
 
 @dataclass(frozen=True)
 class Infeasible:
-    pass
+    status: ClassVar[str] = "INFEASIBLE"
 
 
 @dataclass(frozen=True)
 class LimitReached:
-    pass
+    status: ClassVar[str] = "LIMIT"
 
 
 EsspmOutcome = PureEsspm | MixedEsspm | Infeasible | LimitReached
@@ -142,15 +147,20 @@ class BatchStats:
 
 @dataclass
 class GameRecord:
-    """Everything the CSV needs about one solved instance."""
+    """Everything the CSV needs about one solved instance.
+
+    ``strategy`` is the strategy played (the pure one as a vector) and
+    ``error`` its approximation error; both are None when no ESSPM was found.
+    """
 
     game_id: int
     game_class: str
     m: int
     outcome: EsspmOutcome
+    strategy: MixedStrategy | None
+    error: float | None
     nash_eps: float | None
     runtime_ms: float
-    support_size: int | None
     disagreement: int
 
 
@@ -233,35 +243,28 @@ def solve_record(game: GameMatrix, cfg: BatchConfig, game_id: int = 0) -> GameRe
         outcome, disagreement = _solve_normalized(norm, cfg)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
 
-    nash: float | None = None
-    support_size: int | None = None
+    strategy: MixedStrategy | None = None
+    error: float | None = None
     if isinstance(outcome, PureEsspm):
-        strat = MixedStrategy.pure(outcome.index, norm.m)
-        nash = nash_epsilon(norm, strat)
-        support_size = 1
+        strategy, error = MixedStrategy.pure(outcome.index, norm.m), 0.0
     elif isinstance(outcome, MixedEsspm):
-        nash = nash_epsilon(norm, outcome.strategy)
-        support_size = len(outcome.strategy.support())
+        strategy, error = outcome.strategy, outcome.error
     return GameRecord(
         game_id=game_id,
         game_class=cfg.game_class,
         m=game.m,
         outcome=outcome,
-        nash_eps=nash,
+        strategy=strategy,
+        error=error,
+        nash_eps=None if strategy is None else nash_epsilon(norm, strategy),
         runtime_ms=runtime_ms,
-        support_size=support_size,
         disagreement=disagreement,
     )
 
 
-def _status_name(outcome: EsspmOutcome) -> str:
-    if isinstance(outcome, PureEsspm):
-        return "PURE"
-    if isinstance(outcome, MixedEsspm):
-        return "OPTIMAL"
-    if isinstance(outcome, Infeasible):
-        return "INFEASIBLE"
-    return "LIMIT"
+def strategy_cell(strategy: MixedStrategy) -> str:
+    """The probabilities as the CSV and ``esspm solve`` print them."""
+    return ";".join(f"{p:.9g}" for p in strategy.probs)
 
 
 def _nash_eps_cell(nash_eps: float | None) -> str:
@@ -271,16 +274,7 @@ def _nash_eps_cell(nash_eps: float | None) -> str:
 
 
 def _csv_row(record: GameRecord, cfg: BatchConfig) -> list:
-    outcome = record.outcome
-    strategy = ""
-    error = ""
-    if isinstance(outcome, PureEsspm):
-        probs = MixedStrategy.pure(outcome.index, record.m).probs
-        strategy = ";".join(f"{p:.9g}" for p in probs)
-        error = f"{0.0:.9g}"
-    elif isinstance(outcome, MixedEsspm):
-        strategy = ";".join(f"{p:.9g}" for p in outcome.strategy.probs)
-        error = f"{outcome.error:.9g}"
+    strategy = record.strategy
     return [
         record.game_id,
         record.game_class,
@@ -289,10 +283,10 @@ def _csv_row(record: GameRecord, cfg: BatchConfig) -> list:
         f"{cfg.eps:.9g}",
         f"{cfg.delta:.9g}",
         cfg.solver,
-        _status_name(outcome),
-        "" if record.support_size is None else record.support_size,
-        strategy,
-        error,
+        record.outcome.status,
+        "" if strategy is None else len(strategy.support()),
+        "" if strategy is None else strategy_cell(strategy),
+        "" if record.error is None else f"{record.error:.9g}",
         _nash_eps_cell(record.nash_eps),
         f"{record.runtime_ms:.3f}",
         record.disagreement,
@@ -309,28 +303,23 @@ def run_batch(cfg: BatchConfig, out) -> BatchStats:
     """
     writer = csv.writer(out)
     writer.writerow(CSV_COLUMNS)
-    stats = BatchStats()
-    opt_times: list[float] = []
-    inf_times: list[float] = []
-    opt_errors: list[float] = []
+    verdicts: list[tuple[str, float, float | None]] = []  # (status, runtime_ms, error)
     for i in range(cfg.n_games):
         record = solve_record(make_game(cfg, i), cfg, i)
         writer.writerow(_csv_row(record, cfg))
-        outcome = record.outcome
-        if isinstance(outcome, PureEsspm):
-            stats.n_pure += 1
-        elif isinstance(outcome, MixedEsspm):
-            stats.n_optimal += 1
-            opt_times.append(record.runtime_ms)
-            opt_errors.append(outcome.error)
-        elif isinstance(outcome, Infeasible):
-            stats.n_infeasible += 1
-            inf_times.append(record.runtime_ms)
-        else:
-            stats.n_limit += 1
-    if opt_times:
-        stats.mean_runtime_optimal_ms = float(np.mean(opt_times))
-        stats.mean_error_optimal = float(np.mean(opt_errors))
-    if inf_times:
-        stats.mean_runtime_infeasible_ms = float(np.mean(inf_times))
-    return stats
+        verdicts.append((record.outcome.status, record.runtime_ms, record.error))
+    counts = Counter(status for status, _, _ in verdicts)
+    optimal, infeasible = MixedEsspm.status, Infeasible.status
+    return BatchStats(
+        n_pure=counts[PureEsspm.status],
+        n_optimal=counts[optimal],
+        n_infeasible=counts[infeasible],
+        n_limit=counts[LimitReached.status],
+        mean_runtime_optimal_ms=_mean([ms for s, ms, _ in verdicts if s == optimal]),
+        mean_runtime_infeasible_ms=_mean([ms for s, ms, _ in verdicts if s == infeasible]),
+        mean_error_optimal=_mean([err for s, _, err in verdicts if s == optimal]),
+    )
+
+
+def _mean(values: list[float]) -> float:
+    return float(np.mean(values)) if values else float("nan")

@@ -192,14 +192,16 @@ class TestBothExcuse:
 class TestNashEpsColumn:
     @staticmethod
     def cell(nash_eps):
+        strategy = MixedStrategy(np.array([0.2, 0.8]))
         record = GameRecord(
             game_id=0,
             game_class="mp",
             m=2,
-            outcome=MixedEsspm(MixedStrategy(np.array([0.2, 0.8])), 0.0),
+            outcome=MixedEsspm(strategy, 0.0),
+            strategy=strategy,
+            error=0.0,
             nash_eps=nash_eps,
             runtime_ms=1.0,
-            support_size=2,
             disagreement=0,
         )
         return _csv_row(record, BatchConfig(game_class="mp"))[CSV_COLUMNS.index("nash_eps")]
