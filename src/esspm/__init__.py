@@ -59,6 +59,7 @@ from .pipeline import (
     LimitReached,
     MixedEsspm,
     PureEsspm,
+    SolveFailed,
     run_batch,
     solve_one,
     solve_record,
@@ -122,6 +123,7 @@ __all__ = [
     "LimitReached",
     "MixedEsspm",
     "PureEsspm",
+    "SolveFailed",
     "run_batch",
     "solve_one",
     "solve_record",

@@ -128,7 +128,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         stats = run_batch(cfg, fh)
     print(
         f"games={cfg.n_games} pure={stats.n_pure} optimal={stats.n_optimal} "
-        f"infeasible={stats.n_infeasible} limit={stats.n_limit}"
+        f"infeasible={stats.n_infeasible} limit={stats.n_limit} error={stats.n_error}"
     )
     if stats.n_optimal:
         print(
@@ -137,7 +137,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         )
     if stats.n_infeasible:
         print(f"mean_runtime_infeasible_ms={stats.mean_runtime_infeasible_ms:.3f}")
-    return 0
+    return 1 if stats.n_error else 0
 
 
 def _cmd_export(args: argparse.Namespace) -> int:

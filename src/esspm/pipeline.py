@@ -29,6 +29,7 @@ from .generators import (
     uniform_random,
 )
 from .model import build_model
+from .simplex import SolverError
 from .solver import SolveLimits, SolveStatus, extract_strategy, solve
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "MixedEsspm",
     "Infeasible",
     "LimitReached",
+    "SolveFailed",
     "EsspmOutcome",
     "BatchConfig",
     "BatchStats",
@@ -99,6 +101,13 @@ EsspmOutcome = PureEsspm | MixedEsspm | Infeasible | LimitReached
 
 
 @dataclass(frozen=True)
+class SolveFailed:
+    """A batch game whose solve raised ``SolverError``; only ``run_batch`` makes one."""
+
+    status: ClassVar[str] = "ERROR"
+
+
+@dataclass(frozen=True)
 class BatchConfig:
     game_class: str = "uniform"
     m: int = 2
@@ -136,13 +145,14 @@ class BatchStats:
     n_optimal: int = 0
     n_infeasible: int = 0
     n_limit: int = 0
+    n_error: int = 0
     mean_runtime_optimal_ms: float = float("nan")
     mean_runtime_infeasible_ms: float = float("nan")
     mean_error_optimal: float = float("nan")
 
     @property
     def total(self) -> int:
-        return self.n_pure + self.n_optimal + self.n_infeasible + self.n_limit
+        return self.n_pure + self.n_optimal + self.n_infeasible + self.n_limit + self.n_error
 
 
 @dataclass
@@ -156,7 +166,7 @@ class GameRecord:
     game_id: int
     game_class: str
     m: int
-    outcome: EsspmOutcome
+    outcome: EsspmOutcome | SolveFailed
     strategy: MixedStrategy | None
     error: float | None
     nash_eps: float | None
@@ -299,13 +309,20 @@ def run_batch(cfg: BatchConfig, out) -> BatchStats:
     ``out`` may be any text stream; a file should be opened with
     ``newline=""``, as for any ``csv.writer``. Rows appear in game-index
     order and, runtime column aside, rerunning the same config reproduces
-    the file exactly.
+    the file exactly. A game whose solve raises ``SolverError`` gets an
+    ERROR row, with no strategy, error or nash_eps, and the batch goes on.
     """
     writer = csv.writer(out)
     writer.writerow(CSV_COLUMNS)
     verdicts: list[tuple[str, float, float | None]] = []  # (status, runtime_ms, error)
     for i in range(cfg.n_games):
-        record = solve_record(make_game(cfg, i), cfg, i)
+        game = make_game(cfg, i)
+        t0 = time.perf_counter()
+        try:
+            record = solve_record(game, cfg, i)
+        except SolverError:
+            ms = (time.perf_counter() - t0) * 1000.0
+            record = GameRecord(i, cfg.game_class, game.m, SolveFailed(), None, None, None, ms, 0)
         writer.writerow(_csv_row(record, cfg))
         verdicts.append((record.outcome.status, record.runtime_ms, record.error))
     counts = Counter(status for status, _, _ in verdicts)
@@ -315,6 +332,7 @@ def run_batch(cfg: BatchConfig, out) -> BatchStats:
         n_optimal=counts[optimal],
         n_infeasible=counts[infeasible],
         n_limit=counts[LimitReached.status],
+        n_error=counts[SolveFailed.status],
         mean_runtime_optimal_ms=_mean([ms for s, ms, _ in verdicts if s == optimal]),
         mean_runtime_infeasible_ms=_mean([ms for s, ms, _ in verdicts if s == infeasible]),
         mean_error_optimal=_mean([err for s, _, err in verdicts if s == optimal]),

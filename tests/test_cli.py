@@ -1,6 +1,6 @@
 import csv
 
-from esspm import cli_main, mutation_population, read_game
+from esspm import SolverError, cli_main, mutation_population, read_game
 
 
 class TestGen:
@@ -49,6 +49,12 @@ class TestSolve:
         assert "OPTIMAL" in capsys.readouterr().out
 
 
+    def test_node_limit(self, capsys):
+        code = cli_main(["solve", "--class", "uniform", "--m", "4", "--seed", "1", "--max-nodes", "1"])
+        assert code == 1
+        assert capsys.readouterr().out == "status: LIMIT\n"
+
+
 class TestBatch:
     def test_writes_csv_and_summary(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -61,6 +67,21 @@ class TestBatch:
             rows = list(csv.reader(fh))
         assert len(rows) == 21
         assert "games=20" in capsys.readouterr().out
+
+    def test_solver_error_exits_1_after_the_full_csv(self, tmp_path, capsys, monkeypatch):
+        import esspm.pipeline
+
+        def breaks(model, limits):
+            raise SolverError("vanishing pivot")
+
+        monkeypatch.setattr(esspm.pipeline, "solve", breaks)
+        out = tmp_path / "r.csv"
+        code = cli_main(["batch", "--class", "chicken", "--n", "3", "--out", str(out)])
+        assert code == 1
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
+        assert [row[7] for row in rows] == ["status", "ERROR", "ERROR", "ERROR"]
+        assert "optimal=0 infeasible=0 limit=0 error=3" in capsys.readouterr().out
 
 
 class TestExportLp:

@@ -14,6 +14,7 @@ from esspm import (
     SolveResult,
     SolveStats,
     SolveStatus,
+    SolverError,
     counterexample_game,
     enumerate_esspm,
     linearization_error_bound,
@@ -187,6 +188,36 @@ class TestBothExcuse:
     def test_miss_at_or_below_eps_is_excused(self, monkeypatch):
         (cert,) = enumerate_esspm(self.MP)
         assert self.miss_flag(monkeypatch, cert.min_slack()) == "0"
+
+
+class TestErrorRows:
+    """A SolverError in one game costs that game an ERROR row, not the batch."""
+
+    def test_breakdown_writes_an_error_row_and_goes_on(self, monkeypatch):
+        import esspm.pipeline
+
+        real_solve = esspm.pipeline.solve
+        calls = []
+
+        def breaks_on_third(model, limits):
+            calls.append(model)
+            if len(calls) == 3:
+                raise SolverError("vanishing pivot")
+            return real_solve(model, limits)
+
+        monkeypatch.setattr(esspm.pipeline, "solve", breaks_on_third)
+        cfg = BatchConfig(game_class="chicken", n_games=5, seed=0, solver="milp")
+        stats, rows = batch_csv(cfg)
+        assert len(calls) == 5 and len(rows) == 6
+        col = {name: CSV_COLUMNS.index(name) for name in CSV_COLUMNS}
+        failed = rows[3]
+        assert failed[col["game_id"]] == "2" and failed[col["status"]] == "ERROR"
+        for name in ("support_size", "strategy", "error", "nash_eps"):
+            assert failed[col[name]] == "", name
+        assert failed[col["disagreement"]] == "0"
+        assert float(failed[col["runtime_ms"]]) >= 0.0
+        assert [row[col["status"]] for row in rows[1:]].count("OPTIMAL") == 4
+        assert (stats.n_error, stats.n_optimal, stats.total) == (1, 4, 5)
 
 
 class TestNashEpsColumn:
