@@ -80,6 +80,7 @@ class _System:
     b: np.ndarray  # right-hand sides as given, unperturbed
     sense: np.ndarray  # slack coefficient of each row: +1 for <=, -1 for >=, 0 for =
     n: int  # structural columns
+    rows: list  # the LinearRow list A was built from; a restart must be given this same list
 
     def residual(self, x: np.ndarray) -> float:
         """Worst violation of the rows by the structural point x."""
@@ -109,9 +110,11 @@ def _standardize(rows, n: int) -> _System:
     A = np.zeros((len(rows), n + slack.size))
     for ri, row in enumerate(rows):
         for idx, coef in row.coeffs.items():
+            if not 0 <= idx < n:
+                raise ValueError(f"row {ri} ({row.name or 'unnamed'}) names column {idx}, outside [0, {n})")
             A[ri, idx] = coef
     A[slack, n + np.arange(slack.size)] = sense[slack]
-    return _System(A, np.array([r.rhs for r in rows], dtype=float), sense, n)
+    return _System(A, np.array([r.rhs for r in rows], dtype=float), sense, n, rows)
 
 
 class _BoundedSimplex:
@@ -289,19 +292,23 @@ def lp_solve(rows, bounds, *, start: LPState | None = None):
     variables (None when infeasible); its ``state`` is the final state of a
     feasible solve. ``start``, the state of an earlier feasible solve of the
     same rows, makes this a restart from it under ``bounds`` on its rows;
-    ``start`` is not modified. A NaN bound, an infinite lower bound, or an
-    n other than ``start``'s structural column count raises ValueError. A
-    crossed box (some lower bound above its upper bound) and a row that the
-    box cannot meet (see the module docstring's activity check) return
-    ('infeasible', None, 0) before any pivot. Each phase 1 may take at most
-    2000 + 40 (rows + tableau columns) iterations; going past that counts as
-    a breakdown. A breakdown moves down the module docstring's retry ladder;
-    the iterations count the pivots of every attempt, and the last attempt's
-    SolverError is raised.
+    ``start`` is not modified. ``rows`` must then be the very list object
+    that ``start`` was solved on (an identity check, O(1)). A row that names
+    a column outside [0, n), a ``start`` given other rows, a NaN bound, an
+    infinite lower bound, or an n other than ``start``'s structural column
+    count raises ValueError. A crossed box (some lower bound above its upper
+    bound) and a row that the box cannot meet (see the module docstring's
+    activity check) return ('infeasible', None, 0) before any pivot. Each
+    phase 1 may take at most 2000 + 40 (rows + tableau columns) iterations;
+    going past that counts as a breakdown. A breakdown moves down the module
+    docstring's retry ladder; the iterations count the pivots of every
+    attempt, and the last attempt's SolverError is raised.
     """
     bounds = np.asarray(bounds, dtype=float)
     if bounds.ndim != 2 or bounds.shape[1] != 2 or (start is not None and len(bounds) != start.system.n):
         raise ValueError(f"bounds must be an (n, 2) array over the structural columns, got {bounds.shape}")
+    if start is not None and rows is not start.system.rows:
+        raise ValueError("a restart must be given the same rows list as the solve of its start")
     lower, upper = bounds[:, 0], bounds[:, 1]
     if not (np.isfinite(lower) & (lower <= upper)).all():  # one reduction on the hot path
         if np.isnan(upper).any() or not np.isfinite(lower).all():

@@ -337,6 +337,26 @@ class TestWarmRestart:
         assert iterations == sum(attempts)
 
 
+class TestRowColumns:
+    """Rows are checked against the structural columns, and a restart against its start's rows."""
+
+    @pytest.mark.parametrize("col", [2, 7, -1])
+    def test_column_outside_the_structural_columns_rejected(self, col):
+        # Column 2 is the first slack slot, 7 lies past the tableau, and -1
+        # would index from the end.
+        rows = [LinearRow({0: 1.0, col: 1.0}, "<=", 1.0), LinearRow({0: 1.0, 1: 1.0}, "=", 1.0)]
+        with pytest.raises(ValueError, match=rf"row 0 .*column {col}"):
+            lp_solve(rows, [[0, 1], [0, 1]])
+
+    def test_restart_on_other_rows_rejected(self):
+        rows = [LinearRow({0: 1.0, 1: 1.0}, "=", 1.0)]
+        start = lp_solve(rows, [[0, 1], [0, 1]]).state
+        with pytest.raises(ValueError, match="same rows"):
+            lp_solve([LinearRow({0: 1.0}, ">=", 5.0)], [[0, 10], [0, 10]], start=start)
+        with pytest.raises(ValueError, match="same rows"):
+            lp_solve(list(rows), [[0, 1], [0, 1]], start=start)  # an equal copy is not the list
+
+
 class TestBoundsBox:
     """The box is checked once on entry, on the cold and the warm path alike."""
 
