@@ -322,7 +322,8 @@ def run_batch(cfg: BatchConfig, out) -> BatchStats:
             record = solve_record(game, cfg, i)
         except SolverError:
             ms = (time.perf_counter() - t0) * 1000.0
-            record = GameRecord(i, cfg.game_class, game.m, SolveFailed(), None, None, None, ms, 0)
+            record = GameRecord(i, cfg.game_class, game.m, SolveFailed(), strategy=None, error=None,
+                                nash_eps=None, runtime_ms=ms, disagreement=0)
         writer.writerow(_csv_row(record, cfg))
         verdicts.append((record.outcome.status, record.runtime_ms, record.error))
     counts = Counter(status for status, _, _ in verdicts)
