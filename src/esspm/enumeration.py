@@ -4,11 +4,47 @@ Supports are taken in stacked chunks: one tie solve and one payoff-gap screen
 per chunk, so only the candidates that the screen cannot rule out become
 objects and are certified by the scalar spec, ``check_conditions``. Runs
 independently of the MILP path so the two can cross-check each other.
+
+Before the tie solve, a chunk drops every support S that has a member i and
+a row j with a_jc - a_ic > delta + tau for every column c of S, where
+tau = ``_PRUNE_GUARD`` * (1 + max|a|). This is the conditional dominance of
+Porter, Nudelman & Shoham (2008, "Simple search methods for finding a Nash
+equilibrium"). No candidate on such an S can be certified, because mutant j
+fails ``check_conditions`` against it. Take any x that the tie kernel accepts
+on S. Its raw solution y misses each tie equation by at most 1e-8
+(``_RESIDUAL_TOL``) and has no component below -1e-9 (``_SIMPLEX_TOL``); x is
+y clamped at 0 and divided by its sum t >= 1 - 1e-8. Write u_k = (A x)_k.
+
+- The tie equations hold relative to the first member, so any two members'
+  payoffs against y differ by at most 2e-8. The clamp moves at most 20
+  components by at most 1e-9 each, so it changes such a difference by at most
+  4e-8 * max|a|. Dividing by t scales it by at most 1 + 2e-8. The rounding of
+  the residual test, of the clamp and of the division adds at most about
+  1e-14 * max|a|. So any two members' u_k differ by at most
+  sigma < 3e-8 + 5e-8 * max|a|.
+- u(x, x) = sum_k x_k u_k is a weighted mean of the members' payoffs, so
+  |u_i - u(x, x)| <= sigma.
+- u_j - u_i = sum_{c in S} x_c (a_jc - a_ic) > delta + tau, since x is a
+  distribution on S. Its float sum misses 1 by less than 1e-14, and the
+  dominance test compares rounded differences; together these cost a relative
+  1e-14 of delta + tau.
+
+So the exact d_j = u_j - u(x, x) exceeds delta + tau - sigma less that
+relative loss, which is more than delta + 4e-8 * (1 + max|a|) for any delta
+below 1e6. The scalar and the stacked products compute d_j within about
+1e-14 * max|a| of it. Hence ``check_conditions``
+finds d_j > delta and tags j FAILS, and the screen, whose guard is
+``_SCREEN_GUARD`` * max|a|, would have dropped x as well. Pruning therefore
+removes no certificate and no ``check_conditions`` call. The rule needs no
+property of the game beyond finite payoffs, and tau is small enough that
+integer or one-decimal payoff gaps prune at any delta below them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +84,19 @@ _MARGIN_TOL = 1e-9  # MILP leaf: slack by which a margin may fall short of eps
 # candidate out before certification only when it fails by more than this
 # guard, so every candidate that check_conditions would certify survives.
 _SCREEN_GUARD = 1e-12
+# Oracle prune guard, per unit of 1 + max|a|. A support is skipped before its
+# tie solve when one member loses to some row by more than delta plus this
+# guard on every column of the support. The guard covers the tie spread of an
+# accepted solution, 2 * _RESIDUAL_TOL plus 2 * 20 * _SIMPLEX_TOL * max|a| from
+# the clamp, with room for rounding; the module docstring has the argument.
+_PRUNE_GUARD = 1e-7
 
 # Supports per stacked solve: large enough to amortize the numpy call overhead,
 # small enough that a first-certificate search does not solve far past its stop.
 CHUNK = 256
+
+# Bit c of a support mask stands for strategy c; m <= DEFAULT_SUPPORT_CAP fits uint32.
+_BITS = np.uint32(1) << np.arange(DEFAULT_SUPPORT_CAP, dtype=np.uint32)
 
 
 def _solve_ties(payoffs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,36 +180,86 @@ def _fails_clearly(d: np.ndarray, margin: np.ndarray, delta: float, guard: float
     return ((d > delta + guard) | tie_lost).any(axis=1)
 
 
+@functools.cache
+def _support_table(m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every size-``size`` support of ``range(m)`` in index order, built once per process.
+
+    Returns ``(idx, masks)``: ``idx`` holds one support per row (uint8) and
+    ``masks[k]`` sets bit c for each member c of row k (uint32). Both are
+    read-only. Over all sizes at the cap m = 20 they take 20 * 2^19 bytes of
+    indices and 4 * (2^20 - 1) bytes of masks, 14 MiB in all; at m = 13,
+    84 KiB.
+    """
+    flat = itertools.chain.from_iterable(itertools.combinations(range(m), size))
+    idx = np.fromiter(flat, dtype=np.uint8, count=math.comb(m, size) * size).reshape(-1, size)
+    masks = _BITS[idx].sum(axis=1, dtype=np.uint32)
+    idx.setflags(write=False)
+    masks.setflags(write=False)
+    return idx, masks
+
+
+def _spared(payoffs: np.ndarray, threshold: float) -> np.ndarray:
+    """Bitmask table of a game: bit c of ``spared[i, j]`` is set unless a_jc - a_ic > threshold.
+
+    Row j beats member i on every column of a support with mask M exactly
+    when ``spared[i, j] & M == 0``.
+    """
+    m = len(payoffs)
+    kept = payoffs[None, :, :] - payoffs[:, None, :] <= threshold  # kept[i, j, c]
+    return (kept * _BITS[:m]).sum(axis=2, dtype=np.uint32)
+
+
 def _survivors(game: GameMatrix, delta: float, counts: list[int]):
     """Yield (indices, probs) for each candidate that the chunk screen keeps.
 
-    Supports come in (size, indices) order. Each chunk's tie solutions that
-    use their whole support form one (n, m) probability stack, screened with
-    one :func:`payoff_gaps` call; rows in which some mutant fails clearly are
-    dropped. ``counts`` holds [supports visited, singular skipped] and is
+    Supports come in (size, indices) order, in chunks that are slices of the
+    cached :func:`_support_table`. A chunk first drops the supports with a
+    conditionally dominated member (see the module docstring); only the rest
+    are solved, size-1 supports as the identity stack, which is what the
+    kernel returns for them. The tie solutions that use their whole support
+    form one (n, m) probability stack, screened with one :func:`payoff_gaps`
+    call; rows in which some mutant fails clearly are dropped. ``counts``
+    holds [supports visited, singular skipped, dominated skipped] and is
     brought up to date through each support before it is yielded, so it
     stays exact when the caller stops early.
     """
     payoffs = game.payoffs
-    guard = _SCREEN_GUARD * float(np.abs(payoffs).max())
+    scale = float(np.abs(payoffs).max())
+    guard = _SCREEN_GUARD * scale
+    spared = _spared(payoffs, delta + _PRUNE_GUARD * (1.0 + scale))
     for size in range(1, game.m + 1):
-        combos = itertools.combinations(range(game.m), size)
-        while chunk := list(itertools.islice(combos, CHUNK)):
-            idx = np.array(chunk)
-            rejected, weights = _solve_ties(payoffs, idx)
+        table, table_masks = _support_table(game.m, size)
+        for start in range(0, len(table), CHUNK):
+            chunk = table[start : start + CHUNK]
+            masks = table_masks[start : start + CHUNK, None, None]
+            # A support is live when no (member, row) pair has spared & mask == 0.
+            is_live = np.all(np.take(spared, chunk, axis=0) & masks, axis=(1, 2))
+            live = np.flatnonzero(is_live)
+            idx = chunk[live]
+            if size == 1:
+                rejected, weights = np.zeros(len(idx), dtype=bool), np.ones((len(idx), 1))
+            else:
+                rejected, weights = _solve_ties(payoffs, idx)
             used = ~np.any(weights <= PLAYED_TOL, axis=1)
             rows = np.flatnonzero(~rejected)[used]
             probs = np.zeros((len(rows), game.m))
-            np.put_along_axis(probs, idx[rows], weights[used], axis=1)
+            probs[np.arange(len(rows))[:, None], idx[rows]] = weights[used]
             keep = ~_fails_clearly(*payoff_gaps(payoffs, probs), delta, guard)
+            singular = np.zeros(len(chunk), dtype=bool)
+            singular[live] = rejected
             done = 0
-            for k, p in zip(rows[keep].tolist(), probs[keep]):
-                counts[0] += k + 1 - done
-                counts[1] += int(np.count_nonzero(rejected[done : k + 1]))
+            for k, p in zip(live[rows[keep]].tolist(), probs[keep]):
+                _tally(counts, singular[done : k + 1], is_live[done : k + 1])
                 done = k + 1
-                yield chunk[k], p
-            counts[0] += len(chunk) - done
-            counts[1] += int(np.count_nonzero(rejected[done:]))
+                yield tuple(chunk[k].tolist()), p
+            _tally(counts, singular[done:], is_live[done:])
+
+
+def _tally(counts: list[int], singular: np.ndarray, is_live: np.ndarray) -> None:
+    """Add a run of chunk positions to [visited, singular skipped, dominated skipped]."""
+    counts[0] += len(is_live)
+    counts[1] += int(np.count_nonzero(singular))
+    counts[2] += len(is_live) - int(np.count_nonzero(is_live))
 
 
 def enumerate_esspm(
@@ -177,29 +272,33 @@ def enumerate_esspm(
     """Stable strategies found by exhausting the 2^m - 1 supports.
 
     Supports are visited in (size, indices) order. Each size's supports are
-    taken in chunks of at most ``CHUNK``, whose tie systems are solved as one
-    stack. The candidates that use their whole support are screened as one
-    stack with :func:`payoff_gaps`: a candidate against which some pure
-    mutant fails by more than a rounding guard (``_SCREEN_GUARD`` times
-    max|a|) is dropped. Each survivor, in order, is certified against every
-    pure mutant by :func:`check_conditions`, so certificates, tags and slacks
-    are those of the scalar spec, bit for bit. ``limit`` stops the
-    enumeration once that many certificates are found, so ``limit=1``
-    returns the first certificate in (size, indices) order,
-    ``enumerate_esspm(game)[:1]``.
-    The returned list is in that order too. Games with more than
+    taken in chunks of at most ``CHUNK``. A support with a conditionally
+    dominated member (some member loses to some row by more than delta plus
+    ``_PRUNE_GUARD`` times 1 + max|a| on every column of the support) is
+    skipped, since no candidate on it can pass; the module docstring proves
+    it. The other supports' tie systems are solved as one stack, the size-1
+    ones in closed form. The candidates that use their whole support are
+    screened as one stack with :func:`payoff_gaps`: a candidate against
+    which some pure mutant fails by more than a rounding guard
+    (``_SCREEN_GUARD`` times max|a|) is dropped. Each survivor, in order, is
+    certified against every pure mutant by :func:`check_conditions`, so
+    certificates, tags and slacks are those of the scalar spec, bit for bit.
+    ``limit`` stops the enumeration once that many certificates are found,
+    so ``limit=1`` returns the first certificate in (size, indices) order,
+    ``enumerate_esspm(game)[:1]``. The returned list is in that order too. Games with more than
     ``DEFAULT_SUPPORT_CAP`` strategies raise ValueError.
 
     ``counters`` (optional dict) receives ``supports_visited``, the supports
-    examined up to the stop, and ``singular_skipped``, those whose tie
-    system is singular or whose solution leaves the simplex. On uniform
-    games nearly all of them are of the second kind.
+    examined up to the stop, pruned ones included; ``singular_skipped``,
+    those whose tie system was solved and found singular or leaving the
+    simplex (on uniform games nearly all of the second kind); and
+    ``dominated_skipped``, those pruned before their tie solve.
     """
     if game.m > DEFAULT_SUPPORT_CAP:
         raise ValueError(f"m={game.m} exceeds the enumeration cap of {DEFAULT_SUPPORT_CAP}")
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
-    counts = [0, 0]  # supports visited, singular skipped
+    counts = [0, 0, 0]  # supports visited, singular skipped, dominated skipped
     found: list[EsspmCertificate] = []
     for indices, probs in _survivors(game, tol.delta, counts):
         cert = _certify(game, MixedStrategy(probs), Support(indices), tol)
@@ -208,5 +307,6 @@ def enumerate_esspm(
             if len(found) == limit:
                 break
     if counters is not None:
-        counters["supports_visited"], counters["singular_skipped"] = counts
+        keys = ("supports_visited", "singular_skipped", "dominated_skipped")
+        counters.update(zip(keys, counts))
     return found

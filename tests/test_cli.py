@@ -1,4 +1,10 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from esspm import SolverError, cli_main, mutation_population, read_game
 
@@ -93,6 +99,23 @@ class TestExportLp:
         assert "Binary" in text and "y_0 y_1" in text
         # The exported model is the linearized one: one SOS2 set per square term.
         assert sum(": S2 ::" in line for line in text.splitlines()) == 4
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize("module", ["esspm", "esspm.cli"])
+    def test_python_dash_m_solves(self, module):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "solve", "--class", "mp"],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "status: OPTIMAL" in proc.stdout
+        assert proc.stdout.count("status:") == 1
 
 
 class TestErrors:

@@ -104,19 +104,33 @@ class TestCertificates:
             assert cert.min_slack() > 0.0
 
 
-def reference_enumeration(game, tol=Tolerances(), limit=None):
-    """One support at a time: solve_support, the degenerate filter, _certify."""
+def reference_enumeration(game, tol=Tolerances(), limit=None, prune=True):
+    """One support at a time: the dominance rule, solve_support, the degenerate filter, _certify.
+
+    With ``prune``, a support is skipped before its tie solve when some member
+    i loses to some row j by more than delta + tau on every column of the
+    support, tau = _PRUNE_GUARD * (1 + max|a|); without it, every support is
+    solved, as the oracle did before the rule.
+    """
+    a = game.payoffs
+    threshold = tol.delta + enumeration._PRUNE_GUARD * (1.0 + float(np.abs(a).max()))
     found = []
-    counters = {"supports_visited": 0, "singular_skipped": 0}
+    counters = {"supports_visited": 0, "singular_skipped": 0, "dominated_skipped": 0}
     for size in range(1, game.m + 1):
         for combo in itertools.combinations(range(game.m), size):
             counters["supports_visited"] += 1
+            cols = list(combo)
+            # gaps[r, j, c] = a[j, c] - a[combo[r], c] over the support's columns c.
+            gaps = a[None, :, cols] - a[cols][:, None, cols]
+            if prune and (gaps > threshold).all(axis=2).any():
+                counters["dominated_skipped"] += 1
+                continue
             support = Support(combo)
             strategy = solve_support(game, support)
             if strategy is None:
                 counters["singular_skipped"] += 1
                 continue
-            if np.any(strategy.probs[list(combo)] <= 1e-9):
+            if np.any(strategy.probs[cols] <= 1e-9):
                 continue
             cert = _certify(game, strategy, support, tol)
             if cert is not None:
@@ -238,7 +252,10 @@ class TestStackedKernel:
         assert failed_stacks
         assert cert_keys(got) == cert_keys(expected)
         assert counters == expected_counters
-        assert counters["singular_skipped"] >= 4  # (0,1), (0,1,2), (0,1,3), (0,1,2,3)
+        assert counters["singular_skipped"] >= 2  # (0,1,2), (0,1,2,3)
+        # Row 3 beats rows 0 and 1 by 1 on the columns of (0,1) and (0,1,3),
+        # so those two singular supports are pruned before the solve.
+        assert counters["dominated_skipped"] >= 2
 
 
 class TestScreen:
@@ -263,6 +280,58 @@ class TestScreen:
             d[row, 1], margin[row, 1] = dj, mj
         dropped = enumeration._fails_clearly(d, margin, delta, g)
         assert dropped.tolist() == [fails for _, fails in cases]
+
+
+def prune_fuzz_games(seed, per_kind):
+    """Integer {0..3}, one-decimal, and unnormalized uniform payoffs at two scales, m = 2..7."""
+    rng = np.random.default_rng(seed)
+    for m in range(2, 8):
+        for _ in range(per_kind):
+            yield GameMatrix(rng.integers(0, 4, (m, m)).astype(float))
+            yield GameMatrix(rng.integers(0, 10, (m, m)) / 10.0)
+            yield GameMatrix(rng.random((m, m)) * 1e-3)
+            yield GameMatrix(rng.random((m, m)) * 1e3)
+
+
+class TestDominancePrune:
+    @pytest.mark.parametrize("limit", [None, 1])
+    @pytest.mark.parametrize("chunk", [enumeration.CHUNK, 3])
+    @pytest.mark.parametrize("delta", [1e-7, 1e-3])
+    def test_pruning_removes_no_certificate(self, monkeypatch, delta, chunk, limit):
+        # 8 cases x 384 games: 3,072 games in all.
+        monkeypatch.setattr(enumeration, "CHUNK", chunk)
+        tol = Tolerances(delta=delta)
+        n_certs = n_pruned = n_visited = 0
+        for game in prune_fuzz_games(60, 16):
+            counters = {}
+            got = enumerate_esspm(game, tol, limit=limit, counters=counters)
+            expected, expected_counters = reference_enumeration(game, tol, limit)
+            unpruned, _ = reference_enumeration(game, tol, limit, prune=False)
+            assert cert_keys(got) == cert_keys(expected) == cert_keys(unpruned)
+            assert counters == expected_counters
+            n_certs += len(got)
+            n_pruned += counters["dominated_skipped"]
+            n_visited += counters["supports_visited"]
+        assert n_certs >= 300
+        assert n_pruned >= n_visited // 5  # the rule fires on a real share of supports
+
+    def test_planted_dominated_member(self):
+        # The counterexample game plus a strategy that earns 1 less than
+        # strategy 0 against everything: every support holding it is pruned,
+        # and the pure and the mixed certificate stay, with the unpruned bytes.
+        a = counterexample_game().payoffs
+        planted = np.zeros((4, 4))
+        planted[:3, :3] = a
+        planted[:3, 3] = a[:, 0]
+        planted[3] = planted[0] - 1.0
+        game = GameMatrix(planted)
+        counters = {}
+        got = enumerate_esspm(game, counters=counters)
+        unpruned, _ = reference_enumeration(game, prune=False)
+        assert [c.support.indices for c in got] == [(0,), (1, 2)]
+        assert cert_keys(got) == cert_keys(unpruned)
+        assert counters["dominated_skipped"] >= 2 ** 3  # the 8 supports holding 3
+        assert counters == reference_enumeration(game)[1]
 
 
 class TestLimit:
