@@ -73,7 +73,6 @@ from .solver import (
     extract_strategy,
     solve,
 )
-from .cli import cli_main
 
 __version__ = "0.1.0"
 
@@ -134,6 +133,5 @@ __all__ = [
     "SolveStatus",
     "extract_strategy",
     "solve",
-    "cli_main",
     "__version__",
 ]

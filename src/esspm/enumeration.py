@@ -70,14 +70,12 @@ class EsspmCertificate:
         return min(outcome.slack for outcome in self.per_mutation)
 
 
-# The fixed thresholds of a candidate strategy, defined once for the oracle,
-# solve_support and the MILP leaves (solver.py imports the last two). Every
-# other threshold is a user's delta or eps, or game.PLAYED_TOL, below which a
-# support member's weight is not really played.
+# The fixed thresholds of the tie kernel, which the oracle, solve_support and
+# the MILP leaves share; the leaves' tie and margin thresholds sit in solver.py
+# next to their check. Every other threshold is a user's delta or eps, or
+# game.PLAYED_TOL, below which a support member's weight is not really played.
 _RESIDUAL_TOL = 1e-8  # max |mat @ sol - rhs| of a numerically regular tie system
 _SIMPLEX_TOL = 1e-9  # components below -this leave the simplex; those in (-this, 0) are clamped
-_TIE_TOL = 1e-8  # MILP leaf: a pattern member's |d| at most this counts as a tie
-_MARGIN_TOL = 1e-9  # MILP leaf: slack by which a margin may fall short of eps
 # Oracle screen guard, per unit of max|a|. The stacked and the scalar products
 # sum the same m <= 20 terms in different orders, so their gaps differ by at
 # most a few times 20 * 2^-52 * max|a|, about 1e-14 * max|a|. A mutant rules a
@@ -104,11 +102,16 @@ def _solve_ties(payoffs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.nd
 
     Row k of support ``idx[k] = (i0, ..., i_{s-1})`` has the equations
     payoff(i_r) - payoff(i0) = 0 for r >= 1, plus the probability-sum row.
-    Returns ``(rejected, weights)``: ``rejected[k]`` is True when the system
-    is singular or its solution leaves the simplex; ``weights`` holds, for
-    the other supports in order, the solution clamped at 0 and renormalized.
+    Returns ``(rejected, probs)``: ``rejected[k]`` is True when the system
+    is singular or its solution leaves the simplex; ``probs`` holds, for the
+    other supports in order, one strategy of length m: the solution clamped
+    at 0, renormalized and placed on its support. Size-1 supports get their
+    solution, 1, in closed form: the rows of the identity, without the solve.
     """
     n, s = idx.shape
+    m = len(payoffs)
+    if s == 1:
+        return np.zeros(n, dtype=bool), np.eye(m)[idx[:, 0]]
     sub = payoffs[idx[:, :, None], idx[:, None, :]]  # sub[k, r, c] = a[idx[k, r], idx[k, c]]
     mat = np.empty((n, s, s))
     mat[:, :-1] = sub[:, 1:] - sub[:, :1]
@@ -133,7 +136,9 @@ def _solve_ties(payoffs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.nd
     total = sol.sum(axis=1)
     rejected |= total <= 0.0
     kept = ~rejected
-    return rejected, sol[kept] / total[kept, None]
+    probs = np.zeros((np.count_nonzero(kept), m))
+    probs[np.arange(len(probs))[:, None], idx[kept]] = sol[kept] / total[kept, None]
+    return rejected, probs
 
 
 def solve_support(game: GameMatrix, support: Support) -> MixedStrategy | None:
@@ -146,12 +151,8 @@ def solve_support(game: GameMatrix, support: Support) -> MixedStrategy | None:
     thresholds are fixed, independent of any ``Tolerances``.
     """
     support.validate_for(game.m)
-    rejected, weights = _solve_ties(game.payoffs, np.array([support.indices]))
-    if rejected[0]:
-        return None
-    probs = np.zeros(game.m)
-    probs[list(support.indices)] = weights[0]
-    return MixedStrategy(probs)
+    rejected, probs = _solve_ties(game.payoffs, np.array([support.indices]))
+    return None if rejected[0] else MixedStrategy(probs[0])
 
 
 def _certify(
@@ -209,19 +210,18 @@ def _spared(payoffs: np.ndarray, threshold: float) -> np.ndarray:
     return (kept * _BITS[:m]).sum(axis=2, dtype=np.uint32)
 
 
-def _survivors(game: GameMatrix, delta: float, counts: list[int]):
-    """Yield (indices, probs) for each candidate that the chunk screen keeps.
+def _survivors(game: GameMatrix, delta: float):
+    """Yield one record per chunk of supports: (chunk, dominated, singular, candidates).
 
     Supports come in (size, indices) order, in chunks that are slices of the
     cached :func:`_support_table`. A chunk first drops the supports with a
     conditionally dominated member (see the module docstring); only the rest
-    are solved, size-1 supports as the identity stack, which is what the
-    kernel returns for them. The tie solutions that use their whole support
-    form one (n, m) probability stack, screened with one :func:`payoff_gaps`
-    call; rows in which some mutant fails clearly are dropped. ``counts``
-    holds [supports visited, singular skipped, dominated skipped] and is
-    brought up to date through each support before it is yielded, so it
-    stays exact when the caller stops early.
+    are solved by :func:`_solve_ties`. The strategies that use their whole
+    support form one (n, m) stack, screened with one :func:`payoff_gaps` call
+    when it is not empty; rows in which some mutant fails clearly are
+    dropped. ``dominated`` and ``singular`` are boolean masks over chunk
+    positions; ``candidates`` yields the screened strategies in order, as
+    (position, probs).
     """
     payoffs = game.payoffs
     scale = float(np.abs(payoffs).max())
@@ -235,31 +235,15 @@ def _survivors(game: GameMatrix, delta: float, counts: list[int]):
             # A support is live when no (member, row) pair has spared & mask == 0.
             is_live = np.all(np.take(spared, chunk, axis=0) & masks, axis=(1, 2))
             live = np.flatnonzero(is_live)
-            idx = chunk[live]
-            if size == 1:
-                rejected, weights = np.zeros(len(idx), dtype=bool), np.ones((len(idx), 1))
-            else:
-                rejected, weights = _solve_ties(payoffs, idx)
-            used = ~np.any(weights <= PLAYED_TOL, axis=1)
-            rows = np.flatnonzero(~rejected)[used]
-            probs = np.zeros((len(rows), game.m))
-            probs[np.arange(len(rows))[:, None], idx[rows]] = weights[used]
-            keep = ~_fails_clearly(*payoff_gaps(payoffs, probs), delta, guard)
+            rejected, probs = _solve_ties(payoffs, chunk[live])
             singular = np.zeros(len(chunk), dtype=bool)
             singular[live] = rejected
-            done = 0
-            for k, p in zip(live[rows[keep]].tolist(), probs[keep]):
-                _tally(counts, singular[done : k + 1], is_live[done : k + 1])
-                done = k + 1
-                yield tuple(chunk[k].tolist()), p
-            _tally(counts, singular[done:], is_live[done:])
-
-
-def _tally(counts: list[int], singular: np.ndarray, is_live: np.ndarray) -> None:
-    """Add a run of chunk positions to [visited, singular skipped, dominated skipped]."""
-    counts[0] += len(is_live)
-    counts[1] += int(np.count_nonzero(singular))
-    counts[2] += len(is_live) - int(np.count_nonzero(is_live))
+            used = np.count_nonzero(probs > PLAYED_TOL, axis=1) == size
+            positions, probs = live[~rejected][used], probs[used]
+            if len(probs):
+                keep = ~_fails_clearly(*payoff_gaps(payoffs, probs), delta, guard)
+                positions, probs = positions[keep], probs[keep]
+            yield chunk, ~is_live, singular, zip(positions.tolist(), probs)
 
 
 def enumerate_esspm(
@@ -298,15 +282,21 @@ def enumerate_esspm(
         raise ValueError(f"m={game.m} exceeds the enumeration cap of {DEFAULT_SUPPORT_CAP}")
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
-    counts = [0, 0, 0]  # supports visited, singular skipped, dominated skipped
+    counts = np.zeros(3, dtype=np.int64)  # supports visited, singular skipped, dominated skipped
     found: list[EsspmCertificate] = []
-    for indices, probs in _survivors(game, tol.delta, counts):
-        cert = _certify(game, MixedStrategy(probs), Support(indices), tol)
-        if cert is not None:
-            found.append(cert)
-            if len(found) == limit:
-                break
+    for chunk, dominated, singular, candidates in _survivors(game, tol.delta):
+        end = len(chunk)  # positions examined: up to the last certificate needed
+        for k, probs in candidates:
+            cert = _certify(game, MixedStrategy(probs), Support(chunk[k]), tol)
+            if cert is not None:
+                found.append(cert)
+                if len(found) == limit:
+                    end = k + 1
+                    break
+        counts += end, np.count_nonzero(singular[:end]), np.count_nonzero(dominated[:end])
+        if len(found) == limit:
+            break
     if counters is not None:
         keys = ("supports_visited", "singular_skipped", "dominated_skipped")
-        counters.update(zip(keys, counts))
+        counters.update(zip(keys, counts.tolist()))
     return found

@@ -17,7 +17,7 @@ from typing import ClassVar
 import numpy as np
 
 from .analysis import Tolerances, approximation_error, find_pure_esspm, nash_epsilon
-from .enumeration import enumerate_esspm
+from .enumeration import DEFAULT_SUPPORT_CAP, enumerate_esspm
 from .game import GameMatrix, MixedStrategy, normalize, read_game
 from .generators import (
     cancer_game,
@@ -133,6 +133,9 @@ class BatchConfig:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.game_class == "file" and not self.game_file:
             raise ValueError("game class 'file' needs game_file")
+        # A file's m is known only once it is read; the oracle rejects it then.
+        if self.solver != "milp" and self.game_class == "uniform" and self.m > DEFAULT_SUPPORT_CAP:
+            raise ValueError(f"m={self.m} exceeds the enumeration cap of {DEFAULT_SUPPORT_CAP}")
 
     @property
     def tolerances(self) -> Tolerances:

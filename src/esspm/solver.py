@@ -9,9 +9,10 @@ Conitzer (2005), applied as a bound on that branch only, so the root LP and
 the model's rows are untouched. Each node solves the LP relaxation
 (binaries relaxed to [0, 1]); infeasible relaxations prune the subtree. When
 every indicator is integral the node's pattern S = {j : y_j = 1} is
-attempted. The candidate is the solution of the S-tie system, from the
-oracle's stacked tie kernel (the one ``enumeration.solve_support`` calls);
-only when that system is singular or leaves the simplex does one more
+attempted. The candidate is the strategy that the oracle's stacked tie
+kernel, ``enumeration._solve_ties``, returns for the S-tie system: the same
+row that ``solve_support`` and the oracle take as they are. Only when that
+system is singular or leaves the simplex does one more
 feasibility LP run from the blank state, under the model's bounds with the
 y's pinned to the pattern and the strategies outside S fixed at zero, and
 its point becomes the candidate. The candidate therefore depends on the
@@ -99,7 +100,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import payoff_gaps
-from .enumeration import _MARGIN_TOL, _TIE_TOL, _solve_ties
+from .enumeration import _solve_ties
 from .game import MixedStrategy
 from .model import INT_TOL, ModelIR, interpolation_assignment, verify_assignment
 from .simplex import LPState, SolverError, lp_solve
@@ -163,11 +164,9 @@ def _leaf_point(
     reached the leaf.
     """
     m = model.m
-    x = np.zeros(m)
-    rejected, weights = _solve_ties(model.payoffs, np.array([support]))
+    rejected, probs = _solve_ties(model.payoffs, np.array([support]))
     if not rejected[0]:
-        x[support] = weights[0]
-        return x
+        return probs[0]
     leaf = model.bounds_array()
     leaf[m + 1 : 2 * m + 1] = pattern[:, None]
     leaf[:m][pattern == 0] = 0.0  # x_j = 0 off the pattern
@@ -175,9 +174,15 @@ def _leaf_point(
     stats.lp_iterations += iters
     if status != "feasible":
         return None
+    x = np.zeros(m)
     x[support] = np.clip(point[support], 0.0, None)
     total = x.sum()
     return x / total if total > 0.0 else x
+
+
+# The exact leaf check's fixed thresholds; the tie kernel's own sit in enumeration.
+_TIE_TOL = 1e-8  # a pattern member's |d| at most this counts as a tie
+_MARGIN_TOL = 1e-9  # slack by which a margin may fall short of eps
 
 
 def _exact_candidate_check(model: ModelIR, pattern: list[int], x: np.ndarray) -> bool:

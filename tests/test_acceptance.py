@@ -57,7 +57,7 @@ def _report(criterion: int, detail: str) -> None:
 
 def test_criterion_1_mutation_population_solve(capsys):
     """solve --class mp --k 20 --eps 1e-5 recovers the known mixed solution."""
-    from esspm import cli_main
+    from esspm.cli import cli_main
 
     t0 = time.perf_counter()
     code = cli_main(["solve", "--class", "mp", "--k", "20", "--eps", "1e-5"])

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from esspm import SolverError, cli_main, mutation_population, read_game
+from esspm import SolverError, mutation_population, read_game
+from esspm.cli import cli_main
 
 
 class TestGen:
@@ -116,6 +117,7 @@ class TestModuleEntry:
         assert proc.returncode == 0, proc.stderr
         assert "status: OPTIMAL" in proc.stdout
         assert proc.stdout.count("status:") == 1
+        assert proc.stderr == ""  # no runpy warning: the module runs once
 
 
 class TestErrors:
@@ -124,6 +126,15 @@ class TestErrors:
 
     def test_missing_subcommand(self, capsys):
         assert cli_main([]) == 2
+
+    def test_enum_batch_over_the_cap_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        code = cli_main(
+            ["batch", "--class", "uniform", "--m", "21", "--n", "5", "--solver", "enum", "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert "enumeration cap" in capsys.readouterr().err
 
     def test_unwritable_batch_path(self, capsys):
         code = cli_main(

@@ -13,6 +13,7 @@ from esspm import (
     approximation_error,
     counterexample_game,
     enumerate_esspm,
+    find_pure_esspm,
     mutation_population,
     nash_epsilon,
     normalize,
@@ -280,6 +281,23 @@ class TestScreen:
             d[row, 1], margin[row, 1] = dj, mj
         dropped = enumeration._fails_clearly(d, margin, delta, g)
         assert dropped.tolist() == [fails for _, fails in cases]
+
+    def test_empty_chunk_is_not_screened(self, monkeypatch):
+        # First-certificate searches on no-pure m=10 games: many chunks keep
+        # no candidate after the tie solve, and those skip the screen.
+        gaps = enumeration.payoff_gaps
+        stacks = []
+
+        def spy(payoffs, probs):
+            stacks.append(len(probs))
+            return gaps(payoffs, probs)
+
+        monkeypatch.setattr(enumeration, "payoff_gaps", spy)
+        games = (normalize(uniform_random(10, seed=seed)) for seed in itertools.count(300))
+        no_pure = itertools.islice((g for g in games if find_pure_esspm(g) is None), 20)
+        for game in no_pure:
+            enumerate_esspm(game, limit=1)
+        assert stacks and 0 not in stacks
 
 
 def prune_fuzz_games(seed, per_kind):

@@ -7,7 +7,6 @@ import pytest
 from esspm import (
     GameMatrix,
     build_model,
-    cli_main,
     export_lp,
     linearization_error_bound,
     linearize,
@@ -16,6 +15,7 @@ from esspm import (
     uniform_random,
     verify_assignment,
 )
+from esspm.cli import cli_main
 from esspm.model import (
     LinearRow,
     Variable,

@@ -264,6 +264,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             BatchConfig(k=1)
 
+    @pytest.mark.parametrize("solver", ["enum", "both"])
+    def test_oracle_over_the_cap(self, solver):
+        with pytest.raises(ValueError, match="enumeration cap"):
+            BatchConfig(game_class="uniform", m=21, solver=solver)
+        BatchConfig(game_class="uniform", m=20, solver=solver)
+        BatchConfig(game_class="uniform", m=21, solver="milp")
+
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "batch_golden.csv"
 GOLDEN_DECK = [("uniform", 2, 40), ("uniform", 3, 40), ("uniform", 4, 40), ("chicken", 2, 40),
