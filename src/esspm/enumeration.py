@@ -216,12 +216,12 @@ def _survivors(game: GameMatrix, delta: float):
     Supports come in (size, indices) order, in chunks that are slices of the
     cached :func:`_support_table`. A chunk first drops the supports with a
     conditionally dominated member (see the module docstring); only the rest
-    are solved by :func:`_solve_ties`. The strategies that use their whole
-    support form one (n, m) stack, screened with one :func:`payoff_gaps` call
-    when it is not empty; rows in which some mutant fails clearly are
-    dropped. ``dominated`` and ``singular`` are boolean masks over chunk
-    positions; ``candidates`` yields the screened strategies in order, as
-    (position, probs).
+    are solved by :func:`_solve_ties`, and a chunk with none left solves
+    nothing. The strategies that use their whole support form one (n, m)
+    stack, screened with one :func:`payoff_gaps` call when it is not empty;
+    rows in which some mutant fails clearly are dropped. ``dominated`` and
+    ``singular`` are boolean masks over chunk positions; ``candidates``
+    yields the screened strategies in order, as (position, probs).
     """
     payoffs = game.payoffs
     scale = float(np.abs(payoffs).max())
@@ -235,8 +235,11 @@ def _survivors(game: GameMatrix, delta: float):
             # A support is live when no (member, row) pair has spared & mask == 0.
             is_live = np.all(np.take(spared, chunk, axis=0) & masks, axis=(1, 2))
             live = np.flatnonzero(is_live)
-            rejected, probs = _solve_ties(payoffs, chunk[live])
             singular = np.zeros(len(chunk), dtype=bool)
+            if not live.size:
+                yield chunk, ~is_live, singular, ()
+                continue
+            rejected, probs = _solve_ties(payoffs, chunk[live])
             singular[live] = rejected
             used = np.count_nonzero(probs > PLAYED_TOL, axis=1) == size
             positions, probs = live[~rejected][used], probs[used]

@@ -80,9 +80,7 @@ class GameMatrix:
 class MixedStrategy:
     """Probability distribution over pure strategies.
 
-    Components must be nonnegative and sum to 1 within ``PROB_SUM_TOL``. Solver
-    output with slightly negative components must be clamped by the caller
-    before construction (see :func:`esspm.solver.extract_strategy`).
+    Components must be nonnegative and sum to 1 within ``PROB_SUM_TOL``.
     """
 
     probs: np.ndarray

@@ -389,6 +389,7 @@ def verify_assignment(model: ModelIR, values: np.ndarray) -> list[str]:
         raise ValueError(
             f"assignment has shape {values.shape}, the model has {len(model.variables)} columns"
         )
+    values = values.tolist()  # Python floats: the same sums, and plain reprs in the messages
     violations: list[str] = []
     for i, v in enumerate(model.variables):
         if values[i] < v.lb - LIN_FEAS_TOL or values[i] > v.ub + LIN_FEAS_TOL:

@@ -210,7 +210,8 @@ def _milp_outcome(norm: GameMatrix, cfg: BatchConfig) -> EsspmOutcome:
 def _enum_outcome(norm: GameMatrix, cfg: BatchConfig) -> EsspmOutcome:
     """Oracle verdict: the first certificate in (size, indices) order.
 
-    The enumeration stops there; only the ``both`` cross-check needs them all.
+    The enumeration stops there; only the ``both`` cross-check of an
+    INFEASIBLE MILP verdict needs them all.
     """
     certs = enumerate_esspm(norm, cfg.tolerances, limit=1)
     if not certs:
@@ -226,17 +227,15 @@ def _solve_normalized(norm: GameMatrix, cfg: BatchConfig) -> tuple[EsspmOutcome,
     if cfg.solver == "enum":
         return _enum_outcome(norm, cfg), 0
     milp = _milp_outcome(norm, cfg)
+    if isinstance(milp, LimitReached):
+        return milp, 0
+    if isinstance(milp, MixedEsspm):
+        return milp, int(not enumerate_esspm(norm, cfg.tolerances, limit=1))
+    # Only count the miss when some oracle margin exceeds the model's eps; a
+    # finer margin is an expected false negative (the leaf check demands a
+    # strict margin of eps).
     certs = enumerate_esspm(norm, cfg.tolerances)
-    disagreement = 0
-    if isinstance(milp, Infeasible) and certs:
-        # Only count the miss when the oracle's margin exceeds the model's
-        # eps; a finer margin is an expected false negative (the leaf check
-        # demands a strict margin of eps).
-        if max(c.min_slack() for c in certs) > cfg.eps:
-            disagreement = 1
-    elif isinstance(milp, MixedEsspm) and not certs:
-        disagreement = 1
-    return milp, disagreement
+    return milp, int(any(c.min_slack() > cfg.eps for c in certs))
 
 
 def solve_one(game: GameMatrix, cfg: BatchConfig) -> EsspmOutcome:

@@ -12,13 +12,14 @@ every indicator is integral the node's pattern S = {j : y_j = 1} is
 attempted. The candidate is the strategy that the oracle's stacked tie
 kernel, ``enumeration._solve_ties``, returns for the S-tie system: the same
 row that ``solve_support`` and the oracle take as they are. Only when that
-system is singular or leaves the simplex does one more
-feasibility LP run from the blank state, under the model's bounds with the
-y's pinned to the pattern and the strategies outside S fixed at zero, and
-its point becomes the candidate. The candidate therefore depends on the
-model and S only, not on the search path. It is accepted only if its payoff
-gaps (``analysis.payoff_gaps``) meet the branch conditions at the model's
-``eps`` with the exact quadratic value x' A x in place of z.
+system is singular or leaves the simplex does one more feasibility LP run
+from the blank state, under the model's bounds with the y's pinned to the
+pattern and the strategies outside S fixed at zero, and its point, clamped
+at 0 and renormalized, becomes the candidate. The candidate therefore
+depends on the model and S only, not on the search path. It is accepted
+only if its payoff gaps (``analysis.payoff_gaps``) meet the branch
+conditions at the model's ``eps`` with the exact quadratic value x' A x in
+place of z.
 Skipping the leaf LP for a regular tie system loses nothing: a tie point
 that passes that exact check satisfies every row of the leaf (the proof
 below), so the skipped LP would have been feasible, and a tie point that
@@ -26,7 +27,10 @@ fails it is rejected whatever the LP says. The accepted assignment
 (``interpolation_assignment``) is the array of the model's column values: x,
 z at x' A x, y = 1_S and, on a linearized model, secant-interpolated q and
 lambdas. It is re-verified against every bound, binary and row of the model
-(``verify_assignment``).
+(``verify_assignment``). The proof below shows that this never fails after
+a passed exact check, so a violation is a fault of the solver and raises
+SolverError naming it; the exact check alone decides. ``extract_strategy``
+reports the assignment's x as the leaf certified it, bit for bit.
 
 The search never needs the lambda/SOS2 subsystem: it would only enlarge
 every LP, and an accepted leaf satisfies it anyway. Proof, for an accepted
@@ -149,72 +153,61 @@ class SolveResult:
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-def _leaf_point(
-    model: ModelIR, pattern: np.ndarray, support: list[int], stats: SolveStats
-) -> np.ndarray | None:
-    """The pattern's candidate strategy, or None when the leaf LP proves it has none.
-
-    The tie system of the support is solved first, by the oracle's kernel, so
-    an accepted leaf is the strategy that ``solve_support`` gives on the same
-    support. Only when that system is singular or its solution leaves the
-    simplex does the leaf LP run: it starts blank from the model's bounds,
-    pins every y_j to pattern[j] and x_j to zero off the pattern, and its
-    point, clamped and renormalized, is the candidate. The candidate thus
-    depends on the model and the pattern only, not on the search path that
-    reached the leaf.
-    """
-    m = model.m
-    rejected, probs = _solve_ties(model.payoffs, np.array([support]))
-    if not rejected[0]:
-        return probs[0]
-    leaf = model.bounds_array()
-    leaf[m + 1 : 2 * m + 1] = pattern[:, None]
-    leaf[:m][pattern == 0] = 0.0  # x_j = 0 off the pattern
-    status, point, iters = lp_solve(model.rows, leaf)
-    stats.lp_iterations += iters
-    if status != "feasible":
-        return None
-    x = np.zeros(m)
-    x[support] = np.clip(point[support], 0.0, None)
-    total = x.sum()
-    return x / total if total > 0.0 else x
-
-
 # The exact leaf check's fixed thresholds; the tie kernel's own sit in enumeration.
 _TIE_TOL = 1e-8  # a pattern member's |d| at most this counts as a tie
 _MARGIN_TOL = 1e-9  # slack by which a margin may fall short of eps
 
 
-def _exact_candidate_check(model: ModelIR, pattern: list[int], x: np.ndarray) -> bool:
-    """Branch conditions evaluated against the true quadratic payoff instead of z.
+def _attempt_pattern(model: ModelIR, pattern: np.ndarray, stats: SolveStats) -> np.ndarray | None:
+    """The certified assignment of a 0/1 indicator pattern, or None when it has none.
 
-    Pattern members must tie and lose self-play by at least eps; the others
-    must lose by at least eps against the population. This is the original
-    (non-linearized) feasibility question, so passing it certifies the
-    candidate independently of the approximation corridor.
+    The candidate is the strategy that the oracle's kernel returns for the
+    tie system of the support S = {j : pattern[j] = 1}, so an accepted leaf
+    is the strategy that ``solve_support`` gives on S. Only when that system
+    is singular or its solution leaves the simplex does the leaf LP run: it
+    starts blank from the model's bounds, pins every y_j to pattern[j] and
+    x_j to zero off S, and its point, clamped and renormalized, is the
+    candidate. The candidate thus depends on the model and the pattern only,
+    not on the search path that reached the leaf.
+
+    The candidate is accepted only if it meets the branch conditions with
+    the true quadratic payoff in place of z: members of S tie and lose
+    self-play by at least eps, the others lose by at least eps against the
+    population. This is the original (non-linearized) question, so passing it
+    certifies the candidate independently of the approximation corridor. An
+    accepted candidate's assignment meets every row of the model (the module
+    docstring proves it), so a violation raises SolverError.
     """
+    m = model.m
+    support = np.flatnonzero(pattern)
+    if not support.size:
+        return None  # every strategy strictly worse than the average: impossible
+    rejected, probs = _solve_ties(model.payoffs, support[None, :])
+    if rejected[0]:
+        leaf = model.bounds_array()
+        leaf[m + 1 : 2 * m + 1] = pattern[:, None]
+        leaf[:m][pattern == 0] = 0.0  # x_j = 0 off the pattern
+        status, point, iters = lp_solve(model.rows, leaf)
+        stats.lp_iterations += iters
+        if status != "feasible":
+            return None
+        x = np.zeros(m)
+        x[support] = np.clip(point[support], 0.0, None)
+        x /= x.sum()  # positive: the feasible point meets the simplex row
+    else:
+        x = probs[0]
     d, margin = payoff_gaps(model.payoffs, x)
-    tie = np.zeros(model.m, dtype=bool)
-    tie[pattern] = True
     ok = np.where(
-        tie,
+        pattern != 0,
         (np.abs(d) <= _TIE_TOL) & (margin >= model.eps - _MARGIN_TOL),
         d <= _MARGIN_TOL - model.eps,
     )
-    return bool(ok.all())
-
-
-def _attempt_pattern(model: ModelIR, pattern: np.ndarray, stats: SolveStats) -> np.ndarray | None:
-    """Try to turn a 0/1 indicator pattern into a verified assignment; see :func:`_leaf_point`."""
-    support = np.flatnonzero(pattern).tolist()
-    if not support:
-        return None  # every strategy strictly worse than the average: impossible
-    x = _leaf_point(model, pattern, support, stats)
-    if x is None or not _exact_candidate_check(model, support, x):
+    if not ok.all():
         return None
     assignment = interpolation_assignment(model, x, pattern)
-    if verify_assignment(model, assignment):
-        return None
+    violations = verify_assignment(model, assignment)
+    if violations:
+        raise SolverError(f"certified pattern {support.tolist()} violates the model: {violations[0]}")
     return assignment
 
 
@@ -284,15 +277,7 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
 
 
 def extract_strategy(result: SolveResult, m: int) -> MixedStrategy:
-    """Read the strategy out of a feasible assignment, clamping solver dust.
-
-    Components below -1e-6 indicate a genuinely broken assignment and raise;
-    smaller negative values are clamped to zero before renormalizing.
-    """
+    """The strategy of a feasible result: the first m columns, as the leaf certified them."""
     if result.status != SolveStatus.FEASIBLE or result.assignment is None:
         raise ValueError(f"cannot extract a strategy from status {result.status}")
-    probs = result.assignment[:m]
-    if probs.min() < -1e-6:
-        raise ValueError(f"strategy component {probs.min()!r} below tolerance")
-    probs = np.clip(probs, 0.0, None)
-    return MixedStrategy(probs / probs.sum())
+    return MixedStrategy(result.assignment[:m])

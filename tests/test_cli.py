@@ -61,6 +61,19 @@ class TestSolve:
         assert code == 1
         assert capsys.readouterr().out == "status: LIMIT\n"
 
+    def test_solver_error_exits_1(self, capsys, monkeypatch):
+        import esspm.pipeline
+
+        def breaks(model, limits):
+            raise SolverError("vanishing pivot")
+
+        monkeypatch.setattr(esspm.pipeline, "solve", breaks)
+        code = cli_main(["solve", "--class", "mp"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "solver error: vanishing pivot\n"
+
 
 class TestBatch:
     def test_writes_csv_and_summary(self, tmp_path, capsys):

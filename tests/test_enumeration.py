@@ -282,21 +282,31 @@ class TestScreen:
         dropped = enumeration._fails_clearly(d, margin, delta, g)
         assert dropped.tolist() == [fails for _, fails in cases]
 
-    def test_empty_chunk_is_not_screened(self, monkeypatch):
-        # First-certificate searches on no-pure m=10 games: many chunks keep
-        # no candidate after the tie solve, and those skip the screen.
-        gaps = enumeration.payoff_gaps
+    @staticmethod
+    def stack_sizes(monkeypatch, name):
+        """Row counts of each call to ``enumeration.<name>`` over first-certificate
+        searches on 20 no-pure uniform m=10 games from seed 300."""
+        real = getattr(enumeration, name)
         stacks = []
 
-        def spy(payoffs, probs):
-            stacks.append(len(probs))
-            return gaps(payoffs, probs)
+        def spy(payoffs, rows):
+            stacks.append(len(rows))
+            return real(payoffs, rows)
 
-        monkeypatch.setattr(enumeration, "payoff_gaps", spy)
+        monkeypatch.setattr(enumeration, name, spy)
         games = (normalize(uniform_random(10, seed=seed)) for seed in itertools.count(300))
-        no_pure = itertools.islice((g for g in games if find_pure_esspm(g) is None), 20)
-        for game in no_pure:
+        for game in itertools.islice((g for g in games if find_pure_esspm(g) is None), 20):
             enumerate_esspm(game, limit=1)
+        return stacks
+
+    def test_empty_chunk_is_not_screened(self, monkeypatch):
+        # Many chunks keep no candidate after the tie solve; those skip the screen.
+        stacks = self.stack_sizes(monkeypatch, "payoff_gaps")
+        assert stacks and 0 not in stacks
+
+    def test_dead_chunk_is_not_solved(self, monkeypatch):
+        # Some chunks lose every support to the dominance prune; those call no tie solve.
+        stacks = self.stack_sizes(monkeypatch, "_solve_ties")
         assert stacks and 0 not in stacks
 
 

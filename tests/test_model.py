@@ -117,6 +117,19 @@ class TestBranchSemantics:
         violations = verify_assignment(model, assignment)
         assert any("tie_" in v for v in violations)
 
+    def test_bound_violation_named(self):
+        model = build_model(MP_NORM)
+        assignment = interpolation_assignment(model, np.array([0.2, 0.8]), np.array([1.0, 1.0]))
+        assignment[0] = -0.5
+        violations = verify_assignment(model, assignment)
+        assert any(v.startswith("x_0=-0.5 outside bounds") for v in violations)
+
+    def test_fractional_binary_named(self):
+        model = build_model(MP_NORM)
+        assignment = interpolation_assignment(model, np.array([0.2, 0.8]), np.array([1.0, 0.5]))
+        violations = verify_assignment(model, assignment)
+        assert "binary y_1=0.5 not integral" in violations
+
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_wrong_length_rejected(self, extra):
         model = build_model(MP_NORM)

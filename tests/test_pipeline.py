@@ -8,9 +8,11 @@ import pytest
 from esspm import (
     BatchConfig,
     Infeasible,
+    LimitReached,
     MixedEsspm,
     MixedStrategy,
     PureEsspm,
+    SolveLimits,
     SolveResult,
     SolveStats,
     SolveStatus,
@@ -23,6 +25,7 @@ from esspm import (
     rock_paper_scissors,
     run_batch,
     solve_one,
+    solve_record,
 )
 from esspm.pipeline import CSV_COLUMNS, GameRecord, _csv_row, make_game
 
@@ -188,6 +191,43 @@ class TestBothExcuse:
     def test_miss_at_or_below_eps_is_excused(self, monkeypatch):
         (cert,) = enumerate_esspm(self.MP)
         assert self.miss_flag(monkeypatch, cert.min_slack()) == "0"
+
+
+class TestBothOracleCalls:
+    """Under --solver both the oracle is asked only what the MILP verdict needs."""
+
+    @pytest.mark.parametrize(
+        "cfg, outcome, limits",
+        [
+            (BatchConfig(game_class="uniform", m=4, seed=1, solver="both", limits=SolveLimits(max_nodes=1)),
+             LimitReached, []),
+            (BatchConfig(game_class="mp", solver="both"), MixedEsspm, [1]),
+            (BatchConfig(game_class="rps", solver="both"), Infeasible, [None]),
+        ],
+        ids=["limit", "optimal", "infeasible"],
+    )
+    def test_oracle_limit_per_verdict(self, monkeypatch, cfg, outcome, limits):
+        import esspm.pipeline
+
+        real = esspm.pipeline.enumerate_esspm
+        seen = []
+
+        def spy(game, tol, *, limit=None):
+            seen.append(limit)
+            return real(game, tol, limit=limit)
+
+        monkeypatch.setattr(esspm.pipeline, "enumerate_esspm", spy)
+        record = solve_record(make_game(cfg, 0), cfg)
+        assert isinstance(record.outcome, outcome)
+        assert seen == limits and record.disagreement == 0
+
+    def test_optimal_without_certificate_is_flagged(self, monkeypatch):
+        import esspm.pipeline
+
+        monkeypatch.setattr(esspm.pipeline, "enumerate_esspm", lambda game, tol, *, limit=None: [])
+        cfg = BatchConfig(game_class="mp", solver="both")
+        record = solve_record(make_game(cfg, 0), cfg)
+        assert isinstance(record.outcome, MixedEsspm) and record.disagreement == 1
 
 
 class TestErrorRows:

@@ -8,6 +8,7 @@ from esspm import (
     LinearRow,
     SolveLimits,
     SolveStatus,
+    SolverError,
     Tolerances,
     approximation_error,
     build_model,
@@ -28,7 +29,7 @@ from esspm import (
 )
 from esspm.model import Variable, interpolation_assignment, linearization_error_bound
 from esspm.enumeration import _solve_ties
-from esspm.solver import SolveResult, SolveStats, _leaf_point
+from esspm.solver import SolveResult, SolveStats, _attempt_pattern
 
 
 def solve_game(game, eps=1e-5):
@@ -456,12 +457,20 @@ class TestSharedTieSolve:
                     continue
                 pattern = res.assignment[m + 1 : 2 * m + 1]
                 support = np.flatnonzero(pattern).tolist()
-                x = _leaf_point(model, pattern, support, SolveStats())
+                x = _attempt_pattern(model, pattern, SolveStats())[:m]
                 assert res.assignment[:m].tobytes() == x.tobytes()
                 feasible += 1
                 fallback += bool(_solve_ties(norm.payoffs, np.array([support]))[0][0])
         assert feasible >= 200
         assert fallback >= 3
+
+    def test_row_violation_after_the_exact_check_raises(self, monkeypatch):
+        # The exact check decides; a row it passes but the model rejects is a solver fault.
+        import esspm.solver
+
+        monkeypatch.setattr(esspm.solver, "verify_assignment", lambda model, values: ["row tie_0 violated by 1.0"])
+        with pytest.raises(SolverError, match="tie_0 violated"):
+            solve(build_model(normalize(mutation_population())))
 
     def test_model_without_indicators_rejected(self):
         model = build_model(normalize(mutation_population()))
@@ -479,14 +488,18 @@ class TestExtractStrategy:
         strat = extract_strategy(res, 2)
         np.testing.assert_allclose(strat.probs, [0.19972, 0.80028])
 
-    def test_clamp_and_renormalize(self):
-        res = self._feasible(np.array([1.0000000001, -1e-12]))
-        strat = extract_strategy(res, 2)
-        np.testing.assert_array_equal(strat.probs, [1.0, 0.0])
+    @pytest.mark.parametrize("m, seed", [(3, 271489), (4, 360061)])
+    def test_reports_the_certified_point_bitwise(self, m, seed):
+        # No pure ESSPM; renormalizing these leaves' points again moved them by an ulp.
+        norm = normalize(uniform_random(m, seed))
+        assert find_pure_esspm(norm) is None
+        res = solve(build_model(norm))
+        assert res.status is SolveStatus.FEASIBLE
+        assert extract_strategy(res, m).probs.tobytes() == res.assignment[:m].tobytes()
 
     def test_tolerance_breach(self):
         res = self._feasible(np.array([-0.01, 1.01]))
-        with pytest.raises(ValueError, match="below tolerance"):
+        with pytest.raises(ValueError, match="negative probability"):
             extract_strategy(res, 2)
 
     def test_requires_feasible_status(self):
