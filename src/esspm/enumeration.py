@@ -199,6 +199,14 @@ def _support_table(m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, masks
 
 
+def _spared_cells(payoffs: np.ndarray, threshold: float) -> np.ndarray:
+    """Boolean table of a game: ``kept[i, j, c]`` is True unless a_jc - a_ic > threshold.
+
+    The comparison behind :func:`_spared` and the MILP's dominance masks.
+    """
+    return payoffs[None, :, :] - payoffs[:, None, :] <= threshold
+
+
 def _spared(payoffs: np.ndarray, threshold: float) -> np.ndarray:
     """Bitmask table of a game: bit c of ``spared[i, j]`` is set unless a_jc - a_ic > threshold.
 
@@ -206,8 +214,7 @@ def _spared(payoffs: np.ndarray, threshold: float) -> np.ndarray:
     when ``spared[i, j] & M == 0``.
     """
     m = len(payoffs)
-    kept = payoffs[None, :, :] - payoffs[:, None, :] <= threshold  # kept[i, j, c]
-    return (kept * _BITS[:m]).sum(axis=2, dtype=np.uint32)
+    return (_spared_cells(payoffs, threshold) * _BITS[:m]).sum(axis=2, dtype=np.uint32)
 
 
 def _survivors(game: GameMatrix, delta: float):

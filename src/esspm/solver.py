@@ -70,6 +70,24 @@ zero only where y_j = 0, that is off S, where x_j is zero. So every node on
 that path keeps a feasible LP, and an INFEASIBLE verdict is still a proof
 that no pattern is acceptable.
 
+Each node is also closed under iterated conditional dominance (Porter,
+Nudelman & Shoham 2008, the rule the oracle prunes supports with). Let U be
+the strategies whose y is not fixed at 0. A strategy i in U is dominated
+when some row j has a_jc - a_ic > theta (``_DOMINANCE_GUARD``, 1e-7) on
+every column c of U. A dominated i with y_i fixed at 1 kills the node;
+otherwise y_i and x_i are fixed at 0, i leaves U, and the rule repeats until
+nothing changes; a node whose U empties is dead. The root is closed this way
+before it is pushed, and so is each y_j = 0 child; a y_j = 1 child keeps its
+parent's U, which was already closed and in which j was not dominated. A dead
+node is never pushed, so it is neither a node nor an LP. No acceptable
+pattern is lost. An accepted leaf's pattern S lies in U, and its candidate x
+is a distribution on S, so for i in S, d_j - d_i = sum_c x_c (a_jc - a_ic)
+> theta. But the leaf check gives |d_i| <= 1e-8 for i in S, and d_j <= 1e-8
+whether j is in S (a tie) or not (d_j <= 1e-9 - eps). So d_j - d_i <= 2e-8.
+With payoffs in [0, 1], the rounding of the differences and of the sums is a
+few ulps per term, far inside theta - 2e-8: no accepted leaf has a dominated
+member, and INFEASIBLE stays a proof.
+
 The exactness gate is what keeps the solver sound: z is free in the search
 LPs, so their margins may be pure relaxation artifact, and rejecting those at
 the leaves means a Feasible verdict always corresponds to a genuine candidate
@@ -104,7 +122,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import payoff_gaps
-from .enumeration import _solve_ties
+from .enumeration import _solve_ties, _spared_cells
 from .game import MixedStrategy
 from .model import INT_TOL, ModelIR, interpolation_assignment, verify_assignment
 from .simplex import LPState, SolverError, lp_solve
@@ -138,7 +156,11 @@ class SolveLimits:
 
 @dataclass
 class SolveStats:
+    """``nodes`` counts popped nodes, each of which solves one LP; ``pruned``
+    counts the roots and children that dominance killed before any LP."""
+
     nodes: int = 0
+    pruned: int = 0
     lp_iterations: int = 0
     wall_ms: float = 0.0
 
@@ -156,6 +178,45 @@ class SolveResult:
 # The exact leaf check's fixed thresholds; the tie kernel's own sit in enumeration.
 _TIE_TOL = 1e-8  # a pattern member's |d| at most this counts as a tie
 _MARGIN_TOL = 1e-9  # slack by which a margin may fall short of eps
+# A node drops a strategy that some row beats by more than this on every
+# column the node still allows; above the leaf check's 2e-8 spread plus rounding.
+_DOMINANCE_GUARD = 1e-7
+
+
+def _spared_masks(payoffs: np.ndarray) -> list[list[int]]:
+    """``spared[i][j]`` as a Python int: bit c is set unless a_jc - a_ic > ``_DOMINANCE_GUARD``.
+
+    Strategy i is dominated within a mask U when some ``spared[i][j] & U``
+    is 0. Python ints hold any m; the MILP has no cap on it.
+    """
+    m = len(payoffs)
+    packed = np.packbits(_spared_cells(payoffs, _DOMINANCE_GUARD), axis=2, bitorder="little")
+    raw, width = packed.tobytes(), packed.shape[2]
+    masks = [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)]
+    return [masks[i * m : (i + 1) * m] for i in range(m)]
+
+
+def _propagate(spared: list[list[int]], bounds: np.ndarray, free: int) -> int:
+    """Close a node under iterated conditional dominance, fixing bounds in place.
+
+    ``free`` is the mask U of the strategies whose y is not fixed at 0. Each
+    dominated member of U gets y = x = 0 and leaves U, until none is left.
+    Returns U at that fixpoint, or 0 when the node is dead: a dominated
+    strategy has y fixed at 1, or U is empty.
+    """
+    m = len(spared)
+    changed = True
+    while changed:
+        changed = False
+        for i, rows in enumerate(spared):
+            bit = 1 << i
+            if free & bit and not all(s & free for s in rows):
+                if bounds[m + 1 + i, 0] > 0.0:
+                    return 0  # y_i is fixed at 1
+                free ^= bit
+                bounds[i] = bounds[m + 1 + i] = 0.0
+                changed = True
+    return free
 
 
 def _attempt_pattern(model: ModelIR, pattern: np.ndarray, stats: SolveStats) -> np.ndarray | None:
@@ -218,7 +279,9 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
     meet. Children of a branch node are ordered so the strict branch (y = 0,
     with x_j fixed at zero) is explored before the tie branch (y = 1): ties
     between distinct payoffs are rare in generated games, so strict patterns
-    usually resolve faster.
+    usually resolve faster. The root and each y = 0 child are closed under
+    conditional dominance before they are pushed (see the module docstring);
+    one that it kills counts in ``stats.pruned`` and never as a node.
     """
     if not isinstance(model, ModelIR):
         raise TypeError(f"expected ModelIR, got {type(model).__name__}")
@@ -234,21 +297,31 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
 
     m = model.m
     ys = slice(m + 1, 2 * m + 1)
-    # (a node's bounds, its parent's final LP state or None at the root)
-    stack: list[tuple[np.ndarray, LPState | None]] = [(model.bounds_array(), None)]
+    spared = _spared_masks(model.payoffs)
+    # (a node's bounds, its parent's final LP state or None at the root, its mask U)
+    stack: list[tuple[np.ndarray, LPState | None, int]] = []
 
-    def children(bounds: np.ndarray, j: int, state: LPState) -> None:
-        for v in (1.0, 0.0):  # popped y_j = 0 first
-            child = bounds.copy()
-            child[m + 1 + j] = v
-            if v == 0.0:
-                child[j] = 0.0  # x_j = 0 off the pattern
-            stack.append((child, state))
+    def push(bounds: np.ndarray, start: LPState | None, free: int) -> None:
+        free = _propagate(spared, bounds, free)
+        if free:
+            stack.append((bounds, start, free))
+        else:
+            stats.pruned += 1
 
+    def children(bounds: np.ndarray, j: int, state: LPState, free: int) -> None:
+        child = bounds.copy()
+        child[m + 1 + j] = 1.0
+        stack.append((child, state, free))  # the parent's U, already closed
+        child = bounds.copy()
+        child[m + 1 + j] = child[j] = 0.0  # x_j = 0 off the pattern; popped first
+        push(child, state, free & ~(1 << j))
+
+    root = model.bounds_array()
+    push(root, None, sum(1 << j for j in range(m) if root[m + 1 + j, 1] > 0.0))
     while stack:
         if stats.nodes >= limits.max_nodes or elapsed_ms() >= limits.max_time_ms:
             return finish(SolveStatus.LIMIT_REACHED)
-        bounds, start = stack.pop()
+        bounds, start, free = stack.pop()
         stats.nodes += 1
 
         result = lp_solve(model.rows, bounds, start=start)
@@ -263,7 +336,7 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
         unfixed = lo < hi
         fractional = unfixed & (np.minimum(y, 1.0 - y) > INT_TOL)
         if fractional.any():
-            children(bounds, int(np.argmin(np.where(fractional, np.abs(y - 0.5), np.inf))), state)
+            children(bounds, int(np.argmin(np.where(fractional, np.abs(y - 0.5), np.inf))), state, free)
             continue
 
         pattern = np.where(unfixed, y > 0.5, lo)
@@ -271,7 +344,7 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
         if assignment is not None:
             return finish(SolveStatus.FEASIBLE, assignment)
         if unfixed.any():  # else the pattern is refuted and fully pinned: dead end
-            children(bounds, int(np.argmax(unfixed)), state)
+            children(bounds, int(np.argmax(unfixed)), state, free)
 
     return finish(SolveStatus.INFEASIBLE)
 

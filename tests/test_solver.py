@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from esspm import (
+    BatchConfig,
     GameMatrix,
     LinearRow,
+    MixedEsspm,
     SolveLimits,
     SolveStatus,
     SolverError,
@@ -13,6 +15,7 @@ from esspm import (
     approximation_error,
     build_model,
     cancer_game,
+    check_conditions,
     chicken,
     enumerate_esspm,
     extract_strategy,
@@ -23,6 +26,7 @@ from esspm import (
     random_cancer_params,
     rock_paper_scissors,
     solve,
+    solve_record,
     solve_support,
     uniform_random,
     verify_assignment,
@@ -298,6 +302,115 @@ def _integer_games(m, seed, n):
         if a.max() > a.min():
             n -= 1
             yield GameMatrix(a)
+
+
+def _with_dominated(game, seed):
+    """The game plus a strategy k = m that earns 0.25 less than strategy 0 against everything."""
+    rng = np.random.default_rng(seed)
+    m = game.m
+    a = np.empty((m + 1, m + 1))
+    a[:m, :m] = game.payoffs
+    a[:m, m] = rng.random(m)
+    a[m] = a[0] - 0.25
+    return normalize(GameMatrix(a))
+
+
+def _cloned(games, seed):
+    """Each game with one strategy duplicated: a copy of a random strategy's row and column appended."""
+    rng = np.random.default_rng(seed)
+    for game in games:
+        idx = np.append(np.arange(game.m), rng.integers(game.m))
+        yield GameMatrix(game.payoffs[np.ix_(idx, idx)])
+
+
+class TestDominancePropagation:
+    """Nodes are closed under iterated conditional dominance before they are pushed."""
+
+    def test_dominated_strategy_is_never_attempted(self, monkeypatch):
+        import esspm.solver
+
+        lp_calls, patterns = [], []
+        real_lp_solve, real_attempt = esspm.solver.lp_solve, esspm.solver._attempt_pattern
+
+        def lp_spy(rows, bounds, **kwargs):
+            lp_calls.append(("start" in kwargs, bounds.copy()))
+            return real_lp_solve(rows, bounds, **kwargs)
+
+        def attempt_spy(model, pattern, stats):
+            patterns.append(pattern.copy())
+            return real_attempt(model, pattern, stats)
+
+        monkeypatch.setattr(esspm.solver, "lp_solve", lp_spy)
+        monkeypatch.setattr(esspm.solver, "_attempt_pattern", attempt_spy)
+        games = _no_pure((_with_dominated(uniform_random(4, seed=s), s) for s in range(200)), 12)
+        pruned = 0
+        for norm in games:
+            m = norm.m
+            k = m - 1
+            lp_calls.clear()
+            patterns.clear()
+            res = solve(build_model(norm))
+            assert res.status is SolveStatus.FEASIBLE
+            assert extract_strategy(res, m).probs[k] == 0.0
+            assert patterns and all(p[k] == 0 for p in patterns)
+            # Node LPs pass start=; the leaf LP does not. Dead children solve none.
+            assert sum(node for node, _ in lp_calls) == res.stats.nodes
+            assert len(lp_calls) >= res.stats.nodes
+            for node, bounds in lp_calls:
+                assert not node or (bounds[[k, m + 1 + k]] == 0.0).all()  # x_k = y_k = 0
+            pruned += res.stats.pruned
+        assert pruned > 0
+
+    def test_dominated_strategy_pinned_in_closes_the_root(self, monkeypatch):
+        import esspm.solver
+
+        monkeypatch.setattr(esspm.solver, "lp_solve", None)  # no LP may run
+        model = build_model(_no_pure((_with_dominated(uniform_random(4, seed=s), s) for s in range(200)), 1)[0])
+        k = model.m - 1
+        variables = list(model.variables)
+        variables[model.m + 1 + k] = Variable(f"y_{k}", 1.0, 1.0, binary=True)
+        res = solve(dataclasses.replace(model, variables=variables))
+        assert res.status is SolveStatus.INFEASIBLE
+        assert (res.stats.nodes, res.stats.pruned) == (0, 1)
+
+    def test_tied_games_agree_with_the_oracle(self, monkeypatch):
+        # Integer payoffs and cloned strategies make the exact ties that sit
+        # closest to the dominance guard. The verdict is held to the oracle
+        # under the --solver both rule, and every strategy is re-certified.
+        from esspm import pipeline
+
+        stats = []
+        real_solve = pipeline.solve
+
+        def solve_spy(model, limits):
+            res = real_solve(model, limits)
+            stats.append(res.stats)
+            return res
+
+        monkeypatch.setattr(pipeline, "solve", solve_spy)
+        cfg = BatchConfig(solver="both")
+        feasible = 0
+        deck = [g for m in range(2, 7) for g in _no_pure(_integer_games(m, 60 + m, 2000), 100)]
+        deck += [g for m in range(2, 6) for g in _no_pure(_cloned(_integer_games(m, 70 + m, 2000), m), 125)]
+        # Columns 1 and 2 are equal, so the tie system of the MILP's support
+        # {0, 1, 2, 4} is singular: the oracle finds no certificate at all.
+        twins = [[1, 1, 1, 2, 2], [1, 1, 1, 1, 2], [2, 0, 0, 2, 0], [0, 1, 1, 0, 0], [1, 2, 2, 1, 0]]
+        deck.append(normalize(GameMatrix(np.array(twins, dtype=float))))
+        for norm in deck:
+            record = solve_record(norm, cfg)
+            if isinstance(record.outcome, MixedEsspm):
+                strategy = record.outcome.strategy
+                assert all(check_conditions(norm, strategy, j).holds for j in range(norm.m))
+                feasible += 1
+                if record.disagreement:
+                    # The oracle certifies only a unique tie solution; a MILP
+                    # strategy inside a singular system's solution set is
+                    # certified above but invisible to it.
+                    assert solve_support(norm, strategy.support()) is None
+            else:
+                assert record.disagreement == 0
+        assert feasible >= 300
+        assert sum(s.pruned for s in stats) > 500
 
 
 class TestLinearizedModel:
