@@ -30,15 +30,6 @@ the row-residual check against the unperturbed rows is retried down one
 ladder: the given state, the blank state, then the blank state on right-hand
 sides perturbed by about 1e-9.
 
-Activity check. Before any restart, each row's activity range over the
-bounds box is computed from the structural bounds alone. A row whose range
-misses its right-hand side by more than ``_FEAS_SUM_TOL`` (a <= row whose
-smallest activity exceeds it, a >= row whose largest falls short, an equality
-row either way) refutes the LP with no pivot: any point of the box leaves at
-least that miss on the row's artificial, so phase 1 would end above the same
-threshold and report INFEASIBLE anyway. This is the single-row node presolve
-of Savelsbergh (1994). A miss at or below the threshold goes on to phase 1.
-
 Sized for the search LPs (at most 4m+1 rows on 2m+1 structural columns for an
 m-strategy game); everything is dense numpy.
 """
@@ -86,22 +77,6 @@ class _System:
         """Worst violation of the rows by the structural point x."""
         r = self.A[:, : self.n] @ x - self.b
         return float(np.max(np.where(self.sense == 0.0, np.abs(r), self.sense * r), initial=0.0))
-
-    def refutes(self, bounds: np.ndarray) -> bool:
-        """Whether some row misses its right-hand side by more than ``_FEAS_SUM_TOL`` over the box.
-
-        A row's activity ranges over [low, high] as the structural variables
-        range over their bounds. A <= row misses by low - b, a >= row by
-        b - high, an equality row by the larger of the two. Any point of the
-        box leaves at least that miss on the row's artificial, so phase 1
-        would end with more mass than ``_FEAS_SUM_TOL`` and report infeasible.
-        """
-        A = self.A[:, : self.n]
-        at_lo, at_hi = A * bounds[:, 0], A * bounds[:, 1]
-        over = np.minimum(at_lo, at_hi).sum(axis=1) - self.b
-        under = self.b - np.maximum(at_lo, at_hi).sum(axis=1)
-        miss = np.maximum(np.where(self.sense >= 0.0, over, 0.0), np.where(self.sense <= 0.0, under, 0.0))
-        return bool(miss.max(initial=0.0) > _FEAS_SUM_TOL)
 
 
 def _standardize(rows, n: int) -> _System:
@@ -297,12 +272,12 @@ def lp_solve(rows, bounds, *, start: LPState | None = None):
     a column outside [0, n), a ``start`` given other rows, a NaN bound, an
     infinite lower bound, or an n other than ``start``'s structural column
     count raises ValueError. A crossed box (some lower bound above its upper
-    bound) and a row that the box cannot meet (see the module docstring's
-    activity check) return ('infeasible', None, 0) before any pivot. Each
-    phase 1 may take at most 2000 + 40 (rows + tableau columns) iterations;
-    going past that counts as a breakdown. A breakdown moves down the module
-    docstring's retry ladder; the iterations count the pivots of every
-    attempt, and the last attempt's SolverError is raised.
+    bound) returns ('infeasible', None, 0); every other solve enters phase 1
+    through one restart. Each phase 1 may take at most 2000 + 40 (rows +
+    tableau columns) iterations; going past that counts as a breakdown. A
+    breakdown moves down the module docstring's retry ladder; the iterations
+    count the pivots of every attempt, and the last attempt's SolverError is
+    raised.
     """
     bounds = np.asarray(bounds, dtype=float)
     if bounds.ndim != 2 or bounds.shape[1] != 2 or (start is not None and len(bounds) != start.system.n):
@@ -315,8 +290,6 @@ def lp_solve(rows, bounds, *, start: LPState | None = None):
             raise ValueError("bounds must not be NaN and lower bounds must be finite")
         return LPResult("infeasible", None, 0)  # a crossed box
     system = start.system if start is not None else _standardize(rows, len(bounds))
-    if system.refutes(bounds):
-        return LPResult("infeasible", None, 0)
     wasted = 0
     for origin in _ladder(start, system):
         sx = origin.restarted(bounds)

@@ -149,6 +149,14 @@ class TestErrors:
         assert not out.exists()
         assert "enumeration cap" in capsys.readouterr().err
 
+    def test_uniform_batch_below_two_strategies_leaves_out_untouched(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        out.write_bytes(b"game_id,status\r\n7,OPTIMAL\r\n")
+        code = cli_main(["batch", "--class", "uniform", "--m", "1", "--out", str(out)])
+        assert code == 2
+        assert out.read_bytes() == b"game_id,status\r\n7,OPTIMAL\r\n"
+        assert "m must be >= 2" in capsys.readouterr().err
+
     def test_unwritable_batch_path(self, capsys):
         code = cli_main(
             ["batch", "--class", "mp", "--n", "1", "--out", "/nonexistent-dir/r.csv"]

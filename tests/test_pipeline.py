@@ -304,6 +304,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             BatchConfig(k=1)
 
+    def test_uniform_needs_two_strategies(self):
+        with pytest.raises(ValueError, match="m must be >= 2"):
+            BatchConfig(game_class="uniform", m=1)
+        BatchConfig(game_class="uniform", m=2)
+        BatchConfig(game_class="chicken", m=1)  # m is read by the uniform class only
+
     @pytest.mark.parametrize("solver", ["enum", "both"])
     def test_oracle_over_the_cap(self, solver):
         with pytest.raises(ValueError, match="enumeration cap"):

@@ -288,8 +288,8 @@ class TestWarmRestart:
         assert x[1] == 0.25
 
     def test_every_phase_1_is_one_restart(self, monkeypatch):
-        # Cold and warm alike, an LP that passes the activity check enters
-        # phase 1 through exactly one restart.
+        # Cold and warm alike, every LP with an uncrossed box enters phase 1
+        # through exactly one restart.
         calls = []
         real_restarted = simplex._BoundedSimplex.restarted
 
@@ -303,14 +303,14 @@ class TestWarmRestart:
         for _ in range(60):
             rows, bounds = random_system(rng)
             first = lp_solve(rows, bounds)
-            assert len(calls) == (0 if simplex._standardize(rows, len(bounds)).refutes(bounds) else 1)
+            assert len(calls) == 1
             cold += len(calls)
             calls.clear()
             if first[0] != "feasible":
                 continue
             box = tightened(rng, bounds, first.state)
             lp_solve(rows, box, start=first.state)
-            assert calls == ([] if simplex._standardize(rows, len(box)).refutes(box) else [first.state])
+            assert calls == [first.state]
             warm += len(calls)
             calls.clear()
         assert cold > 30 and warm > 15
@@ -387,47 +387,24 @@ class TestBoundsBox:
             lp_solve(self.rows, [[0, 1], [0, 1], [0, 1]], start=start)
 
 
-def phase1_status(rows, bounds):
-    """The cold phase-1 verdict, reached without the activity check."""
-    system = simplex._standardize(rows, len(bounds))
-    return simplex._finish(simplex._BoundedSimplex(system, system.b).restarted(bounds))[0]
+class TestPhase1Tolerance:
+    """Phase 1 calls an LP infeasible exactly when its artificial mass ends above ``_FEAS_SUM_TOL``."""
 
-
-class TestActivityCheck:
-    """A row whose activity range over the bounds misses its right-hand side refutes the LP before any pivot."""
-
-    def test_refutations_agree_with_phase_1(self):
-        rng = np.random.default_rng(300)
-        fired = 0
-        for trial in range(300):
-            rows, bounds = random_system(rng)
-            first = lp_solve(rows, bounds)
-            boxes = [bounds]
-            if first[0] == "feasible":
-                boxes += [tightened(rng, bounds, first.state) for _ in range(3)]
-            for box in boxes:
-                if simplex._standardize(rows, len(box)).refutes(box):
-                    fired += 1
-                    assert phase1_status(rows, box) == "infeasible", f"trial {trial}"
-                    assert lp_solve(rows, box)[:] == ("infeasible", None, 0)
-        assert fired > 30
-
-    def test_unmeetable_row_refuted_cold_and_warm(self):
+    def test_unmeetable_box_infeasible_cold_and_warm(self):
         rows = [LinearRow({0: 1.0, 1: 1.0}, "=", 1.0), LinearRow({0: 1.0, 1: -1.0}, ">=", 0.0)]
         first = lp_solve(rows, [[0, 1], [0, 1]])
         assert first[0] == "feasible"
         box = np.array([[0.0, 0.3], [0.0, 0.6]])  # x0 + x1 reaches 0.9 at most
-        assert lp_solve(rows, box)[:] == ("infeasible", None, 0)
-        assert lp_solve(rows, box, start=first.state)[:] == ("infeasible", None, 0)
+        for start in (None, first.state):
+            status, x, _ = lp_solve(rows, box, start=start)
+            assert status == "infeasible" and x is None
 
-    def test_half_tolerance_gap_does_not_fire(self):
-        gap = 0.5 * simplex._FEAS_SUM_TOL
-        box = np.array([[0.0, 0.5], [0.0, 0.5]])
-        near = [LinearRow({0: 1.0, 1: 1.0}, ">=", 1.0 + gap)]
-        assert not simplex._standardize(near, 2).refutes(box)
-        assert lp_solve(near, box)[0] == phase1_status(near, box) == "feasible"
-        far = [LinearRow({0: 1.0, 1: 1.0}, ">=", 1.0 + 4 * gap)]
-        assert simplex._standardize(far, 2).refutes(box)
+    def test_gap_against_the_tolerance(self):
+        # x0 + x1 reaches 1 at most, so the row misses by the gap.
+        box = [[0.0, 0.5], [0.0, 0.5]]
+        for gap, status in [(0.5, "feasible"), (2.0, "infeasible")]:
+            rows = [LinearRow({0: 1.0, 1: 1.0}, ">=", 1.0 + gap * simplex._FEAS_SUM_TOL)]
+            assert lp_solve(rows, box)[0] == status, gap
 
 
 class TestBlandRule:

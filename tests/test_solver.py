@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -87,6 +88,30 @@ class TestSolveMechanics:
         model = build_model(normalize(mutation_population()))
         res = solve(model, SolveLimits(max_nodes=1, max_time_ms=600_000))
         assert res.status is SolveStatus.LIMIT_REACHED
+
+    def test_time_limit(self, monkeypatch):
+        import esspm.solver
+
+        # A fake clock that stands still until the root LP has run and then
+        # jumps a second ahead, so the next node check finds the limit passed.
+        clock = [0.0]
+        monkeypatch.setattr(esspm.solver, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+        real_lp_solve = esspm.solver.lp_solve
+        jump = [1.0]
+
+        def lp_then_jump(*args, **kwargs):
+            result = real_lp_solve(*args, **kwargs)
+            clock[0] += jump[0]
+            return result
+
+        monkeypatch.setattr(esspm.solver, "lp_solve", lp_then_jump)
+        model = build_model(normalize(mutation_population()))
+        limits = SolveLimits(max_nodes=1_000, max_time_ms=1_000)
+        res = solve(model, limits)
+        assert res.status is SolveStatus.LIMIT_REACHED
+        assert res.stats.nodes == 1 and res.stats.wall_ms == 1_000.0
+        jump[0] = 0.0  # a clock that never moves: the same search finishes
+        assert solve(model, limits).status is SolveStatus.FEASIBLE
 
     def test_feasible_assignments_reverify(self):
         # Independent re-check of the returned assignment against the IR.
