@@ -10,6 +10,7 @@ of half-width ``delta`` around zero.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class Tolerances:
     delta: float = 1e-7
 
     def __post_init__(self) -> None:
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
 
 
 class Condition(enum.Enum):
@@ -129,14 +130,21 @@ def find_pure_esspm(game: GameMatrix, tol: Tolerances = Tolerances()) -> int | N
 def find_all_pure_esspm(game: GameMatrix, tol: Tolerances = Tolerances()) -> list[int]:
     """Exhaustive variant of :func:`find_pure_esspm`: all qualifying pure strategies.
 
-    Row i of the gaps holds pure candidate i against every mutant; a pure
-    candidate's gaps are single payoff differences, so the verdicts equal
-    :func:`check_conditions` exactly.
+    Row i of the gaps holds pure candidate i against every mutant j; a pure
+    candidate's gaps are single payoff differences,
+      d[i, j]      = a_ji - a_ii,
+      margin[i, j] = a_ij - a_jj,
+    which are what :func:`payoff_gaps` yields for the unit vectors, so the
+    verdicts equal :func:`check_conditions` exactly. The diagonal (a
+    candidate against itself) always holds.
     """
-    itself = np.eye(game.m, dtype=bool)
-    d, margin = payoff_gaps(game.payoffs, itself.astype(float))
+    a = game.payoffs
+    diag = a.diagonal()
+    d = a.T - diag[:, None]
+    margin = a - diag
     holds = (d < -tol.delta) | ((d <= tol.delta) & (margin > 0.0))
-    return np.flatnonzero((holds | itself).all(axis=1)).tolist()
+    np.fill_diagonal(holds, True)
+    return np.flatnonzero(holds.all(axis=1)).tolist()
 
 
 def invasion_test(

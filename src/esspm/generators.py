@@ -3,10 +3,19 @@
 Randomness is drawn from numpy's Philox counter-based generator keyed directly by
 the 64-bit seed, so the same (generator, arguments, seed) triple always yields the
 same game. Cross-language ports should match distributions, not bit streams.
+
+Philox output depends only on its (key, counter) pair (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011). So each thread keeps one
+generator and every game re-keys it to (seed, 0) with an empty buffer, the
+exact state of a fresh ``Philox(key=seed)``, instead of building a new one (a
+construction also reads OS entropy for a seed sequence the key then discards).
+The generator returned by ``_rng`` is therefore valid only until the next
+``_rng`` call in the same thread: every function here draws from it at once.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +34,24 @@ __all__ = [
 ]
 
 
+_local = threading.local()
+_EMPTY = np.zeros(4, dtype=np.uint64)
+
+
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF))
+    """This thread's generator in the state of a fresh ``Philox(key=seed)``; draw before the next call."""
+    rng = getattr(_local, "rng", None)
+    if rng is None:
+        rng = _local.rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _EMPTY, "key": np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)},
+        "buffer": _EMPTY,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 @dataclass(frozen=True)

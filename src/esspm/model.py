@@ -27,6 +27,7 @@ advertised linearization bound for any feasible assignment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -287,8 +288,8 @@ def build_model(game: GameMatrix, eps: float = 1e-5) -> ModelIR:
     appends the lambda system for export. Both orders are deterministic so
     exports are byte-stable.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if not game.is_normalized:
         raise ValueError(
             "build_model requires payoffs in [0, 1]; the big-M constants assume it"

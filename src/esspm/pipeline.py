@@ -9,6 +9,7 @@ instance can be regenerated in isolation, and emit one CSV row per game.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -127,8 +128,9 @@ class BatchConfig:
             raise ValueError("n_games must be >= 1")
         if self.k < 2:
             raise ValueError("k must be >= 2")
-        if self.eps <= 0.0 or self.delta <= 0.0:
-            raise ValueError("eps and delta must be positive")
+        for name, value in (("eps", self.eps), ("delta", self.delta)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.solver not in ("milp", "enum", "both"):
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.game_class == "file" and not self.game_file:

@@ -88,8 +88,13 @@ def _standardize(rows, n: int) -> _System:
             if not 0 <= idx < n:
                 raise ValueError(f"row {ri} ({row.name or 'unnamed'}) names column {idx}, outside [0, {n})")
             A[ri, idx] = coef
+    b = np.array([r.rhs for r in rows], dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(A).all(axis=1) & np.isfinite(b)))
+    if bad.size:
+        ri = int(bad[0])
+        raise ValueError(f"row {ri} ({rows[ri].name or 'unnamed'}) has a non-finite coefficient or right-hand side")
     A[slack, n + np.arange(slack.size)] = sense[slack]
-    return _System(A, np.array([r.rhs for r in rows], dtype=float), sense, n, rows)
+    return _System(A, b, sense, n, rows)
 
 
 class _BoundedSimplex:
@@ -269,15 +274,16 @@ def lp_solve(rows, bounds, *, start: LPState | None = None):
     same rows, makes this a restart from it under ``bounds`` on its rows;
     ``start`` is not modified. ``rows`` must then be the very list object
     that ``start`` was solved on (an identity check, O(1)). A row that names
-    a column outside [0, n), a ``start`` given other rows, a NaN bound, an
-    infinite lower bound, or an n other than ``start``'s structural column
-    count raises ValueError. A crossed box (some lower bound above its upper
-    bound) returns ('infeasible', None, 0); every other solve enters phase 1
-    through one restart. Each phase 1 may take at most 2000 + 40 (rows +
-    tableau columns) iterations; going past that counts as a breakdown. A
-    breakdown moves down the module docstring's retry ladder; the iterations
-    count the pivots of every attempt, and the last attempt's SolverError is
-    raised.
+    a column outside [0, n) or holds a non-finite coefficient or right-hand
+    side (checked on cold solves; a restart reuses its start's rows), a
+    ``start`` given other rows, a NaN bound, an infinite lower bound, or an n
+    other than ``start``'s structural column count raises ValueError. A
+    crossed box (some lower bound above its upper bound) returns
+    ('infeasible', None, 0); every other solve enters phase 1 through one
+    restart. Each phase 1 may take at most 2000 + 40 (rows + tableau columns)
+    iterations; going past that counts as a breakdown. A breakdown moves down
+    the module docstring's retry ladder; the iterations count the pivots of
+    every attempt, and the last attempt's SolverError is raised.
     """
     bounds = np.asarray(bounds, dtype=float)
     if bounds.ndim != 2 or bounds.shape[1] != 2 or (start is not None and len(bounds) != start.system.n):

@@ -75,6 +75,13 @@ class TestFindPure:
         assert find_pure_esspm(g) == 0
 
 
+class TestTolerances:
+    @pytest.mark.parametrize("delta", [0.0, -1e-7, float("nan"), float("inf"), float("-inf")])
+    def test_delta_must_be_positive_and_finite(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            Tolerances(delta=delta)
+
+
 class TestInvasionTest:
     def test_bc_mix_invades_a(self):
         g = counterexample_game()
@@ -236,6 +243,18 @@ def fuzzed_gap_games(seed):
                     yield normalize(game)
 
 
+def pure_scan_deck(seed):
+    """Fuzzed gap games plus cloned strategies and unnormalized rescalings."""
+    rng = np.random.default_rng(seed)
+    for game in fuzzed_gap_games(seed):
+        yield game
+        a = game.payoffs
+        k = int(rng.integers(a.shape[0]))
+        order = np.append(np.arange(a.shape[0]), k)  # strategy k and its clone
+        yield GameMatrix(a[np.ix_(order, order)])
+        yield GameMatrix(37.0 * a - 11.5)
+
+
 def random_candidates(rng, m, n):
     """Simplex points on random faces, so some strategies are unplayed."""
     for _ in range(n):
@@ -266,6 +285,25 @@ class TestPayoffGaps:
             assert find_pure_esspm(g, tol) == (expected[0] if expected else None)
             n_found += len(expected)
         assert n_found >= 100
+
+    @pytest.mark.parametrize("delta", [1e-7, 1e-3, 0.5, 1.0])
+    def test_pure_scan_equals_unit_vector_gaps(self, delta):
+        # The reference is the scan through the unit-vector matmuls; integer
+        # payoffs put d exactly on -delta and +delta when delta is 1.
+        tol = Tolerances(delta=delta)
+        n_games = n_found = 0
+        for g in pure_scan_deck(65):
+            itself = np.eye(g.m, dtype=bool)
+            d, margin = payoff_gaps(g.payoffs, itself.astype(float))
+            a = g.payoffs
+            assert np.array_equal(d, a.T - a.diagonal()[:, None])
+            assert np.array_equal(margin, a - a.diagonal())
+            holds = (d < -delta) | ((d <= delta) & (margin > 0.0))
+            expected = np.flatnonzero((holds | itself).all(axis=1)).tolist()
+            assert find_all_pure_esspm(g, tol) == expected
+            n_games += 1
+            n_found += len(expected)
+        assert n_games >= 500 and n_found >= 100
 
     @pytest.mark.parametrize("delta", [1e-7, 1e-3])
     def test_mixed_verdicts_agree_off_threshold(self, delta):

@@ -157,6 +157,24 @@ class TestErrors:
         assert out.read_bytes() == b"game_id,status\r\n7,OPTIMAL\r\n"
         assert "m must be >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--eps", "--delta"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_leaves_out_untouched(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "f.csv"
+        out.write_bytes(b"game_id,status\r\n7,OPTIMAL\r\n")
+        code = cli_main(["batch", "--class", "uniform", "--m", "3", "--n", "5", "--solver", "enum",
+                         flag, value, "--out", str(out)])
+        assert code == 2
+        assert out.read_bytes() == b"game_id,status\r\n7,OPTIMAL\r\n"
+        assert f"{flag[2:]} must be positive and finite" in capsys.readouterr().err
+
+    def test_non_finite_eps_rejected_by_solve_and_export(self, tmp_path, capsys):
+        lp = tmp_path / "m.lp"
+        for command in (["solve"], ["export-lp", "--out", str(lp)]):
+            assert cli_main(command + ["--class", "mp", "--eps", "inf"]) == 2
+            assert "eps must be positive and finite" in capsys.readouterr().err
+        assert not lp.exists()
+
     def test_unwritable_batch_path(self, capsys):
         code = cli_main(
             ["batch", "--class", "mp", "--n", "1", "--out", "/nonexistent-dir/r.csv"]

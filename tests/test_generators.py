@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -116,3 +119,93 @@ class TestCancer:
     def test_rejects_negative_param(self):
         with pytest.raises(ValueError):
             CancerParams(-0.1, 0, 0, 0, 0, 0, 0)
+
+
+MASK = 0xFFFF_FFFF_FFFF_FFFF
+EDGE_SEEDS = [0, 1, 2**63, 2**64 - 1, -1, 2**64 + 5]
+
+
+def fresh_rng(seed):
+    return np.random.Generator(np.random.Philox(key=seed & MASK))
+
+
+def reference_games(seed):
+    """Every randomized class of one seed, drawn from a freshly built generator each."""
+    games = [fresh_rng(seed).random((m, m)) for m in range(2, 21)]
+    rng = fresh_rng(seed)
+    while True:
+        draws = np.sort(rng.random(4))
+        if draws[0] < draws[1] < draws[2] < draws[3]:
+            break
+    a22, a12, a11, a21 = draws
+    games.append(np.array([[a11, a12], [a21, a22]]))
+    games.append(np.array(fresh_rng(seed).uniform(0.0, 0.5, size=7)))
+    return games
+
+
+def module_games(seed):
+    p = random_cancer_params(seed)
+    return [uniform_random(m, seed).payoffs for m in range(2, 21)] + [
+        chicken(seed).payoffs,
+        np.array([p.a, p.b, p.c, p.d, p.e, p.f, p.g]),
+    ]
+
+
+def same_bits(got, want):
+    return len(got) == len(want) and all(
+        g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        for g, w in zip(got, want)
+    )
+
+
+class TestPhiloxStreams:
+    """A re-keyed generator reproduces a fresh Philox(key=seed) bit for bit."""
+
+    def deck(self):
+        return EDGE_SEEDS + [int(s) for s in np.random.default_rng(5).integers(0, 2**63, 300)]
+
+    def test_each_seed_matches_a_fresh_generator(self):
+        for seed in self.deck():
+            assert same_bits(module_games(seed), reference_games(seed)), seed
+
+    def test_interleaved_seeds_match(self):
+        seeds = self.deck()
+        want = {s: reference_games(s) for s in seeds}
+        rng = np.random.default_rng(6)
+        for _ in range(400):
+            a, b = (seeds[i] for i in rng.integers(len(seeds), size=2))
+            m = int(rng.integers(2, 21))
+            assert uniform_random(m, a).payoffs.tobytes() == want[a][m - 2].tobytes()
+            assert chicken(b).payoffs.tobytes() == want[b][-2].tobytes()
+            assert uniform_random(m, b).payoffs.tobytes() == want[b][m - 2].tobytes()
+
+    def test_a_partly_drawn_generator_is_reset(self):
+        # A chicken draw leaves buffered bits behind; the next call must not see them.
+        chicken(3)
+        random_cancer_params(4)
+        assert same_bits(module_games(9), reference_games(9))
+
+    def test_threads_each_reproduce_the_reference(self):
+        seeds = EDGE_SEEDS + list(range(100, 130))
+        want = {s: reference_games(s) for s in seeds}
+        n_threads = 8  # more than the cores of a small CI box, so threads preempt each other
+        mismatches = []
+
+        def worker(offset):
+            for r in range(6):
+                for seed in seeds[offset % len(seeds):] + seeds[: offset % len(seeds)]:
+                    if not same_bits(module_games(seed), want[seed]):
+                        mismatches.append((offset, r, seed))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(5 * t,)) for t in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not mismatches

@@ -58,6 +58,11 @@ class TestModelParameters:
         with pytest.raises(ValueError, match="eps must be positive"):
             build_model(MP_NORM, eps=0.0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_rejects_non_finite_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            build_model(MP_NORM, eps=eps)
+
     def test_rejects_small_k(self):
         with pytest.raises(ValueError, match="k must be >= 2"):
             linearize(build_model(MP_NORM), 1)

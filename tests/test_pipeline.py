@@ -310,6 +310,12 @@ class TestConfigValidation:
         BatchConfig(game_class="uniform", m=2)
         BatchConfig(game_class="chicken", m=1)  # m is read by the uniform class only
 
+    @pytest.mark.parametrize("name", ["eps", "delta"])
+    @pytest.mark.parametrize("value", [0.0, -1e-5, float("nan"), float("inf")])
+    def test_tolerances_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            BatchConfig(**{name: value})
+
     @pytest.mark.parametrize("solver", ["enum", "both"])
     def test_oracle_over_the_cap(self, solver):
         with pytest.raises(ValueError, match="enumeration cap"):

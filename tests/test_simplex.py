@@ -348,6 +348,17 @@ class TestRowColumns:
         with pytest.raises(ValueError, match=rf"row 0 .*column {col}"):
             lp_solve(rows, [[0, 1], [0, 1]])
 
+    def test_nan_right_hand_side_rejected(self):
+        rows = [LinearRow({0: 1.0, 1: 1.0}, "=", 1.0), LinearRow({0: 1.0}, "<=", np.nan, name="cap")]
+        with pytest.raises(ValueError, match=r"row 1 \(cap\) has a non-finite"):
+            lp_solve(rows, [[0, 1], [0, 1]])
+
+    @pytest.mark.parametrize("coef", [np.inf, -np.inf, np.nan])
+    def test_non_finite_coefficient_rejected(self, coef):
+        rows = [LinearRow({0: 1.0, 1: coef}, ">=", 0.5), LinearRow({0: 1.0, 1: 1.0}, "=", 1.0)]
+        with pytest.raises(ValueError, match=r"row 0 \(unnamed\) has a non-finite"):
+            lp_solve(rows, [[0, 1], [0, 1]])
+
     def test_restart_on_other_rows_rejected(self):
         rows = [LinearRow({0: 1.0, 1: 1.0}, "=", 1.0)]
         start = lp_solve(rows, [[0, 1], [0, 1]]).state
