@@ -124,6 +124,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     cfg = _config(args, n_games=args.n)
+    if cfg.game_class == "file":  # read and size it before --out is truncated
+        cfg.check_size(make_game(cfg, 0).m)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         stats = run_batch(cfg, fh)
     print(

@@ -77,31 +77,18 @@ class LinearRow:
 
 @dataclass(frozen=True)
 class SquareTerm:
-    """One linearized square q ~= s^2 with s a linear expression of the x's.
+    """One linearized square q ~= s^2, s = sum coeffs[i] * x_i over the x columns.
 
-    kind 'diag' has s = x_i, 'plus' has s = x_i + x_j, 'minus' has s = x_i - x_j.
-    weight is the coefficient of q in the z corridor rows. The lambdas occupy
-    variable indices lam_start .. lam_start + k (inclusive), one per breakpoint,
-    and form one SOS2 set.
+    s is x_i, x_i + x_j or x_i - x_j and ranges over [lo, hi] on the simplex;
+    weight is the coefficient of q in the z corridor rows. ``name`` tags the
+    term's columns and rows in the linearized model.
     """
 
-    kind: str
-    i: int
-    j: int | None
+    name: str
+    coeffs: dict[int, float]
     weight: float
     lo: float
     hi: float
-    breakpoints: np.ndarray
-    q_index: int
-    lam_start: int
-
-    def s_coeffs(self) -> dict[int, float]:
-        """Coefficients of s over the x variables (x_i at index i)."""
-        if self.kind == "diag":
-            return {self.i: 1.0}
-        if self.kind == "plus":
-            return {self.i: 1.0, self.j: 1.0}
-        return {self.i: 1.0, self.j: -1.0}
 
 
 @dataclass
@@ -115,9 +102,9 @@ class ModelIR:
     candidates against the original quadratic constraints at the model's own
     margin. The linearization fields stay empty until ``linearize`` fills
     them: ``sos2_sets`` are ordered lambda-index lists (at most two members
-    nonzero, and adjacent) and ``squares`` the square-term records. The z
-    corridor half-widths are the right-hand sides of the ``z_upper`` and
-    ``z_lower`` rows.
+    nonzero, and adjacent) and ``squares`` the square-term records, one per
+    SOS2 set and in the same order. The z corridor half-widths are the
+    right-hand sides of the ``z_upper`` and ``z_lower`` rows.
     """
 
     m: int
@@ -173,35 +160,33 @@ def _interp_lambdas(s: float, breakpoints: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _square_plan(payoffs: np.ndarray) -> list[tuple[str, int, int | None, float, float, float]]:
-    """Canonical square-term listing: (kind, i, j, weight, lo, hi).
+def _square_terms(payoffs: np.ndarray) -> list[SquareTerm]:
+    """The square terms of z = x' A x, in their canonical order.
 
     z = sum_i a_ii x_i^2 + sum_{i<j} (a_ij + a_ji) x_i x_j, and each product is
     ((x_i + x_j)^2 - (x_i - x_j)^2) / 4. Simplex membership bounds x_i + x_j in
     [0, 1] and x_i - x_j in [-1, 1].
     """
     m = payoffs.shape[0]
-    plan: list[tuple[str, int, int | None, float, float, float]] = []
-    for i in range(m):
-        plan.append(("diag", i, None, float(payoffs[i, i]), 0.0, 1.0))
+    terms = [SquareTerm(f"diag_{i}", {i: 1.0}, float(payoffs[i, i]), 0.0, 1.0) for i in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
             c = float(payoffs[i, j] + payoffs[j, i])
-            plan.append(("plus", i, j, c / 4.0, 0.0, 1.0))
-            plan.append(("minus", i, j, -c / 4.0, -1.0, 1.0))
-    return plan
+            terms.append(SquareTerm(f"plus_{i}_{j}", {i: 1.0, j: 1.0}, c / 4.0, 0.0, 1.0))
+            terms.append(SquareTerm(f"minus_{i}_{j}", {i: 1.0, j: -1.0}, -c / 4.0, -1.0, 1.0))
+    return terms
 
 
-def _envelope(plan, k: int) -> tuple[float, float]:
-    """Corridor half-widths (env_plus, env_minus) of a square plan at k segments.
+def _envelope(terms: list[SquareTerm], k: int) -> tuple[float, float]:
+    """Corridor half-widths (env_plus, env_minus) of the square terms at k segments.
 
     env_plus sums the secant-gap bounds of the positively weighted squares,
     where the secant combination overshoots x' A x; env_minus those of the
     negatively weighted ones, where it undershoots.
     """
     env_plus = env_minus = 0.0
-    for _, _, _, weight, lo, hi in plan:
-        gap = weight * secant_gap_bound(lo, hi, k)
+    for sq in terms:
+        gap = sq.weight * secant_gap_bound(sq.lo, sq.hi, k)
         if gap > 0.0:
             env_plus += gap
         else:
@@ -209,70 +194,10 @@ def _envelope(plan, k: int) -> tuple[float, float]:
     return env_plus, env_minus
 
 
-def _emit_linearization(
-    payoffs: np.ndarray, k: int
-) -> tuple[list[Variable], list[LinearRow], list[list[int]], list[SquareTerm]]:
-    """Lambda/SOS2 subsystem tying z to the quadratic form, in the fixed layout.
-
-    x_i is column i and z column m; the new variables start at column 2m+1,
-    right after the y's. Returns the new variables, their rows, the SOS2
-    sets and the square-term records.
-    """
-    m = payoffs.shape[0]
-    variables: list[Variable] = []
-    rows: list[LinearRow] = []
-    sos2: list[list[int]] = []
-    squares: list[SquareTerm] = []
-    idx = 2 * m + 1
-
-    plan = _square_plan(payoffs)
-    for kind, i, j, weight, lo, hi in plan:
-        tag = f"{kind}_{i}" if j is None else f"{kind}_{i}_{j}"
-        t = np.linspace(lo, hi, k + 1)
-        q_index = idx
-        qhi = max(lo * lo, hi * hi)
-        variables.append(Variable(f"q_{tag}", 0.0, qhi))
-        idx += 1
-        lam_start = idx
-        for r in range(k + 1):
-            variables.append(Variable(f"lam_{tag}_{r}", 0.0, 1.0))
-            idx += 1
-        lam_idx = list(range(lam_start, lam_start + k + 1))
-        sos2.append(lam_idx)
-
-        rows.append(
-            LinearRow({li: 1.0 for li in lam_idx}, "=", 1.0, name=f"lamsum_{tag}")
-        )
-        term = SquareTerm(kind, i, j, weight, lo, hi, t, q_index, lam_start)
-        link = {lam_start + r: float(t[r]) for r in range(k + 1)}
-        for xi, coef in term.s_coeffs().items():
-            link[xi] = -coef
-        rows.append(LinearRow(link, "=", 0.0, name=f"link_{tag}"))
-        qdef = {lam_start + r: -float(t[r] ** 2) for r in range(k + 1)}
-        qdef[q_index] = 1.0
-        rows.append(LinearRow(qdef, "=", 0.0, name=f"qdef_{tag}"))
-        squares.append(term)
-
-    # Corridor: z - sum_sq weight * q in [-env_plus, env_minus]. The secant
-    # combination overshoots the true quadratic by at most env_plus where
-    # weights are positive and undershoots by at most env_minus where they
-    # are negative, so the true value always lies inside.
-    env_plus, env_minus = _envelope(plan, k)
-    combo = {sq.q_index: sq.weight for sq in squares}
-    up = {m: 1.0}
-    up.update({qi: -w for qi, w in combo.items()})
-    rows.append(LinearRow(up, "<=", env_minus, name="z_upper"))
-    down = {m: -1.0}
-    down.update({qi: w for qi, w in combo.items()})
-    rows.append(LinearRow(down, "<=", env_plus, name="z_lower"))
-
-    return variables, rows, sos2, squares
-
-
 def linearization_error_bound(game_or_payoffs, k: int) -> float:
     """A-priori bound on |z - x' A x| over feasible assignments at k segments."""
     a = game_or_payoffs.payoffs if isinstance(game_or_payoffs, GameMatrix) else np.asarray(game_or_payoffs)
-    env_plus, env_minus = _envelope(_square_plan(a), k)
+    env_plus, env_minus = _envelope(_square_terms(a), k)
     return env_plus + env_minus
 
 
@@ -332,20 +257,63 @@ def build_model(game: GameMatrix, eps: float = 1e-5) -> ModelIR:
 def linearize(model: ModelIR, k: int) -> ModelIR:
     """The model with the paper's lambda/SOS2 linearization of z appended.
 
-    k is the number of breakpoint segments per square term (k+1 grid points).
-    The q and lambda columns follow y, and the lambda, link, qdef and z
-    corridor rows follow the model's own rows. The input is not changed.
+    k is the number of breakpoint segments per square term (k+1 grid points
+    t_0..t_k, uniform on [lo, hi]). Each term adds a q column and then its
+    k+1 lambda columns after y, which form one SOS2 set, and the rows
+    lamsum (sum lam_r = 1), link (sum lam_r t_r = s) and qdef
+    (q = sum lam_r t_r^2); the z_upper and z_lower corridor rows come last.
+    The input is not changed.
+
+    These rows hold at any simplex point x with z = x' A x, q and lambdas
+    from ``interpolation_assignment``, and any binary y:
+      - Lambda rows. Each s lies inside its grid [lo, hi]. The interpolated
+        lambdas put 1 - w and w, w in [0, 1], on the two ends
+        t_r <= s <= t_r+1 of one segment, so lamsum, link, qdef and SOS2
+        adjacency hold by construction, and q lies in [0, max(lo^2, hi^2)].
+      - Corridor. q - s^2 = w (1 - w) h^2 is the secant overshoot, in
+        [0, h^2/4]. The weighted squares sum to x' A x exactly, so
+        z - sum weight * q = -sum weight * (q - s^2). The z_upper row bounds
+        this from above by its right-hand side, the sum of |weight| h^2/4
+        over the negative weights, and the z_lower row from below by minus
+        its right-hand side, the same sum over the positive weights, so both
+        corridor rows hold.
+    So a leaf that meets the x/z/y rows also meets the linearized model; the
+    test suite checks this on a fuzzed deck.
     """
     if k < 2:
         raise ValueError(f"breakpoint count k must be >= 2, got {k}")
-    if len(model.variables) != 2 * model.m + 1:
+    m = model.m
+    if len(model.variables) != 2 * m + 1:
         raise ValueError("linearize expects the x/z/y model that build_model returns")
-    lin_vars, lin_rows, sos2, squares = _emit_linearization(model.payoffs, k)
+    variables = list(model.variables)
+    rows = list(model.rows)
+    sos2: list[list[int]] = []
+    squares = _square_terms(model.payoffs)
+    up, down = {m: 1.0}, {m: -1.0}
+    for sq in squares:
+        t = np.linspace(sq.lo, sq.hi, k + 1)
+        q = len(variables)
+        lam = list(range(q + 1, q + k + 2))
+        variables.append(Variable(f"q_{sq.name}", 0.0, max(sq.lo * sq.lo, sq.hi * sq.hi)))
+        variables.extend(Variable(f"lam_{sq.name}_{r}", 0.0, 1.0) for r in range(k + 1))
+        sos2.append(lam)
+        rows.append(LinearRow(dict.fromkeys(lam, 1.0), "=", 1.0, name=f"lamsum_{sq.name}"))
+        link = {li: float(tr) for li, tr in zip(lam, t)}
+        link.update({xi: -coef for xi, coef in sq.coeffs.items()})
+        rows.append(LinearRow(link, "=", 0.0, name=f"link_{sq.name}"))
+        qdef = {li: -float(tr**2) for li, tr in zip(lam, t)}
+        qdef[q] = 1.0
+        rows.append(LinearRow(qdef, "=", 0.0, name=f"qdef_{sq.name}"))
+        up[q] = -sq.weight
+        down[q] = sq.weight
+    env_plus, env_minus = _envelope(squares, k)
+    rows.append(LinearRow(up, "<=", env_minus, name="z_upper"))
+    rows.append(LinearRow(down, "<=", env_plus, name="z_lower"))
     return ModelIR(
-        m=model.m,
+        m=m,
         eps=model.eps,
-        variables=[*model.variables, *lin_vars],
-        rows=[*model.rows, *lin_rows],
+        variables=variables,
+        rows=rows,
         payoffs=model.payoffs,
         sos2_sets=sos2,
         squares=squares,
@@ -368,11 +336,11 @@ def interpolation_assignment(model: ModelIR, x: np.ndarray, y: np.ndarray | None
     values[m] = x @ model.payoffs @ x
     if y is not None:
         values[m + 1 : 2 * m + 1] = y
-    for sq in model.squares:
-        s = sum(coef * x[i] for i, coef in sq.s_coeffs().items())
-        lam = _interp_lambdas(s, sq.breakpoints)
-        values[sq.lam_start : sq.lam_start + lam.size] = lam
-        values[sq.q_index] = lam @ sq.breakpoints**2
+    for sq, lam in zip(model.squares, model.sos2_sets):
+        t = np.linspace(sq.lo, sq.hi, len(lam))
+        w = _interp_lambdas(sum(coef * x[i] for i, coef in sq.coeffs.items()), t)
+        values[lam] = w
+        values[lam[0] - 1] = w @ t**2  # q sits just before its lambdas
     return values
 
 

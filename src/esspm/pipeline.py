@@ -135,11 +135,18 @@ class BatchConfig:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.game_class == "file" and not self.game_file:
             raise ValueError("game class 'file' needs game_file")
-        if self.game_class == "uniform" and self.m < 2:
-            raise ValueError(f"m must be >= 2, got {self.m}")
-        # A file's m is known only once it is read; the oracle rejects it then.
-        if self.solver != "milp" and self.game_class == "uniform" and self.m > DEFAULT_SUPPORT_CAP:
-            raise ValueError(f"m={self.m} exceeds the enumeration cap of {DEFAULT_SUPPORT_CAP}")
+        if self.game_class == "uniform":
+            if self.m < 2:
+                raise ValueError(f"m must be >= 2, got {self.m}")
+            self.check_size(self.m)
+
+    def check_size(self, m: int) -> None:
+        """Raise ValueError when the configured solver cannot take m strategies.
+
+        A file's m is known only once it is read, so a caller checks it then.
+        """
+        if self.solver != "milp" and m > DEFAULT_SUPPORT_CAP:
+            raise ValueError(f"m={m} exceeds the enumeration cap of {DEFAULT_SUPPORT_CAP}")
 
     @property
     def tolerances(self) -> Tolerances:

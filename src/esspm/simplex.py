@@ -275,7 +275,8 @@ def lp_solve(rows, bounds, *, start: LPState | None = None):
     ``start`` is not modified. ``rows`` must then be the very list object
     that ``start`` was solved on (an identity check, O(1)). A row that names
     a column outside [0, n) or holds a non-finite coefficient or right-hand
-    side (checked on cold solves; a restart reuses its start's rows), a
+    side (checked on cold solves, crossed box or not; a restart reuses its
+    start's rows), a
     ``start`` given other rows, a NaN bound, an infinite lower bound, or an n
     other than ``start``'s structural column count raises ValueError. A
     crossed box (some lower bound above its upper bound) returns
@@ -290,12 +291,12 @@ def lp_solve(rows, bounds, *, start: LPState | None = None):
         raise ValueError(f"bounds must be an (n, 2) array over the structural columns, got {bounds.shape}")
     if start is not None and rows is not start.system.rows:
         raise ValueError("a restart must be given the same rows list as the solve of its start")
+    system = start.system if start is not None else _standardize(rows, len(bounds))
     lower, upper = bounds[:, 0], bounds[:, 1]
     if not (np.isfinite(lower) & (lower <= upper)).all():  # one reduction on the hot path
         if np.isnan(upper).any() or not np.isfinite(lower).all():
             raise ValueError("bounds must not be NaN and lower bounds must be finite")
         return LPResult("infeasible", None, 0)  # a crossed box
-    system = start.system if start is not None else _standardize(rows, len(bounds))
     wasted = 0
     for origin in _ladder(start, system):
         sx = origin.restarted(bounds)

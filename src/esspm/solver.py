@@ -2,7 +2,7 @@
 
 Depth-first search over the branch indicators y, on the rows of the model it
 is given: ``build_model``'s x/z/y system (2m+1 columns, 4m+1 rows), or that
-system with ``linearize``'s lambda rows appended. A node is its bounds array,
+system with the rows of ``linearize`` appended. A node is its bounds array,
 and y_j is fixed where its bounds meet. A child that fixes y_j at 0 also
 fixes x_j at [0, 0]: the support link x_j <= y_j of Sandholm, Gilpin &
 Conitzer (2005), applied as a bound on that branch only, so the root LP and
@@ -25,15 +25,17 @@ that passes that exact check satisfies every row of the leaf (the proof
 below), so the skipped LP would have been feasible, and a tie point that
 fails it is rejected whatever the LP says. The accepted assignment
 (``interpolation_assignment``) is the array of the model's column values: x,
-z at x' A x, y = 1_S and, on a linearized model, secant-interpolated q and
-lambdas. It is re-verified against every bound, binary and row of the model
-(``verify_assignment``). The proof below shows that this never fails after
-a passed exact check, so a violation is a fault of the solver and raises
-SolverError naming it; the exact check alone decides. ``extract_strategy``
-reports the assignment's x as the leaf certified it, bit for bit.
+z at x' A x, y = 1_S and, on a linearized model, the interpolated columns
+of ``linearize``. It is re-verified against every bound, binary and row of
+the model (``verify_assignment``). The proof below shows that this never
+fails after a passed exact check, so a violation is a fault of the solver
+and raises SolverError naming it; the exact check alone decides.
+``extract_strategy`` reports the assignment's x as the leaf certified it,
+bit for bit.
 
-The search never needs the lambda/SOS2 subsystem: it would only enlarge
-every LP, and an accepted leaf satisfies it anyway. Proof, for an accepted
+The search never needs the rows of ``linearize``: they would only enlarge
+every LP, and an accepted leaf satisfies them anyway (``linearize`` proves
+that they hold at any interpolated simplex point). Proof, for an accepted
 leaf with pattern S, strategy x on the simplex, z = x' A x and y = 1_S,
 writing d_j = (A x)_j - z and margin_j = (A' x)_j - a_jj, with payoffs in
 [0, 1] so that |d_j| <= 1 and a_jj - (A' x)_j <= 1:
@@ -47,20 +49,6 @@ writing d_j = (A x)_j - z and margin_j = (A' x)_j - a_jj, with payoffs in
     sit below ``LIN_FEAS_TOL`` (1e-7), so every big-M row verifies. The
     simplex row, x in [0, 1], z in [0, 1] inside its bounds [-1, 2] and the
     binary y hold as well.
-  - Lambda rows. Each square term has s = x_i, x_i + x_j or x_i - x_j inside
-    its grid [lo, hi]. The interpolated lambdas put 1 - w and w, w in
-    [0, 1], on the two ends t_r <= s <= t_r+1 of one segment, so lamsum
-    (sum = 1), link (sum lam_r t_r = s), qdef (q = sum lam_r t_r^2) and SOS2
-    adjacency hold by construction, and q lies in [0, max(lo^2, hi^2)].
-  - Corridor. q - s^2 = w (1 - w) h^2 is the secant overshoot, in
-    [0, h^2/4]. The weighted squares sum to x' A x exactly, so
-    z - sum weight * q = -sum weight * (q - s^2). The z_upper row bounds
-    this from above by its right-hand side, the sum of |weight| h^2/4 over
-    the negative weights, and the z_lower row from below by minus its
-    right-hand side, the same sum over the positive weights, so both
-    corridor rows hold.
-So verifying against the linearized model never rejects a leaf that the
-x/z/y rows accept; the test suite checks this on a fuzzed deck.
 
 The x_j = 0 bound of a y_j = 0 child cuts off no pattern the search could
 accept. An accepted leaf's candidate has no mass off its pattern S, and the
@@ -235,7 +223,7 @@ def _attempt_pattern(model: ModelIR, pattern: np.ndarray, stats: SolveStats) -> 
     the true quadratic payoff in place of z: members of S tie and lose
     self-play by at least eps, the others lose by at least eps against the
     population. This is the original (non-linearized) question, so passing it
-    certifies the candidate independently of the approximation corridor. An
+    certifies the candidate independently of any linearization of z. An
     accepted candidate's assignment meets every row of the model (the module
     docstring proves it), so a violation raises SolverError.
     """

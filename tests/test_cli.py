@@ -133,6 +133,26 @@ class TestModuleEntry:
         assert proc.stderr == ""  # no runpy warning: the module runs once
 
 
+class TestNumpyOnlyRuntime:
+    def test_solve_and_export_without_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: with scipy unimportable the
+        # CLI still solves and exports.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from esspm.cli import cli_main\n"
+            "assert cli_main(['solve', '--class', 'mp', '--solver', 'both']) == 0\n"
+            f"assert cli_main(['export-lp', '--class', 'mp', '--k', '20', '--out', {str(tmp_path / 'm.lp')!r}]) == 0\n"
+            "assert not any(name.split('.')[0] == 'scipy' and mod is not None for name, mod in sys.modules.items())\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "status: OPTIMAL" in proc.stdout and "oracle agreement: yes" in proc.stdout
+        assert (tmp_path / "m.lp").read_text().endswith("End\n")
+
+
 class TestErrors:
     def test_usage_error_exit_code(self, capsys):
         assert cli_main(["solve", "--class", "nonsense"]) == 2
@@ -156,6 +176,28 @@ class TestErrors:
         assert code == 2
         assert out.read_bytes() == b"game_id,status\r\n7,OPTIMAL\r\n"
         assert "m must be >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("game_text", "solver", "message"),
+        [
+            (None, "milp", "No such file"),
+            ("2\n0 1\n1\n", "milp", "row 2 has 1 of 2 entries"),
+            ("21\n" + ("0 " * 21 + "\n") * 21, "enum", "enumeration cap"),
+            ("21\n" + ("0 " * 21 + "\n") * 21, "both", "enumeration cap"),
+        ],
+        ids=["missing", "malformed", "m21-enum", "m21-both"],
+    )
+    def test_file_batch_bad_game_leaves_out_untouched(self, tmp_path, capsys, game_text, solver, message):
+        game = tmp_path / "g.txt"
+        if game_text is not None:
+            game.write_text(game_text)
+        out = tmp_path / "f.csv"
+        out.write_bytes(b"game_id,status\r\n7,OPTIMAL\r\n")
+        code = cli_main(["batch", "--class", "file", "--game-file", str(game), "--n", "2",
+                         "--solver", solver, "--out", str(out)])
+        assert code == 2
+        assert out.read_bytes() == b"game_id,status\r\n7,OPTIMAL\r\n"
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--eps", "--delta"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

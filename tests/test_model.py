@@ -7,11 +7,14 @@ import pytest
 from esspm import (
     GameMatrix,
     build_model,
+    cancer_game,
+    chicken,
     export_lp,
     linearization_error_bound,
     linearize,
     mutation_population,
     normalize,
+    random_cancer_params,
     uniform_random,
     verify_assignment,
 )
@@ -272,6 +275,28 @@ class TestExportLp:
             text = export_lp(full_model(game, 3))
             assert hashlib.sha256(text.encode()).hexdigest() == golden[name], name
 
+        # A cancer, a uniform m=5 and a chicken game at a coarse, a middle
+        # and a fine grid.
+        golden_k = {
+            ("cancer0", 2): "b639c7eedcd2dccb0daab5537d8253c139adfd5680e926dd6d8961b109b050f1",
+            ("cancer0", 7): "5602a4de57b1de8b11c8ad0f4582188f4cd2a585e79885f13a56cd21af1f857c",
+            ("cancer0", 20): "bcedf7b2cb13b7b31f446419d61ec8bae81909d514c1f9b72991be75537811c3",
+            ("u5", 2): "d0516c2c29b2f7fa41f6bda92a4dacfefebb03b231c76982bc88e3fa649af3b6",
+            ("u5", 7): "ad1bc853b1778bfbc23aee1ae829cdb17f035565adc1be40f33c9d7da0ae0248",
+            ("u5", 20): "2ea45e12722c53da76f48065e5068860591fd0eae72628fd47d2dcf4e816f62d",
+            ("chicken2", 2): "c76599ef8e2ffd4caabc6c0cd0cdecbfa448022a6892ade4afcd8f5571e53b0a",
+            ("chicken2", 7): "9e78cf9ced0107cc567665d24eb44398109939bc384daa03bb4f0c32452fc0e2",
+            ("chicken2", 20): "64934cb78c4dd808d1e1144332dc19e5204a91a1118cff67eba26f923cf05a3d",
+        }
+        games = {
+            "cancer0": normalize(cancer_game(random_cancer_params(0))),
+            "u5": normalize(uniform_random(5, seed=3)),
+            "chicken2": normalize(chicken(2)),
+        }
+        for (name, k), digest in golden_k.items():
+            text = export_lp(full_model(games[name], k))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, k)
+
 
 class TestLayout:
     """build_model gives the x/z/y system; linearize appends the lambda system after it."""
@@ -293,7 +318,7 @@ class TestLayout:
         assert full.variables[:7] == model.variables
         assert full.rows[:13] == model.rows
         assert min(i for lam in full.sos2_sets for i in lam) > 7
-        assert all(sq.q_index >= 7 for sq in full.squares)
+        assert all(full.variables[lam[0] - 1].name == f"q_{sq.name}" for sq, lam in zip(full.squares, full.sos2_sets))
         assert sum(corridor(full)) == linearization_error_bound(model.payoffs, 4)
 
     def test_linearize_rejects_a_linearized_model(self):

@@ -359,6 +359,11 @@ class TestRowColumns:
         with pytest.raises(ValueError, match=r"row 0 \(unnamed\) has a non-finite"):
             lp_solve(rows, [[0, 1], [0, 1]])
 
+    def test_rows_checked_before_a_crossed_box(self):
+        rows = [LinearRow({0: 1.0}, "<=", np.nan, name="cap"), LinearRow({0: 1.0, 1: 1.0}, "=", 1.0)]
+        with pytest.raises(ValueError, match=r"row 0 \(cap\) has a non-finite"):
+            lp_solve(rows, [[0.8, 0.2], [0, 1]])
+
     def test_restart_on_other_rows_rejected(self):
         rows = [LinearRow({0: 1.0, 1: 1.0}, "=", 1.0)]
         start = lp_solve(rows, [[0, 1], [0, 1]]).state
