@@ -61,7 +61,6 @@ from .pipeline import (
     PureEsspm,
     SolveFailed,
     run_batch,
-    solve_one,
     solve_record,
 )
 from .simplex import SolverError
@@ -124,7 +123,6 @@ __all__ = [
     "PureEsspm",
     "SolveFailed",
     "run_batch",
-    "solve_one",
     "solve_record",
     "SolverError",
     "SolveLimits",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .game import normalize, write_game
+from .game import normalize, read_game, write_game
 from .model import build_model, export_lp, linearize
 from .pipeline import (
     BatchConfig,
@@ -76,26 +76,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace, n_games: int = 1) -> BatchConfig:
+def _config(args: argparse.Namespace, **solve_params) -> BatchConfig:
+    """The game source of ``args`` as a config; ``--game-file`` is read here, once."""
+    game = None
+    if args.game_file is not None:
+        with open(args.game_file, encoding="utf-8") as fh:
+            game = read_game(fh.read())
     return BatchConfig(
-        game_class=args.game_class,
-        m=args.m,
+        game_class=args.game_class, m=args.m, seed=args.seed, game=game, **solve_params
+    )
+
+
+def _solve_config(args: argparse.Namespace, n_games: int = 1) -> BatchConfig:
+    return _config(
+        args,
         n_games=n_games,
-        seed=args.seed,
         k=args.k,
         eps=args.eps,
         delta=args.delta,
         solver=args.solver,
         limits=SolveLimits(max_nodes=args.max_nodes, max_time_ms=args.max_time_ms),
-        game_file=args.game_file,
     )
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    cfg = BatchConfig(
-        game_class=args.game_class, m=args.m, seed=args.seed, game_file=args.game_file
-    )
-    text = write_game(make_game(cfg, 0))
+    text = write_game(make_game(_config(args), 0))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -105,9 +110,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    game = make_game(cfg, 0)
-    record = solve_record(game, cfg)
+    cfg = _solve_config(args)
+    record = solve_record(make_game(cfg, 0), cfg)
     outcome = record.outcome
     print(f"status: {outcome.status}")
     if isinstance(outcome, PureEsspm):
@@ -123,9 +127,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    cfg = _config(args, n_games=args.n)
-    if cfg.game_class == "file":  # read and size it before --out is truncated
-        cfg.check_size(make_game(cfg, 0).m)
+    cfg = _solve_config(args, n_games=args.n)  # reads and checks the game before --out is truncated
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         stats = run_batch(cfg, fh)
     print(
@@ -143,10 +145,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    cfg = BatchConfig(
-        game_class=args.game_class, m=args.m, seed=args.seed, game_file=args.game_file
-    )
-    model = linearize(build_model(normalize(make_game(cfg, 0)), args.eps), args.k)
+    model = linearize(build_model(normalize(make_game(_config(args), 0)), args.eps), args.k)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(export_lp(model))
     print(f"wrote {args.out}")

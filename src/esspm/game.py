@@ -8,6 +8,7 @@ across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,7 @@ class GameMatrix:
 class MixedStrategy:
     """Probability distribution over pure strategies.
 
-    Components must be nonnegative and sum to 1 within ``PROB_SUM_TOL``.
+    Components must be finite, nonnegative and sum to 1 within ``PROB_SUM_TOL``.
     """
 
     probs: np.ndarray
@@ -89,6 +90,8 @@ class MixedStrategy:
         p = np.array(self.probs, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("a mixed strategy is a nonempty 1-d probability vector")
+        if not np.isfinite(p).all():
+            raise ValueError(f"non-finite probability in {p!r}")
         if p.min() < 0.0:
             raise ValueError(f"negative probability {p.min()!r}")
         if abs(p.sum() - 1.0) > PROB_SUM_TOL:
@@ -124,12 +127,15 @@ class MixedStrategy:
 
 @dataclass(frozen=True)
 class Support:
-    """Nonempty, strictly increasing tuple of pure-strategy indices."""
+    """Nonempty, strictly increasing tuple of pure-strategy indices (ints or numpy ints)."""
 
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        idx = tuple(int(i) for i in self.indices)
+        try:
+            idx = tuple(operator.index(i) for i in self.indices)
+        except TypeError:
+            raise ValueError(f"support indices must be integers, got {self.indices!r}") from None
         if not idx:
             raise ValueError("support must be nonempty")
         if any(b <= a for a, b in zip(idx, idx[1:])):

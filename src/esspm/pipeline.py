@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import Tolerances, approximation_error, find_pure_esspm, nash_epsilon
 from .enumeration import DEFAULT_SUPPORT_CAP, enumerate_esspm
-from .game import GameMatrix, MixedStrategy, normalize, read_game
+from .game import GameMatrix, MixedStrategy, normalize
 from .generators import (
     cancer_game,
     chicken,
@@ -45,7 +45,6 @@ __all__ = [
     "GameRecord",
     "CSV_COLUMNS",
     "make_game",
-    "solve_one",
     "solve_record",
     "run_batch",
 ]
@@ -85,7 +84,6 @@ class PureEsspm:
 class MixedEsspm:
     status: ClassVar[str] = "OPTIMAL"
     strategy: MixedStrategy
-    error: float
 
 
 @dataclass(frozen=True)
@@ -110,6 +108,8 @@ class SolveFailed:
 
 @dataclass(frozen=True)
 class BatchConfig:
+    """What to solve and how. ``game`` is the one game of class ``file``, read once."""
+
     game_class: str = "uniform"
     m: int = 2
     n_games: int = 1
@@ -119,7 +119,7 @@ class BatchConfig:
     delta: float = 1e-7
     solver: str = "milp"
     limits: SolveLimits = field(default_factory=SolveLimits)
-    game_file: str | None = None
+    game: GameMatrix | None = None
 
     def __post_init__(self) -> None:
         if self.game_class not in GAME_CLASSES:
@@ -133,20 +133,14 @@ class BatchConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.solver not in ("milp", "enum", "both"):
             raise ValueError(f"unknown solver {self.solver!r}")
-        if self.game_class == "file" and not self.game_file:
-            raise ValueError("game class 'file' needs game_file")
-        if self.game_class == "uniform":
-            if self.m < 2:
-                raise ValueError(f"m must be >= 2, got {self.m}")
-            self.check_size(self.m)
-
-    def check_size(self, m: int) -> None:
-        """Raise ValueError when the configured solver cannot take m strategies.
-
-        A file's m is known only once it is read, so a caller checks it then.
-        """
-        if self.solver != "milp" and m > DEFAULT_SUPPORT_CAP:
-            raise ValueError(f"m={m} exceeds the enumeration cap of {DEFAULT_SUPPORT_CAP}")
+        if (self.game_class == "file") != (self.game is not None):
+            raise ValueError("game class 'file' needs a game, and no other class takes one")
+        if self.game_class == "uniform" and self.m < 2:
+            raise ValueError(f"m must be >= 2, got {self.m}")
+        if self.game_class in ("uniform", "file") and self.solver != "milp":
+            m = self.m if self.game is None else self.game.m
+            if m > DEFAULT_SUPPORT_CAP:
+                raise ValueError(f"m={m} exceeds the enumeration cap of {DEFAULT_SUPPORT_CAP}")
 
     @property
     def tolerances(self) -> Tolerances:
@@ -203,16 +197,14 @@ def make_game(cfg: BatchConfig, index: int) -> GameMatrix:
         return rock_paper_scissors()
     if cfg.game_class == "counterexample":
         return counterexample_game()
-    with open(cfg.game_file, encoding="utf-8") as fh:
-        return read_game(fh.read())
+    return cfg.game
 
 
 def _milp_outcome(norm: GameMatrix, cfg: BatchConfig) -> EsspmOutcome:
     model = build_model(norm, cfg.eps)
     result = solve(model, cfg.limits)
     if result.status is SolveStatus.FEASIBLE:
-        strategy = extract_strategy(result, norm.m)
-        return MixedEsspm(strategy, approximation_error(norm, strategy, cfg.tolerances))
+        return MixedEsspm(extract_strategy(result, norm.m))
     if result.status is SolveStatus.LIMIT_REACHED:
         return LimitReached()
     return Infeasible()
@@ -227,8 +219,7 @@ def _enum_outcome(norm: GameMatrix, cfg: BatchConfig) -> EsspmOutcome:
     certs = enumerate_esspm(norm, cfg.tolerances, limit=1)
     if not certs:
         return Infeasible()
-    best = certs[0]
-    return MixedEsspm(best.strategy, approximation_error(norm, best.strategy, cfg.tolerances))
+    return MixedEsspm(certs[0].strategy)
 
 
 def _solve_normalized(norm: GameMatrix, cfg: BatchConfig) -> tuple[EsspmOutcome, int]:
@@ -249,29 +240,27 @@ def _solve_normalized(norm: GameMatrix, cfg: BatchConfig) -> tuple[EsspmOutcome,
     return milp, int(any(c.min_slack() > cfg.eps for c in certs))
 
 
-def solve_one(game: GameMatrix, cfg: BatchConfig) -> EsspmOutcome:
-    """Normalize, try the pure-strategy preprocessing pass, then the configured solver."""
-    return solve_record(game, cfg).outcome
-
-
 def solve_record(game: GameMatrix, cfg: BatchConfig, game_id: int = 0) -> GameRecord:
-    """Solve one game as :func:`solve_one` describes and collect its CSV fields."""
+    """Normalize, try the pure-strategy preprocessing pass, then the configured solver.
+
+    Returns the verdict with its CSV fields; ``.outcome`` is the verdict alone.
+    """
     t0 = time.perf_counter()
     norm = normalize(game)
     pure = find_pure_esspm(norm, cfg.tolerances)
     disagreement = 0
-    if pure is not None:
-        outcome: EsspmOutcome = PureEsspm(pure)
-    else:
-        outcome, disagreement = _solve_normalized(norm, cfg)
-    runtime_ms = (time.perf_counter() - t0) * 1000.0
-
     strategy: MixedStrategy | None = None
     error: float | None = None
-    if isinstance(outcome, PureEsspm):
-        strategy, error = MixedStrategy.pure(outcome.index, norm.m), 0.0
-    elif isinstance(outcome, MixedEsspm):
-        strategy, error = outcome.strategy, outcome.error
+    if pure is not None:
+        outcome: EsspmOutcome = PureEsspm(pure)
+        strategy, error = MixedStrategy.pure(pure, norm.m), 0.0
+    else:
+        outcome, disagreement = _solve_normalized(norm, cfg)
+        if isinstance(outcome, MixedEsspm):
+            strategy = outcome.strategy
+            error = approximation_error(norm, strategy, cfg.tolerances)
+    runtime_ms = (time.perf_counter() - t0) * 1000.0
+
     return GameRecord(
         game_id=game_id,
         game_class=cfg.game_class,

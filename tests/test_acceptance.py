@@ -33,7 +33,7 @@ from esspm import (
     random_cancer_params,
     rock_paper_scissors,
     solve,
-    solve_one,
+    solve_record,
     uniform_random,
     verify_assignment,
 )
@@ -73,9 +73,9 @@ def test_criterion_1_mutation_population_solve(capsys):
     assert error <= 1e-3
     assert elapsed <= 60.0
     # Same result through the library pipeline.
-    outcome = solve_one(mutation_population(), BatchConfig(game_class="mp", k=20, eps=EPS))
-    assert isinstance(outcome, MixedEsspm)
-    assert outcome.error <= 1e-3
+    record = solve_record(mutation_population(), BatchConfig(game_class="mp", k=20, eps=EPS))
+    assert isinstance(record.outcome, MixedEsspm)
+    assert record.error <= 1e-3
     _report(1, f"strategy off by {linf:.2e} (L-inf), error {error:.2e}, {elapsed:.2f}s")
 
 
@@ -88,9 +88,9 @@ def test_criterion_2_breakpoint_refinement():
     ceilings = {10: 5 * 0.001, 20: 5 * 1.4e-4, 30: 5 * 5.5e-5}
     errors = {}
     for k in (10, 20, 30):
-        outcome = solve_one(mutation_population(), BatchConfig(game_class="mp", k=k, eps=EPS))
-        assert isinstance(outcome, MixedEsspm), f"k={k}"
-        errors[k] = outcome.error
+        record = solve_record(mutation_population(), BatchConfig(game_class="mp", k=k, eps=EPS))
+        assert isinstance(record.outcome, MixedEsspm), f"k={k}"
+        errors[k] = record.error
         assert errors[k] <= ceilings[k], f"k={k}"
     assert errors[10] == errors[20] == errors[30]
     _report(2, f"errors by k: {errors[10]:.2e} == {errors[20]:.2e} == {errors[30]:.2e}")

@@ -6,7 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from esspm import SolverError, mutation_population, read_game
+from esspm import (
+    SolverError,
+    find_pure_esspm,
+    mutation_population,
+    normalize,
+    read_game,
+    uniform_random,
+    write_game,
+)
 from esspm.cli import cli_main
 
 
@@ -55,6 +63,35 @@ class TestSolve:
         assert code == 0
         assert "OPTIMAL" in capsys.readouterr().out
 
+    def test_game_file_needs_file_class(self, tmp_path, capsys):
+        # The file holds a game with no pure ESSPM; the default uniform 2x2
+        # game at seed 0 has one, so solving that instead would print PURE.
+        path = tmp_path / "mp.txt"
+        path.write_text("2\n4 2\n8 1\n")
+        code = cli_main(["solve", "--game-file", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no other class takes one" in captured.err
+
+    def test_file_over_the_cap_exits_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        import esspm.pipeline
+
+        game = uniform_random(21, 4)
+        assert find_pure_esspm(normalize(game)) is None
+        path = tmp_path / "g21.txt"
+        path.write_text(write_game(game))
+        calls = []
+
+        def spy(model, limits):
+            calls.append(model)
+            raise SolverError("the MILP should not run")
+
+        monkeypatch.setattr(esspm.pipeline, "solve", spy)
+        code = cli_main(["solve", "--class", "file", "--game-file", str(path), "--solver", "both"])
+        assert code == 2
+        assert calls == []
+        assert "enumeration cap" in capsys.readouterr().err
 
     def test_node_limit(self, capsys):
         code = cli_main(["solve", "--class", "uniform", "--m", "4", "--seed", "1", "--max-nodes", "1"])
@@ -87,6 +124,29 @@ class TestBatch:
             rows = list(csv.reader(fh))
         assert len(rows) == 21
         assert "games=20" in capsys.readouterr().out
+
+    def test_file_batch_reads_the_game_once(self, tmp_path, capsys, monkeypatch):
+        import esspm.cli
+        import esspm.pipeline
+
+        game = tmp_path / "mp.txt"
+        game.write_text("2\n4 2\n8 1\n")
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return open(file, *args, **kwargs)
+
+        for module in (esspm.cli, esspm.pipeline):
+            monkeypatch.setattr(module, "open", counting_open, raising=False)
+        out = tmp_path / "f.csv"
+        code = cli_main(["batch", "--class", "file", "--game-file", str(game), "--n", "50",
+                         "--out", str(out)])
+        assert code == 0
+        assert opened.count(str(game)) == 1
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 51 and {row[7] for row in rows[1:]} == {"OPTIMAL"}
 
     def test_solver_error_exits_1_after_the_full_csv(self, tmp_path, capsys, monkeypatch):
         import esspm.pipeline

@@ -55,6 +55,13 @@ class TestMixedStrategy:
         with pytest.raises(ValueError, match="sum"):
             MixedStrategy([0.5, 0.4])
 
+    @pytest.mark.parametrize(
+        "probs", [[np.nan, np.nan], [0.5, np.nan], [np.inf, 0.0], [1.0, np.inf, -np.inf]]
+    )
+    def test_rejects_non_finite(self, probs):
+        with pytest.raises(ValueError, match="non-finite"):
+            MixedStrategy(probs)
+
     def test_support(self):
         s = MixedStrategy([0.5, 0.0, 0.5])
         assert s.support().indices == (0, 2)
@@ -72,6 +79,16 @@ class TestSupport:
     def test_range_check(self):
         with pytest.raises(ValueError, match="out of range"):
             Support((0, 5)).validate_for(3)
+
+    @pytest.mark.parametrize("indices", [(0, 1.5), (0.0, 1), (0, np.float64(2.0))])
+    def test_rejects_non_integer_indices(self, indices):
+        with pytest.raises(ValueError, match="integers"):
+            Support(indices)
+
+    def test_numpy_integer_indices(self):
+        support = Support(tuple(np.array([0, 2], dtype=np.int64)))
+        assert support.indices == (0, 2)
+        assert all(type(i) is int for i in support.indices)
 
 
 class TestUtility:

@@ -22,10 +22,11 @@ from esspm import (
     linearization_error_bound,
     mutation_population,
     normalize,
+    read_game,
     rock_paper_scissors,
     run_batch,
-    solve_one,
     solve_record,
+    uniform_random,
 )
 from esspm.pipeline import CSV_COLUMNS, GameRecord, _csv_row, make_game
 
@@ -39,24 +40,25 @@ def batch_csv(cfg):
 
 class TestSolveOne:
     def test_counterexample_pure(self):
-        out = solve_one(counterexample_game(), BatchConfig(game_class="counterexample"))
+        out = solve_record(counterexample_game(), BatchConfig(game_class="counterexample")).outcome
         assert out == PureEsspm(0)
 
     def test_mp_milp(self):
-        out = solve_one(mutation_population(), BatchConfig(game_class="mp", k=20))
+        record = solve_record(mutation_population(), BatchConfig(game_class="mp", k=20))
+        out = record.outcome
         assert isinstance(out, MixedEsspm)
         assert np.max(np.abs(out.strategy.probs - np.array([0.2, 0.8]))) <= 0.01
-        assert out.error <= 1e-3
+        assert record.error <= 1e-3
 
     def test_mp_enum(self):
-        out = solve_one(
+        out = solve_record(
             mutation_population(), BatchConfig(game_class="mp", solver="enum")
-        )
+        ).outcome
         assert isinstance(out, MixedEsspm)
         np.testing.assert_allclose(out.strategy.probs, [0.2, 0.8], atol=1e-9)
 
     def test_rps_both_agree_infeasible(self):
-        out = solve_one(rock_paper_scissors(), BatchConfig(game_class="rps", solver="both"))
+        out = solve_record(rock_paper_scissors(), BatchConfig(game_class="rps", solver="both")).outcome
         assert isinstance(out, Infeasible)
 
     @pytest.mark.parametrize(
@@ -75,7 +77,7 @@ class TestSolveOne:
             return real_solve(model, *args, **kwargs)
 
         monkeypatch.setattr(esspm.pipeline, "solve", spy)
-        solve_one(game, BatchConfig(game_class=cls, k=20))
+        solve_record(game, BatchConfig(game_class=cls, k=20))
         (model,) = models
         m = game.m
         assert len(model.variables) == 2 * m + 1
@@ -93,12 +95,23 @@ class TestMakeGame:
     def test_file_class(self, tmp_path):
         path = tmp_path / "game.txt"
         path.write_text("2\n4 2\n8 1\n")
-        cfg = BatchConfig(game_class="file", game_file=str(path))
+        cfg = BatchConfig(game_class="file", game=read_game(path.read_text()))
         assert make_game(cfg, 0) == mutation_population()
 
     def test_file_class_requires_path(self):
-        with pytest.raises(ValueError, match="game_file"):
+        with pytest.raises(ValueError, match="needs a game"):
             BatchConfig(game_class="file")
+
+    def test_game_only_for_file_class(self):
+        with pytest.raises(ValueError, match="no other class takes one"):
+            BatchConfig(game_class="uniform", game=mutation_population())
+
+    @pytest.mark.parametrize("solver", ["enum", "both"])
+    def test_file_game_over_the_enumeration_cap(self, solver):
+        game = uniform_random(21, 4)
+        with pytest.raises(ValueError, match="enumeration cap"):
+            BatchConfig(game_class="file", game=game, solver=solver)
+        assert BatchConfig(game_class="file", game=game).game is game
 
 
 class TestRunBatch:
@@ -268,7 +281,7 @@ class TestNashEpsColumn:
             game_id=0,
             game_class="mp",
             m=2,
-            outcome=MixedEsspm(strategy, 0.0),
+            outcome=MixedEsspm(strategy),
             strategy=strategy,
             error=0.0,
             nash_eps=nash_eps,
