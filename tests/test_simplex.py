@@ -463,6 +463,63 @@ class TestBlandRule:
         assert bland_calls and all(bland_calls)
 
 
+class TestRatioTest:
+    """``_ratio_test(j, col_eff)``: how far column j may move, and which row leaves.
+
+    The state is a feasible solve of x0 + x1 = 1, x0 - x1 <= 0.5 on [0, 1]^2
+    restarted under a box that keeps its point: x1 = 0.25 is basic in row 0 and x0 = 0.75 in row 1,
+    so the later row holds the smaller basic index. Column 2, the slack, has
+    an unbounded range and column 1 of the other state below a range of 1.
+    """
+
+    rows = [LinearRow({0: 1.0, 1: 1.0}, "=", 1.0), LinearRow({0: 1.0, 1: -1.0}, "<=", 0.5)]
+
+    def state(self, box=((0.0, 1.0), (0.0, 1.0))):
+        sx = lp_solve(self.rows, [[0, 1], [0, 1]]).state.restarted(np.array(box))
+        assert [int(k) for k in sx.basis] == [1, 0] and sx.cost.size == 0
+        return sx
+
+    def test_tie_goes_to_the_smaller_basic_index(self):
+        sx = self.state()
+        x = sx.values()
+        # Row 0 (basic x1) stops at 1, row 1 (basic x0) 4e-13 later: a tie.
+        t, row = sx._ratio_test(2, np.array([x[1], x[0] / (1.0 + 4e-13)]))
+        assert (t, row) == (1.0, 1)
+        # 2e-12 later is past the tie window, so row 0 leaves.
+        t, row = sx._ratio_test(2, np.array([x[1], x[0] / (1.0 + 2e-12)]))
+        assert (t, row) == (1.0, 0)
+
+    def test_short_own_range_flips_the_bound(self):
+        box = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+        rows = [LinearRow({0: 1.0, 1: 1.0, 2: 1.0}, "=", 1.0), LinearRow({1: 1.0, 2: 2.0}, "=", 0.8)]
+        sx = lp_solve(rows, box).state.restarted(box)
+        assert [int(k) for k in sx.basis] == [0, 2]  # x1 is nonbasic with a range of 1
+        x = sx.values()
+        assert sx._ratio_test(1, np.array([0.1, 0.1]) * x[[0, 2]]) == (1.0, None)
+        # A row limit equal to the own range still flips the bound.
+        assert sx._ratio_test(1, x[[0, 2]].copy()) == (1.0, None)
+        t, row = sx._ratio_test(1, 2.0 * x[[0, 2]])
+        assert t == pytest.approx(0.5) and row == 0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_tiny_entry_never_blocks(self, sign):
+        # x1 sits at the bound its entry moves it toward, so the row would stop
+        # a step of 0 if its entry counted.
+        box = ((0.0, 1.0), (0.25, 1.0)) if sign > 0 else ((0.0, 1.0), (0.0, 0.25))
+        sx = self.state(box)
+        x0 = sx.values()[0]
+        t, row = sx._ratio_test(2, np.array([sign * simplex._PIV_TOL, x0]))
+        assert (t, row) == (1.0, 1)
+        assert sx._ratio_test(2, np.array([sign * 2.0 * simplex._PIV_TOL, x0])) == (0.0, 0)
+
+    def test_no_finite_step_is_unbounded(self, monkeypatch):
+        sx = self.state()
+        assert sx._ratio_test(2, np.zeros(2)) == (np.inf, None)
+        monkeypatch.setattr(simplex._BoundedSimplex, "_ratio_test", lambda self, j, col: (np.inf, None))
+        with pytest.raises(SolverError, match="LP relaxation is unbounded"):
+            lp_solve(self.rows, [[0, 1], [0, 1]])
+
+
 class TestDegeneracy:
     def test_iteration_cap_raises(self, monkeypatch):
         # A pivot rule that never reaches an optimum: column 0 always enters

@@ -438,6 +438,29 @@ class TestDominancePropagation:
         assert sum(s.pruned for s in stats) > 500
 
 
+class TestSearchPins:
+    """Exact search counts of a fixed MILP deck.
+
+    A change to the simplex's bookkeeping that keeps every pivot and every
+    point keeps these totals; a changed pivot rule, tolerance or start
+    shows up as a changed node, prune or pivot count.
+    """
+
+    def test_deck_totals(self):
+        seeds = range(11, 2011)
+        deck = [g for m in (3, 4, 5) for g in _no_pure((uniform_random(m, s) for s in seeds), 40)]
+        deck += _no_pure((chicken(s) for s in seeds), 40)
+        deck += _no_pure((cancer_game(random_cancer_params(s)) for s in seeds), 40)
+        nodes = pruned = pivots = feasible = 0
+        for norm in deck:
+            res = solve(build_model(norm))
+            nodes += res.stats.nodes
+            pruned += res.stats.pruned
+            pivots += res.stats.lp_iterations
+            feasible += res.status is SolveStatus.FEASIBLE
+        assert (nodes, pruned, pivots, feasible) == (822, 351, 5513, 190)
+
+
 class TestLinearizedModel:
     """The x/z/y search, checked against the paper's full lambda/SOS2 model."""
 
