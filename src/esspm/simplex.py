@@ -11,6 +11,18 @@ row m of the tableau and follow each pivot's rank-1 update, and the bounds of
 the basic variables and the set of columns that may enter are kept in step
 with the basis, so a pivot recomputes none of them.
 
+Layout. During ``minimize`` the tableau ``T``, the basic values ``xB``, the
+column bounds ``lower`` and ``upper``, the ``at_upper`` flags and the ``move``
+mask are numpy arrays; the basis and the bounds of the basic variables
+(``lowerB``, ``upperB``) are Python lists, and ``minimize`` reads the column
+bounds through list copies. The ratio test is one Python pass over
+``col_eff.tolist()`` and ``xB.tolist()``, and a pivot's scalar bookkeeping
+touches no numpy scalar it can avoid; the vector work (the entering scan, the
+update of ``xB`` and the rank-1 update of ``T``) stays in numpy. The pivot
+choice and its arithmetic are the plain IEEE formulas either way (each limit
+is (x - target) / c, the step the smallest limit clamped at 0), so the lists
+change no pivot and no bit of a point.
+
 Restart. Every phase 1 is entered by ``restarted(bounds)`` from a state. A
 feasible solve hands back its final state (tableau, basis, basic values and
 at-upper flags) on ``LPResult.state``, and ``lp_solve(rows, bounds,
@@ -36,6 +48,7 @@ m-strategy game); everything is dense numpy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +118,8 @@ class _BoundedSimplex:
     the artificial mass, the sum of the columns in ``cost``. ``move[j]`` is
     +1 for a nonbasic column that may rise from its lower bound, -1 for one
     that may fall from its upper bound, and 0 for a basic or fixed column.
+    ``basis`` lists the basic column of each row, and a restarted state's
+    ``lowerB`` and ``upperB`` list their bounds.
     """
 
     def __init__(self, system: _System, b: np.ndarray):
@@ -117,18 +132,8 @@ class _BoundedSimplex:
         self.xB = np.array(b, dtype=float)
         self.lower = np.zeros(n + m)
         self.upper = np.concatenate([np.zeros(system.n), np.full(n - system.n + m, np.inf)])
-        self.basis = np.arange(n, n + m)
+        self.basis = list(range(n, n + m))
         self.at_upper = np.zeros(n + m, dtype=bool)
-
-    def _sync(self) -> None:
-        """Derive the basic bounds and the move mask from basis, bounds and flags."""
-        self.lowerB = self.lower[self.basis]
-        self.upperB = self.upper[self.basis]
-        move = np.where(self.at_upper, -1.0, 1.0)
-        move[self.upper <= self.lower] = 0.0
-        move[self.basis] = 0.0
-        self.move = move
-        self.limits = np.empty(self.m)  # ratio-test scratch
 
     # -- point bookkeeping ------------------------------------------------
 
@@ -138,10 +143,6 @@ class _BoundedSimplex:
         x[self.basis] = self.xB
         return x
 
-    def mass(self) -> float:
-        """Artificial mass, the phase-1 objective."""
-        return float(self.values()[self.cost].sum())
-
     # -- restart ------------------------------------------------------------
 
     def restarted(self, bounds: np.ndarray) -> _BoundedSimplex:
@@ -150,7 +151,8 @@ class _BoundedSimplex:
         Every artificial is fixed at [0, 0]. A row whose basic variable is
         left outside its bounds takes a nonbasic artificial's column slot as
         its fresh artificial e_i: the basic artificials occupy at most the
-        other rows, so enough slots are free.
+        other rows, so enough slots are free. The bounds of the basic
+        variables and the move mask are then derived once, from the final basis.
         """
         m, nr = self.m, self.n_real
         # A fresh instance, not copy.copy: the pivot loop reads the attributes
@@ -158,7 +160,7 @@ class _BoundedSimplex:
         sx = object.__new__(_BoundedSimplex)
         sx.m, sx.n_real, sx.system, sx.iterations = m, nr, self.system, 0
         T = sx.T = self.T.copy()
-        basis = sx.basis = self.basis.copy()
+        basis = np.array(self.basis, dtype=np.intp)
         at_upper = sx.at_upper = self.at_upper.copy()
         lower, upper = sx.lower, sx.upper = self.lower.copy(), self.upper.copy()
         old = np.where(at_upper, upper, lower)
@@ -168,9 +170,9 @@ class _BoundedSimplex:
         delta[basis] = 0.0
         xB = sx.xB = self.xB - T[:m] @ delta
 
-        excess = xB - np.clip(xB, lower[basis], upper[basis])
+        lowerB, upperB = lower[basis], upper[basis]
+        excess = xB - np.maximum(lowerB, np.minimum(xB, upperB))
         opened = (np.abs(excess) > _BOUND_TOL).nonzero()[0]
-        T[m] = 0.0
         if opened.size:
             excess = excess[opened]
             leaving = basis[opened]
@@ -179,19 +181,24 @@ class _BoundedSimplex:
             in_basis[basis] = True
             in_basis[leaving] = False
             slots = nr + (~in_basis[nr:]).nonzero()[0][: opened.size]
-            T[opened] *= np.sign(excess)[:, None]
-            T[:, slots] = 0.0
-            T[opened, slots] = 1.0
+            T[opened] = rows = T[opened] * np.sign(excess)[:, None]
             # Reduced costs of the mass of the new artificials: cost 1 on the
             # slots, less the sum of the rows they are basic in.
-            T[m] = -T[opened].sum(axis=0)
-            T[m, slots] = 0.0
+            np.negative(rows.sum(axis=0), out=T[m])
+            T[:, slots] = 0.0
+            T[opened, slots] = 1.0
             at_upper[slots] = False
             upper[slots] = np.inf
             basis[opened] = slots
             xB[opened] = np.abs(excess)
+            lowerB[opened], upperB[opened] = 0.0, np.inf
+        else:
+            T[m] = 0.0
         sx.cost = basis[opened]
-        sx._sync()
+        move = sx.move = np.where(at_upper, -1.0, 1.0)
+        move[upper <= lower] = 0.0
+        move[basis] = 0.0
+        sx.basis, sx.lowerB, sx.upperB = basis.tolist(), lowerB.tolist(), upperB.tolist()
         return sx
 
     # -- pivoting ----------------------------------------------------------
@@ -206,59 +213,68 @@ class _BoundedSimplex:
 
     def _ratio_test(self, j: int, col_eff: np.ndarray):
         """(step length, blocking row or None) when column j moves by col_eff per unit."""
-        limits = self.limits
-        limits.fill(np.inf)
-        target = np.where(col_eff > 0.0, self.lowerB, self.upperB)
-        np.divide(self.xB - target, col_eff, out=limits, where=np.abs(col_eff) > _PIV_TOL)
-        t_rows = max(float(limits.min()), 0.0) if self.m else np.inf
+        xB, lowerB, upperB = self.xB.tolist(), self.lowerB, self.upperB
+        rows, limits = [], []
+        for i, c in enumerate(col_eff.tolist()):
+            if c > _PIV_TOL:
+                limits.append((xB[i] - lowerB[i]) / c)
+            elif c < -_PIV_TOL:
+                limits.append((xB[i] - upperB[i]) / c)
+            else:
+                continue  # an entry of at most _PIV_TOL never blocks
+            rows.append(i)
+        t_rows = max(min(limits), 0.0) if limits else math.inf
         t_own = self.upper[j] - self.lower[j]
         if t_own <= t_rows:
             return t_own, None
         # Bland-compatible tie-break: smallest basic variable index.
-        tied = (limits <= t_rows + 1e-12).nonzero()[0]
-        return t_rows, int(tied[self.basis[tied].argmin()])
+        window = t_rows + 1e-12
+        tied = [i for i, limit in zip(rows, limits) if limit <= window]
+        return t_rows, min(tied, key=self.basis.__getitem__)
 
-    def minimize(self, max_iter: int) -> float:
-        """Run simplex iterations to minimize the artificial mass; returns it."""
-        T, m = self.T, self.m
+    def minimize(self, max_iter: int) -> None:
+        """Run simplex iterations until no entering column lowers the artificial mass."""
+        T, m, xB, move, at_upper = self.T, self.m, self.xB, self.move, self.at_upper
+        basis, lowerB, upperB = self.basis, self.lowerB, self.upperB
+        lower, upper = self.lower.tolist(), self.upper.tolist()
         stall = 0  # consecutive degenerate pivots
         while True:
             if self.iterations >= max_iter:
                 raise SolverError(f"iteration limit {max_iter} exceeded")
             j = self._entering(T[m], bland=stall > _STALL_LIMIT)
             if j is None:
-                return self.mass()
-            d = self.move[j]
+                return
+            d = move[j]
             col_eff = d * T[:m, j]
             t, rr = self._ratio_test(j, col_eff)
-            if t == np.inf:
+            if t == math.inf:
                 raise SolverError("LP relaxation is unbounded")
             self.iterations += 1
             stall = stall + 1 if t <= 1e-12 else 0
-            self.xB -= t * col_eff
+            xB -= t * col_eff
             if rr is None:
-                self.at_upper[j] = not self.at_upper[j]
-                self.move[j] = -d
+                at_upper[j] = not at_upper[j]
+                move[j] = -d
                 continue
             piv = T[rr, j]
             if abs(piv) < _PIV_TOL:
                 raise SolverError("vanishing pivot")
-            enter_val = (self.upper[j] if self.at_upper[j] else self.lower[j]) + d * t
-            leave = self.basis[rr]
+            enter_val = (upper[j] if at_upper[j] else lower[j]) + d * t
+            leave = basis[rr]
             leave_upper = bool(col_eff[rr] < 0.0)
-            self.at_upper[leave] = leave_upper
-            if self.upper[leave] > self.lower[leave]:
-                self.move[leave] = -1.0 if leave_upper else 1.0
-            self.move[j] = 0.0
-            self.basis[rr] = j
-            self.lowerB[rr], self.upperB[rr] = self.lower[j], self.upper[j]
-            self.xB[rr] = enter_val
+            at_upper[leave] = leave_upper
+            if upper[leave] > lower[leave]:
+                move[leave] = -1.0 if leave_upper else 1.0
+            move[j] = 0.0
+            basis[rr] = j
+            lowerB[rr], upperB[rr] = lower[j], upper[j]
+            xB[rr] = enter_val
+            # Column j comes out as e_rr with no extra write: row rr holds
+            # piv / piv = 1.0 there, and every other row T[i, j] - T[i, j] * 1.0 = +0.0.
             T[rr] /= piv
             colj = T[:, j].copy()
             colj[rr] = 0.0
             T -= colj[:, None] * T[rr]
-            T[:, j] = 0.0
-            T[rr, j] = 1.0
 
 # The final state of a feasible solve, as ``LPResult.state`` hands it back.
 LPState = _BoundedSimplex
@@ -320,9 +336,11 @@ def _ladder(start: LPState | None, system: _System):
 
 def _finish(sx: _BoundedSimplex) -> LPResult:
     """Phase 1 to its optimum under the iteration cap, then the row-residual check."""
-    if sx.minimize(2000 + 40 * (sx.m + sx.T.shape[1])) > _FEAS_SUM_TOL:
+    sx.minimize(2000 + 40 * (sx.m + sx.T.shape[1]))
+    x = sx.values()
+    if float(x[sx.cost].sum()) > _FEAS_SUM_TOL:  # the artificial mass
         return LPResult("infeasible", None, sx.iterations)
-    x = sx.values()[: sx.system.n]
+    x = x[: sx.system.n]
     if sx.system.residual(x) > _ROW_CHECK_TOL:
         raise SolverError("solution failed the row-residual check")
     return LPResult("feasible", x, sx.iterations, sx)
