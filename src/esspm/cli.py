@@ -25,7 +25,12 @@ __all__ = ["cli_main", "main"]
 
 def _add_game_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--class", dest="game_class", choices=GAME_CLASSES, default="uniform")
-    p.add_argument("--m", type=int, default=2, help="pure strategies per player")
+    p.add_argument(
+        "--m",
+        type=int,
+        help="pure strategies per player: the size of a uniform game (default 2); "
+        "any other class has a fixed size, which a given --m must match",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--game-file", help="path to a game in the text format (class 'file')")
 
@@ -77,14 +82,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args: argparse.Namespace, **solve_params) -> BatchConfig:
-    """The game source of ``args`` as a config; ``--game-file`` is read here, once."""
+    """The game source of ``args`` as a config; ``--game-file`` is read here, once.
+
+    A ``--m`` given for a class other than ``uniform`` must equal the size of
+    that class's games (a file game's header), or ValueError is raised.
+    """
     game = None
     if args.game_file is not None:
         with open(args.game_file, encoding="utf-8") as fh:
             game = read_game(fh.read())
-    return BatchConfig(
-        game_class=args.game_class, m=args.m, seed=args.seed, game=game, **solve_params
+    cfg = BatchConfig(
+        game_class=args.game_class,
+        m=2 if args.m is None else args.m,
+        seed=args.seed,
+        game=game,
+        **solve_params,
     )
+    if args.m is not None and cfg.game_class != "uniform":
+        size = make_game(cfg, 0).m
+        if size != args.m:
+            raise ValueError(f"--m {args.m} does not match class {cfg.game_class}, whose games have m={size}")
+    return cfg
 
 
 def _solve_config(args: argparse.Namespace, n_games: int = 1) -> BatchConfig:

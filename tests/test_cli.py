@@ -213,6 +213,51 @@ class TestNumpyOnlyRuntime:
         assert (tmp_path / "m.lp").read_text().endswith("End\n")
 
 
+class TestSizeOption:
+    """``--m`` sizes a uniform game; for any other class a given --m must match the game."""
+
+    @pytest.mark.parametrize(
+        ("game_class", "m", "size"),
+        [("chicken", 25, 2), ("mp", 3, 2), ("rps", 2, 3), ("counterexample", 4, 3), ("cancer", 30, 4)],
+    )
+    def test_solve_with_a_mismatched_m_exits_2(self, capsys, game_class, m, size):
+        code = cli_main(["solve", "--class", game_class, "--m", str(m), "--solver", "enum"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--m {m} does not match class {game_class}, whose games have m={size}" in captured.err
+
+    def test_file_game_checks_m_against_its_header(self, tmp_path, capsys):
+        path = tmp_path / "mp.txt"
+        path.write_text("2\n4 2\n8 1\n")
+        assert cli_main(["solve", "--class", "file", "--game-file", str(path), "--m", "3"]) == 2
+        assert "whose games have m=2" in capsys.readouterr().err
+        assert cli_main(["solve", "--class", "file", "--game-file", str(path), "--m", "2"]) == 0
+        assert "status: OPTIMAL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["gen", "batch", "export-lp"])
+    def test_mismatch_leaves_out_untouched(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.write_bytes(b"game_id,status\r\n7,OPTIMAL\r\n")
+        code = cli_main([command, "--class", "cancer", "--m", "30", "--out", str(out)])
+        assert code == 2
+        assert out.read_bytes() == b"game_id,status\r\n7,OPTIMAL\r\n"
+        assert capsys.readouterr().out == ""
+
+    def test_matching_m_runs(self, tmp_path, capsys):
+        assert cli_main(["solve", "--class", "cancer", "--m", "4", "--solver", "both"]) == 0
+        assert "status:" in capsys.readouterr().out
+        out = tmp_path / "c.csv"
+        assert cli_main(["batch", "--class", "cancer", "--m", "4", "--n", "3", "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["m"] for r in rows] == ["4"] * 3
+
+    def test_uniform_defaults_to_two_strategies(self, capsys):
+        assert cli_main(["gen", "--class", "uniform"]) == 0
+        assert read_game(capsys.readouterr().out).m == 2
+
+
 class TestErrors:
     def test_usage_error_exit_code(self, capsys):
         assert cli_main(["solve", "--class", "nonsense"]) == 2
