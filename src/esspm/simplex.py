@@ -171,7 +171,7 @@ class _BoundedSimplex:
         xB = sx.xB = self.xB - T[:m] @ delta
 
         lowerB, upperB = lower[basis], upper[basis]
-        excess = xB - np.maximum(lowerB, np.minimum(xB, upperB))
+        excess = xB - np.clip(xB, lowerB, upperB)
         opened = (np.abs(excess) > _BOUND_TOL).nonzero()[0]
         if opened.size:
             excess = excess[opened]
@@ -183,7 +183,9 @@ class _BoundedSimplex:
             slots = nr + (~in_basis[nr:]).nonzero()[0][: opened.size]
             T[opened] = rows = T[opened] * np.sign(excess)[:, None]
             # Reduced costs of the mass of the new artificials: cost 1 on the
-            # slots, less the sum of the rows they are basic in.
+            # slots, less the sum of the rows they are basic in. The sum is
+            # taken before the slot columns are written; row m's slot entries
+            # are then cleared with the rest of those columns.
             np.negative(rows.sum(axis=0), out=T[m])
             T[:, slots] = 0.0
             T[opened, slots] = 1.0
