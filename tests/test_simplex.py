@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 from esspm import (
+    GameMatrix,
     LinearRow,
     SolveStatus,
     build_model,
@@ -511,6 +512,41 @@ class TestRatioTest:
         t, row = sx._ratio_test(2, np.array([sign * simplex._PIV_TOL, x0]))
         assert (t, row) == (1.0, 1)
         assert sx._ratio_test(2, np.array([sign * 2.0 * simplex._PIV_TOL, x0])) == (0.0, 0)
+
+    def test_matches_the_array_formula(self, monkeypatch):
+        # Every ratio test of random cold and warm solves and of MILPs on
+        # {0, 1, 2} games, whose degenerate vertices tie often, gives the
+        # answer of the whole-array formula: the same step and row.
+        def reference(sx, j, col_eff):
+            limits = np.full(sx.m, np.inf)
+            target = np.where(col_eff > 0.0, sx.lowerB, sx.upperB)
+            np.divide(sx.xB - target, col_eff, out=limits, where=np.abs(col_eff) > simplex._PIV_TOL)
+            t_rows = max(float(limits.min()), 0.0) if sx.m else np.inf
+            t_own = sx.upper[j] - sx.lower[j]
+            if t_own <= t_rows:
+                return t_own, None
+            tied = (limits <= t_rows + 1e-12).nonzero()[0]
+            return t_rows, int(tied[np.asarray(sx.basis)[tied].argmin()]), tied.size
+
+        calls = ties = 0
+        real = simplex._BoundedSimplex._ratio_test
+
+        def checked(self, j, col_eff):
+            nonlocal calls, ties
+            got, want = real(self, j, col_eff), reference(self, j, col_eff)
+            assert got == want[:2]
+            calls += 1
+            ties += len(want) == 3 and want[2] > 1
+            return got
+
+        monkeypatch.setattr(simplex._BoundedSimplex, "_ratio_test", checked)
+        warm_cold_agreement(monkeypatch, trials=60)
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            payoffs = rng.integers(0, 3, (4, 4)).astype(float)
+            if payoffs.max() > payoffs.min():
+                solve(build_model(normalize(GameMatrix(payoffs))))
+        assert calls > 800 and ties > 50
 
     def test_no_finite_step_is_unbounded(self, monkeypatch):
         sx = self.state()
