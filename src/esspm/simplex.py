@@ -16,12 +16,11 @@ column bounds ``lower`` and ``upper``, the ``at_upper`` flags and the ``move``
 mask are numpy arrays; the basis and the bounds of the basic variables
 (``lowerB``, ``upperB``) are Python lists, and ``minimize`` reads the column
 bounds through list copies. The ratio test is one Python pass over
-``col_eff.tolist()`` and ``xB.tolist()``, and a pivot's scalar bookkeeping
-touches no numpy scalar it can avoid; the vector work (the entering scan, the
-update of ``xB`` and the rank-1 update of ``T``) stays in numpy. The pivot
-choice and its arithmetic are the plain IEEE formulas either way (each limit
-is (x - target) / c, the step the smallest limit clamped at 0), so the lists
-change no pivot and no bit of a point.
+``col_eff.tolist()`` and ``xB.tolist()``; the vector work (the entering scan,
+the update of ``xB`` and the rank-1 update of ``T``) stays in numpy. Each
+element is the same IEEE double operation in a list as in an array (a limit
+is (x - target) / c, the step the smallest limit clamped at 0), so the pivot
+choice and its arithmetic do not depend on the layout.
 
 Restart. Every phase 1 is entered by ``restarted(bounds)`` from a state. A
 feasible solve hands back its final state (tableau, basis, basic values and
@@ -43,7 +42,7 @@ ladder: the given state, the blank state, then the blank state on right-hand
 sides perturbed by about 1e-9.
 
 Sized for the search LPs (at most 4m+1 rows on 2m+1 structural columns for an
-m-strategy game); everything is dense numpy.
+m-strategy game); the arrays are dense.
 """
 
 from __future__ import annotations

@@ -467,10 +467,10 @@ class TestBlandRule:
 class TestRatioTest:
     """``_ratio_test(j, col_eff)``: how far column j may move, and which row leaves.
 
-    The state is a feasible solve of x0 + x1 = 1, x0 - x1 <= 0.5 on [0, 1]^2
-    restarted under a box that keeps its point: x1 = 0.25 is basic in row 0 and x0 = 0.75 in row 1,
-    so the later row holds the smaller basic index. Column 2, the slack, has
-    an unbounded range and column 1 of the other state below a range of 1.
+    ``state`` solves x0 + x1 = 1, x0 - x1 <= 0.5 on [0, 1]^2 and restarts the
+    result under a box that keeps its point: x1 = 0.25 is basic in row 0 and
+    x0 = 0.75 in row 1, so the later row holds the smaller basic index, and
+    column 2, the slack, has an unbounded range.
     """
 
     rows = [LinearRow({0: 1.0, 1: 1.0}, "=", 1.0), LinearRow({0: 1.0, 1: -1.0}, "<=", 0.5)]
