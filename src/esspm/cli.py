@@ -82,27 +82,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args: argparse.Namespace, **solve_params) -> BatchConfig:
-    """The game source of ``args`` as a config; ``--game-file`` is read here, once.
-
-    A ``--m`` given for a class other than ``uniform`` must equal the size of
-    that class's games (a file game's header), or ValueError is raised.
-    """
+    """The game source of ``args`` as a config; ``--game-file`` is read here, once."""
     game = None
     if args.game_file is not None:
         with open(args.game_file, encoding="utf-8") as fh:
             game = read_game(fh.read())
-    cfg = BatchConfig(
-        game_class=args.game_class,
-        m=2 if args.m is None else args.m,
-        seed=args.seed,
-        game=game,
-        **solve_params,
-    )
-    if args.m is not None and cfg.game_class != "uniform":
-        size = make_game(cfg, 0).m
-        if size != args.m:
-            raise ValueError(f"--m {args.m} does not match class {cfg.game_class}, whose games have m={size}")
-    return cfg
+    return BatchConfig(game_class=args.game_class, m=args.m, seed=args.seed, game=game, **solve_params)
 
 
 def _solve_config(args: argparse.Namespace, n_games: int = 1) -> BatchConfig:

@@ -45,6 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,7 +281,8 @@ def enumerate_esspm(
     ``limit`` stops the enumeration once that many certificates are found,
     so ``limit=1`` returns the first certificate in (size, indices) order,
     ``enumerate_esspm(game)[:1]``. The returned list is in that order too. Games with more than
-    ``DEFAULT_SUPPORT_CAP`` strategies raise ValueError.
+    ``DEFAULT_SUPPORT_CAP`` strategies raise ValueError, as does a ``limit``
+    that is not a positive integer.
 
     ``counters`` (optional dict) receives ``supports_visited``, the supports
     examined up to the stop, pruned ones included; ``singular_skipped``,
@@ -290,8 +292,13 @@ def enumerate_esspm(
     """
     if game.m > DEFAULT_SUPPORT_CAP:
         raise ValueError(f"m={game.m} exceeds the enumeration cap of {DEFAULT_SUPPORT_CAP}")
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
+    if limit is not None:
+        try:
+            limit = operator.index(limit)
+        except TypeError:
+            raise ValueError(f"limit must be an integer, got {limit!r}") from None
+        if limit < 1:
+            raise ValueError(f"limit must be at least 1, got {limit}")
     counts = np.zeros(3, dtype=np.int64)  # supports visited, singular skipped, dominated skipped
     found: list[EsspmCertificate] = []
     for chunk, dominated, singular, candidates in _survivors(game, tol.delta):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -108,10 +109,15 @@ class SolveFailed:
 
 @dataclass(frozen=True)
 class BatchConfig:
-    """What to solve and how. ``game`` is the one game of class ``file``, read once."""
+    """What to solve and how. ``game`` is the one game of class ``file``, read once.
+
+    ``m`` is always the size of the config's games. It sizes a ``uniform``
+    game (default 2); every other class has a fixed size (a file game's
+    header), which ``m`` defaults to and a given ``m`` must match.
+    """
 
     game_class: str = "uniform"
-    m: int = 2
+    m: int | None = None
     n_games: int = 1
     seed: int = 0
     k: int = 20
@@ -124,6 +130,14 @@ class BatchConfig:
     def __post_init__(self) -> None:
         if self.game_class not in GAME_CLASSES:
             raise ValueError(f"unknown game class {self.game_class!r}")
+        for name in ("m", "n_games", "seed", "k"):
+            value = getattr(self, name)
+            if value is None and name == "m":
+                continue  # resolved from the class below
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.n_games < 1:
             raise ValueError("n_games must be >= 1")
         if self.k < 2:
@@ -135,12 +149,17 @@ class BatchConfig:
             raise ValueError(f"unknown solver {self.solver!r}")
         if (self.game_class == "file") != (self.game is not None):
             raise ValueError("game class 'file' needs a game, and no other class takes one")
-        if self.game_class == "uniform" and self.m < 2:
-            raise ValueError(f"m must be >= 2, got {self.m}")
-        if self.game_class in ("uniform", "file") and self.solver != "milp":
-            m = self.m if self.game is None else self.game.m
-            if m > DEFAULT_SUPPORT_CAP:
-                raise ValueError(f"m={m} exceeds the enumeration cap of {DEFAULT_SUPPORT_CAP}")
+        if self.game_class == "uniform":
+            m = 2 if self.m is None else self.m
+            if m < 2:
+                raise ValueError(f"m must be >= 2, got {m}")
+        else:
+            m = make_game(self, 0).m
+            if self.m is not None and self.m != m:
+                raise ValueError(f"m {self.m} does not match class {self.game_class}, whose games have m={m}")
+        object.__setattr__(self, "m", m)
+        if self.solver != "milp" and m > DEFAULT_SUPPORT_CAP:
+            raise ValueError(f"m={m} exceeds the enumeration cap of {DEFAULT_SUPPORT_CAP}")
 
     @property
     def tolerances(self) -> Tolerances:

@@ -225,7 +225,7 @@ class TestSizeOption:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"--m {m} does not match class {game_class}, whose games have m={size}" in captured.err
+        assert f"m {m} does not match class {game_class}, whose games have m={size}" in captured.err
 
     def test_file_game_checks_m_against_its_header(self, tmp_path, capsys):
         path = tmp_path / "mp.txt"

@@ -398,6 +398,15 @@ class TestLimit:
         with pytest.raises(ValueError, match="limit"):
             enumerate_esspm(uniform_random(3, seed=1), limit=0)
 
+    @pytest.mark.parametrize("limit", [1.5, 1.0, "1"])
+    def test_non_integer_limit_rejected(self, limit):
+        # A float limit never equals the certificate count, so it used to
+        # enumerate every support: 2 certificates here, where limit=1 gives 1.
+        game = normalize(uniform_random(6, 3))
+        with pytest.raises(ValueError, match="limit must be an integer"):
+            enumerate_esspm(game, limit=limit)
+        assert len(enumerate_esspm(game, limit=np.int64(1))) == 1
+
     @pytest.mark.parametrize("m", [3, 4, 6])
     def test_enum_batch_csv_matches_full_enumeration(self, monkeypatch, m):
         cfg = BatchConfig(game_class="uniform", m=m, n_games=60, seed=900 + m, solver="enum")

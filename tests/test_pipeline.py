@@ -321,7 +321,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="m must be >= 2"):
             BatchConfig(game_class="uniform", m=1)
         BatchConfig(game_class="uniform", m=2)
-        BatchConfig(game_class="chicken", m=1)  # m is read by the uniform class only
+        with pytest.raises(ValueError, match="does not match class chicken"):
+            BatchConfig(game_class="chicken", m=1)
 
     @pytest.mark.parametrize("name", ["eps", "delta"])
     @pytest.mark.parametrize("value", [0.0, -1e-5, float("nan"), float("inf")])
@@ -336,10 +337,56 @@ class TestConfigValidation:
         BatchConfig(game_class="uniform", m=20, solver=solver)
         BatchConfig(game_class="uniform", m=21, solver="milp")
 
+    @pytest.mark.parametrize("name", ["m", "n_games", "seed", "k"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            BatchConfig(**{name: value})
+
+    def test_numpy_integers_are_accepted(self):
+        cfg = BatchConfig(m=np.int64(3), n_games=np.int32(2), seed=np.uint8(5), k=np.int64(10))
+        assert (cfg.m, cfg.n_games, cfg.seed, cfg.k) == (3, 2, 5, 10)
+
+
+FIXED_SIZES = {"chicken": 2, "mp": 2, "rps": 3, "counterexample": 3, "cancer": 4}
+
+
+class TestGameSize:
+    """``BatchConfig.m`` is the size of the config's games, for every class."""
+
+    @pytest.mark.parametrize(("game_class", "size"), {"uniform": 2, **FIXED_SIZES}.items())
+    def test_class_defaults_to_its_size(self, game_class, size):
+        cfg = BatchConfig(game_class=game_class, seed=9)
+        assert cfg.m == size == make_game(cfg, 3).m
+        assert BatchConfig(game_class=game_class, m=size).m == size
+
+    def test_file_game_sets_m(self):
+        game = uniform_random(5, 1)
+        assert BatchConfig(game_class="file", game=game).m == 5
+        assert BatchConfig(game_class="file", game=game, m=5).m == 5
+
+    @pytest.mark.parametrize(("game_class", "size"), FIXED_SIZES.items())
+    def test_fixed_class_refuses_another_m(self, game_class, size):
+        for m in (size - 1, size + 1, 30):
+            message = f"m {m} does not match class {game_class}, whose games have m={size}"
+            with pytest.raises(ValueError, match=message):
+                BatchConfig(game_class=game_class, m=m)
+
+    def test_file_game_refuses_another_m(self):
+        with pytest.raises(ValueError, match="m 3 does not match class file, whose games have m=2"):
+            BatchConfig(game_class="file", game=mutation_population(), m=3)
+
+    def test_batch_rows_carry_the_config_size(self):
+        cfg = BatchConfig(game_class="cancer", n_games=3)
+        _, rows = batch_csv(cfg)
+        m_col = CSV_COLUMNS.index("m")
+        assert cfg.m == 4
+        assert [row[m_col] for row in rows[1:]] == ["4"] * 3
+
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "batch_golden.csv"
 GOLDEN_DECK = [("uniform", 2, 40), ("uniform", 3, 40), ("uniform", 4, 40), ("chicken", 2, 40),
-               ("cancer", 2, 40), ("mp", 2, 1), ("rps", 2, 1), ("counterexample", 2, 1)]
+               ("cancer", 4, 40), ("mp", 2, 1), ("rps", 3, 1), ("counterexample", 3, 1)]
 
 
 def golden_deck_csv() -> str:
