@@ -5,131 +5,25 @@ pass, a mixed-integer feasibility model solved by a built-in branch-and-bound
 solver (its piecewise linearization, ``linearize``, serves LP export), and a
 support-enumeration oracle that also serves as ground truth in tests and
 experiments.
+
+Each module's ``__all__`` is the one list of its public names; the package
+re-exports all of them. ``esspm.cli`` is not imported here.
 """
 
-from .analysis import (
-    Condition,
-    ConditionOutcome,
-    InvasionResult,
-    Tolerances,
-    approximation_error,
-    check_conditions,
-    find_all_pure_esspm,
-    find_pure_esspm,
-    invasion_test,
-    nash_epsilon,
-)
-from .enumeration import EsspmCertificate, enumerate_esspm, solve_support
-from .game import (
-    GameMatrix,
-    GameParseError,
-    MixedStrategy,
-    Support,
-    normalize,
-    read_game,
-    utility,
-    write_game,
-)
-from .generators import (
-    CancerParams,
-    cancer_game,
-    chicken,
-    counterexample_game,
-    mutation_population,
-    random_cancer_params,
-    rock_paper_scissors,
-    uniform_random,
-)
-from .model import (
-    LinearRow,
-    ModelIR,
-    SquareTerm,
-    Variable,
-    build_model,
-    export_lp,
-    linearization_error_bound,
-    linearize,
-    verify_assignment,
-)
-from .pipeline import (
-    BatchConfig,
-    BatchStats,
-    EsspmOutcome,
-    Infeasible,
-    LimitReached,
-    MixedEsspm,
-    PureEsspm,
-    SolveFailed,
-    run_batch,
-    solve_record,
-)
-from .simplex import SolverError
-from .solver import (
-    SolveLimits,
-    SolveResult,
-    SolveStats,
-    SolveStatus,
-    extract_strategy,
-    solve,
-)
+from . import analysis, enumeration, game, generators, model, pipeline, simplex, solver
+from .analysis import *  # noqa: F403
+from .enumeration import *  # noqa: F403
+from .game import *  # noqa: F403
+from .generators import *  # noqa: F403
+from .model import *  # noqa: F403
+from .pipeline import *  # noqa: F403
+from .simplex import *  # noqa: F403
+from .solver import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Condition",
-    "ConditionOutcome",
-    "InvasionResult",
-    "Tolerances",
-    "approximation_error",
-    "check_conditions",
-    "find_all_pure_esspm",
-    "find_pure_esspm",
-    "invasion_test",
-    "nash_epsilon",
-    "EsspmCertificate",
-    "enumerate_esspm",
-    "solve_support",
-    "GameMatrix",
-    "GameParseError",
-    "MixedStrategy",
-    "Support",
-    "normalize",
-    "read_game",
-    "utility",
-    "write_game",
-    "CancerParams",
-    "cancer_game",
-    "chicken",
-    "counterexample_game",
-    "mutation_population",
-    "random_cancer_params",
-    "rock_paper_scissors",
-    "uniform_random",
-    "LinearRow",
-    "ModelIR",
-    "SquareTerm",
-    "Variable",
-    "build_model",
-    "export_lp",
-    "linearization_error_bound",
-    "linearize",
-    "verify_assignment",
-    "BatchConfig",
-    "BatchStats",
-    "EsspmOutcome",
-    "Infeasible",
-    "LimitReached",
-    "MixedEsspm",
-    "PureEsspm",
-    "SolveFailed",
-    "run_batch",
-    "solve_record",
-    "SolverError",
-    "SolveLimits",
-    "SolveResult",
-    "SolveStats",
-    "SolveStatus",
-    "extract_strategy",
-    "solve",
-    "__version__",
-]
+    name
+    for module in (analysis, enumeration, game, generators, model, pipeline, simplex, solver)
+    for name in module.__all__
+] + ["__version__"]

@@ -181,7 +181,9 @@ def approximation_error(
       |d| <= delta       -> violation max(0, u1(i,i) - u1(x*,i)) (tie broken the wrong way)
       d < -delta         -> 0
     The bands are those of :func:`check_conditions`. Returns the maximum over
-    mutants; 0 means stable at this precision.
+    mutants. 0 is necessary for stability at this precision, not sufficient:
+    a tied mutant whose margin is exactly 0 fails the second condition, yet
+    adds 0.
     """
     if not game.is_normalized:
         raise ValueError("approximation_error expects a normalized game; call normalize() first")

@@ -2,8 +2,10 @@
 
 Supports are taken in stacked chunks: one tie solve and one payoff-gap screen
 per chunk, so only the candidates that the screen cannot rule out become
-objects and are certified by the scalar spec, ``check_conditions``. Runs
-independently of the MILP path so the two can cross-check each other.
+objects and are certified by the scalar spec, ``check_conditions``. The
+MILP leaf shares two kernels with the oracle, the tie solve ``_solve_ties``
+and the dominance table ``_spared_cells``, so ``--solver both`` checks the
+search and the model but not those two kernels.
 
 Before the tie solve, a chunk drops every support S that has a member i and
 a row j with a_jc - a_ic > delta + tau for every column c of S, where

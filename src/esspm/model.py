@@ -95,8 +95,9 @@ class SquareTerm:
 class ModelIR:
     """Solver-agnostic feasibility program.
 
-    Rows reference variables by index into ``variables``; the first 2m+1
-    variables are x_0..x_{m-1}, z and the binaries y_0..y_{m-1}. ``payoffs``
+    Rows reference variables by index into ``variables``; with m the size of
+    ``payoffs``, the first 2m+1 variables are x_0..x_{m-1}, z and the binaries
+    y_0..y_{m-1}. ``payoffs``
     carries the normalized matrix of the quadratic form z stands for, and
     ``eps`` the strictness margin of the big-M rows, so a solver can verify
     candidates against the original quadratic constraints at the model's own
@@ -107,13 +108,17 @@ class ModelIR:
     right-hand sides of the ``z_upper`` and ``z_lower`` rows.
     """
 
-    m: int
     eps: float
     variables: list[Variable]
     rows: list[LinearRow]
     payoffs: np.ndarray
     sos2_sets: list[list[int]] = field(default_factory=list)
     squares: list[SquareTerm] = field(default_factory=list)
+
+    @property
+    def m(self) -> int:
+        """Pure strategies per player: the size of ``payoffs``."""
+        return self.payoffs.shape[0]
 
     def __post_init__(self) -> None:
         m = self.m
@@ -251,7 +256,7 @@ def build_model(game: GameMatrix, eps: float = 1e-5) -> ModelIR:
         )
 
     rows.append(LinearRow({i: 1.0 for i in range(m)}, "=", 1.0, name="simplex"))
-    return ModelIR(m=m, eps=eps, variables=variables, rows=rows, payoffs=a)
+    return ModelIR(eps=eps, variables=variables, rows=rows, payoffs=a)
 
 
 def linearize(model: ModelIR, k: int) -> ModelIR:
@@ -310,7 +315,6 @@ def linearize(model: ModelIR, k: int) -> ModelIR:
     rows.append(LinearRow(up, "<=", env_minus, name="z_upper"))
     rows.append(LinearRow(down, "<=", env_plus, name="z_lower"))
     return ModelIR(
-        m=m,
         eps=model.eps,
         variables=variables,
         rows=rows,

@@ -104,6 +104,7 @@ solves over shared models may run concurrently.
 from __future__ import annotations
 
 import enum
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -122,7 +123,6 @@ __all__ = [
     "SolveResult",
     "solve",
     "extract_strategy",
-    "SolverError",
 ]
 
 
@@ -138,8 +138,15 @@ class SolveLimits:
     max_time_ms: int = 600_000
 
     def __post_init__(self) -> None:
-        if self.max_nodes <= 0 or self.max_time_ms <= 0:
-            raise ValueError("solve limits must be positive")
+        for name in ("max_nodes", "max_time_ms"):
+            value = getattr(self, name)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass

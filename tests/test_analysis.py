@@ -3,6 +3,7 @@ import pytest
 
 from esspm import (
     Condition,
+    ConditionOutcome,
     GameMatrix,
     InvasionResult,
     MixedStrategy,
@@ -119,6 +120,14 @@ class TestApproximationError:
         # span [0, 1] so normalization leaves them unchanged.
         got = approximation_error(normalize(rock_paper_scissors()), RPS_UNIFORM)
         assert got == pytest.approx(1.0 / 9.0, abs=1e-12)
+
+    def test_zero_does_not_certify_a_zero_margin_tie(self):
+        # Mutant 1 ties pure 0 (d = 0) with margin exactly 0, so it fails the
+        # second condition, yet its violation max(0, -margin) is 0.
+        g = GameMatrix([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
+        x = MixedStrategy.pure(0, 3)
+        assert check_conditions(g, x, 1) == ConditionOutcome(Condition.FAILS, 0.0)
+        assert approximation_error(g, x) == 0.0
 
     def test_requires_normalized(self):
         with pytest.raises(ValueError, match="normalized"):

@@ -195,13 +195,16 @@ class TestModuleEntry:
 
 class TestNumpyOnlyRuntime:
     def test_solve_and_export_without_scipy(self, tmp_path):
-        # numpy is the only runtime dependency: with scipy unimportable the
-        # CLI still solves and exports.
+        # numpy is the only runtime dependency: with scipy unimportable every
+        # package export resolves and the CLI still solves and exports.
         src = str(Path(__file__).resolve().parent.parent / "src")
         script = (
             "import sys\n"
             "sys.modules['scipy'] = None\n"
             f"sys.path.insert(0, {src!r})\n"
+            "import esspm\n"
+            "from esspm import *\n"
+            "assert all(name in globals() for name in esspm.__all__)\n"
             "from esspm.cli import cli_main\n"
             "assert cli_main(['solve', '--class', 'mp', '--solver', 'both']) == 0\n"
             f"assert cli_main(['export-lp', '--class', 'mp', '--k', '20', '--out', {str(tmp_path / 'm.lp')!r}]) == 0\n"

@@ -138,6 +138,14 @@ class TestBranchSemantics:
         violations = verify_assignment(model, assignment)
         assert "binary y_1=0.5 not integral" in violations
 
+    def test_sos2_violation_named(self):
+        model = full_model(MP_NORM, 4)
+        assignment = interpolation_assignment(model, np.array([0.2, 0.8]), np.array([1.0, 1.0]))
+        lam = model.sos2_sets[0]
+        assert [pos for pos, idx in enumerate(lam) if assignment[idx] != 0.0] == [0, 1]
+        assignment[lam[3]] = 0.1  # a third nonzero, not adjacent to the other two
+        assert "sos2 set 0 has nonzeros at positions [0, 1, 3]" in verify_assignment(model, assignment)
+
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_wrong_length_rejected(self, extra):
         model = build_model(MP_NORM)
@@ -336,6 +344,13 @@ class TestLayout:
         ):
             with pytest.raises(ValueError, match="branch indicators"):
                 dataclasses.replace(model, variables=variables, rows=[])
+
+    def test_size_is_that_of_the_payoffs(self):
+        # m is read from payoffs, so a 2x2 layout with 3x3 payoffs cannot be built.
+        model = build_model(MP_NORM)
+        assert model.m == 2
+        with pytest.raises(ValueError, match="branch indicators"):
+            dataclasses.replace(model, payoffs=normalize(uniform_random(3, seed=1)).payoffs)
 
     def test_row_indices_are_checked(self):
         model = build_model(MP_NORM)

@@ -89,6 +89,19 @@ class TestSolveMechanics:
         res = solve(model, SolveLimits(max_nodes=1, max_time_ms=600_000))
         assert res.status is SolveStatus.LIMIT_REACHED
 
+    @pytest.mark.parametrize("field", ["max_nodes", "max_time_ms"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5, 0, -1])
+    def test_limits_must_be_positive_integers(self, field, value):
+        # A NaN limit would never be reached: stats.nodes >= nan is always False.
+        message = "must be positive" if isinstance(value, int) else "must be an integer"
+        with pytest.raises(ValueError, match=f"{field} {message}"):
+            SolveLimits(**{field: value})
+
+    @pytest.mark.parametrize("field", ["max_nodes", "max_time_ms"])
+    def test_numpy_integer_limit_accepted(self, field):
+        limits = SolveLimits(**{field: np.int64(5)})
+        assert getattr(limits, field) == 5 and type(getattr(limits, field)) is int
+
     def test_time_limit(self, monkeypatch):
         import esspm.solver
 
