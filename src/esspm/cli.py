@@ -10,6 +10,7 @@ from .model import build_model, export_lp, linearize
 from .pipeline import (
     BatchConfig,
     GAME_CLASSES,
+    SOLVERS,
     LimitReached,
     PureEsspm,
     make_game,
@@ -22,16 +23,20 @@ from .solver import SolveLimits
 
 __all__ = ["cli_main", "main"]
 
+# The options that BatchConfig and SolveLimits own; an option left out keeps their default.
+_SETTINGS = ("game_class", "m", "seed", "k", "eps", "delta", "solver")
+_LIMITS = ("max_nodes", "max_time_ms")
+
 
 def _add_game_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--class", dest="game_class", choices=GAME_CLASSES, default="uniform")
+    p.add_argument("--class", dest="game_class", choices=GAME_CLASSES)
     p.add_argument(
         "--m",
         type=int,
         help="pure strategies per player: the size of a uniform game (default 2); "
         "any other class has a fixed size, which a given --m must match",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--game-file", help="path to a game in the text format (class 'file')")
 
 
@@ -39,15 +44,14 @@ def _add_solve_params(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--k",
         type=int,
-        default=20,
         help="breakpoint segments per square term; echoed in the batch CSV, "
         "the search does not read it",
     )
-    p.add_argument("--eps", type=float, default=1e-5, help="strict-inequality margin")
-    p.add_argument("--delta", type=float, default=1e-7, help="payoff-equality precision")
-    p.add_argument("--solver", choices=("milp", "enum", "both"), default="milp")
-    p.add_argument("--max-nodes", type=int, default=100_000)
-    p.add_argument("--max-time-ms", type=int, default=600_000)
+    p.add_argument("--eps", type=float, help="strict-inequality margin")
+    p.add_argument("--delta", type=float, help="payoff-equality precision")
+    p.add_argument("--solver", choices=SOLVERS)
+    p.add_argument("--max-nodes", type=int)
+    p.add_argument("--max-time-ms", type=int)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,33 +77,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     export = sub.add_parser("export-lp", help="write the feasibility model in LP format")
     _add_game_source(export)
-    export.add_argument(
-        "--k", type=int, default=20, help="breakpoint segments per square term of the linearization"
-    )
-    export.add_argument("--eps", type=float, default=1e-5)
+    export.add_argument("--k", type=int, help="breakpoint segments per square term of the linearization")
+    export.add_argument("--eps", type=float, help="strict-inequality margin")
     export.add_argument("--out", required=True, help="LP output path")
     return parser
 
 
-def _config(args: argparse.Namespace, **solve_params) -> BatchConfig:
-    """The game source of ``args`` as a config; ``--game-file`` is read here, once."""
+def _config(args: argparse.Namespace, n_games: int = 1) -> BatchConfig:
+    """The config of ``args``: each option given, and the library's default for
+    each one left out. ``--game-file`` is read here, once."""
     game = None
     if args.game_file is not None:
         with open(args.game_file, encoding="utf-8") as fh:
             game = read_game(fh.read())
-    return BatchConfig(game_class=args.game_class, m=args.m, seed=args.seed, game=game, **solve_params)
-
-
-def _solve_config(args: argparse.Namespace, n_games: int = 1) -> BatchConfig:
-    return _config(
-        args,
-        n_games=n_games,
-        k=args.k,
-        eps=args.eps,
-        delta=args.delta,
-        solver=args.solver,
-        limits=SolveLimits(max_nodes=args.max_nodes, max_time_ms=args.max_time_ms),
-    )
+    given = {name: value for name, value in vars(args).items() if value is not None}
+    settings = {name: given[name] for name in _SETTINGS if name in given}
+    limits = {name: given[name] for name in _LIMITS if name in given}
+    return BatchConfig(n_games=n_games, game=game, limits=SolveLimits(**limits), **settings)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -113,7 +107,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _solve_config(args)
+    cfg = _config(args)
     record = solve_record(make_game(cfg, 0), cfg)
     outcome = record.outcome
     print(f"status: {outcome.status}")
@@ -130,7 +124,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    cfg = _solve_config(args, n_games=args.n)  # reads and checks the game before --out is truncated
+    cfg = _config(args, n_games=args.n)  # reads and checks the game before --out is truncated
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         stats = run_batch(cfg, fh)
     print(
@@ -148,7 +142,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    model = linearize(build_model(normalize(make_game(_config(args), 0)), args.eps), args.k)
+    cfg = _config(args)
+    model = linearize(build_model(normalize(make_game(cfg, 0)), cfg.eps), cfg.k)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(export_lp(model))
     print(f"wrote {args.out}")

@@ -74,7 +74,8 @@ class GameMatrix:
         )
 
     def __hash__(self) -> int:
-        return hash((self.payoffs.shape, self.payoffs.tobytes()))
+        # + 0.0 folds -0.0 into 0.0, which __eq__ already treats as equal.
+        return hash((self.payoffs.shape, (self.payoffs + 0.0).tobytes()))
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ class MixedStrategy:
         return bool(np.array_equal(self.probs, other.probs))
 
     def __hash__(self) -> int:
-        return hash(self.probs.tobytes())
+        return hash((self.probs + 0.0).tobytes())  # -0.0 hashes as 0.0
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ advertised linearization bound for any feasible assignment.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,23 @@ __all__ = [
 LIN_FEAS_TOL = 1e-7
 INT_TOL = 1e-6  # a binary within this of 0 or 1 is integral, in the verify and the search
 SOS_NONZERO_TOL = 1e-7
+
+
+def check_eps(eps: float) -> None:
+    """Refuse a strictness margin that is not positive and finite."""
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+
+
+def check_k(k: int) -> int:
+    """k as an int, refused unless it is an integer of at least 2 breakpoint segments."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
+    if k < 2:
+        raise ValueError(f"breakpoint count k must be >= 2, got {k}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -97,12 +115,13 @@ class ModelIR:
 
     Rows reference variables by index into ``variables``; with m the size of
     ``payoffs``, the first 2m+1 variables are x_0..x_{m-1}, z and the binaries
-    y_0..y_{m-1}. ``payoffs``
-    carries the normalized matrix of the quadratic form z stands for, and
-    ``eps`` the strictness margin of the big-M rows, so a solver can verify
-    candidates against the original quadratic constraints at the model's own
-    margin. The linearization fields stay empty until ``linearize`` fills
-    them: ``sos2_sets`` are ordered lambda-index lists (at most two members
+    y_0..y_{m-1}. ``payoffs`` carries the normalized matrix of the quadratic
+    form z stands for, and ``eps`` the strictness margin of the big-M rows,
+    so a solver can verify candidates against the original quadratic
+    constraints at the model's own margin. A model refuses a ``payoffs``
+    that is not square and an ``eps`` that is not positive and finite. The
+    linearization fields stay empty until ``linearize`` fills them:
+    ``sos2_sets`` are ordered lambda-index lists (at most two members
     nonzero, and adjacent) and ``squares`` the square-term records, one per
     SOS2 set and in the same order. The z corridor half-widths are the
     right-hand sides of the ``z_upper`` and ``z_lower`` rows.
@@ -121,6 +140,10 @@ class ModelIR:
         return self.payoffs.shape[0]
 
     def __post_init__(self) -> None:
+        check_eps(self.eps)
+        shape = np.shape(self.payoffs)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"payoffs must be a square matrix, got shape {shape}")
         m = self.m
         layout = [f"x_{i}" for i in range(m)] + ["z"] + [f"y_{j}" for j in range(m)]
         names = [v.name for v in self.variables[: 2 * m + 1]]
@@ -140,7 +163,7 @@ class ModelIR:
 
 def secant_square_value(s: float, lo: float, hi: float, k: int) -> float:
     """Value at s of the piecewise-linear interpolant of t^2 on a uniform grid."""
-    t = np.linspace(lo, hi, k + 1)
+    t = np.linspace(lo, hi, check_k(k) + 1)
     if not lo <= s <= hi:
         raise ValueError(f"s={s} outside [{lo}, {hi}]")
     return float(_interp_lambdas(s, t) @ t**2)
@@ -148,7 +171,7 @@ def secant_square_value(s: float, lo: float, hi: float, k: int) -> float:
 
 def secant_gap_bound(lo: float, hi: float, k: int) -> float:
     """Worst overestimate of the secant interpolant of t^2: h^2/4 at segment midpoints."""
-    h = (hi - lo) / k
+    h = (hi - lo) / check_k(k)
     return h * h / 4.0
 
 
@@ -202,24 +225,23 @@ def _envelope(terms: list[SquareTerm], k: int) -> tuple[float, float]:
 def linearization_error_bound(game_or_payoffs, k: int) -> float:
     """A-priori bound on |z - x' A x| over feasible assignments at k segments."""
     a = game_or_payoffs.payoffs if isinstance(game_or_payoffs, GameMatrix) else np.asarray(game_or_payoffs)
-    env_plus, env_minus = _envelope(_square_terms(a), k)
+    env_plus, env_minus = _envelope(_square_terms(a), check_k(k))
     return env_plus + env_minus
 
 
 def build_model(game: GameMatrix, eps: float = 1e-5) -> ModelIR:
     """Assemble the x/z/y feasibility model for a normalized game.
 
-    eps is the strict-inequality margin of both strict row families; every
-    big-M constant is 1 + eps, the smallest that deactivates a row for
-    payoffs in [0, 1].
+    eps is the strict-inequality margin of both strict row families (the
+    model refuses one that is not positive and finite); every big-M
+    constant is 1 + eps, the smallest that deactivates a row for payoffs in
+    [0, 1].
 
     Variable order: x_0..x_{m-1}, z, y_0..y_{m-1}. Row order: the four big-M
     rows per pure strategy, then the probability simplex row. ``linearize``
     appends the lambda system for export. Both orders are deterministic so
     exports are byte-stable.
     """
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
     if not game.is_normalized:
         raise ValueError(
             "build_model requires payoffs in [0, 1]; the big-M constants assume it"
@@ -285,8 +307,7 @@ def linearize(model: ModelIR, k: int) -> ModelIR:
     So a leaf that meets the x/z/y rows also meets the linearized model; the
     test suite checks this on a fuzzed deck.
     """
-    if k < 2:
-        raise ValueError(f"breakpoint count k must be >= 2, got {k}")
+    k = check_k(k)
     m = model.m
     if len(model.variables) != 2 * m + 1:
         raise ValueError("linearize expects the x/z/y model that build_model returns")

@@ -9,7 +9,6 @@ instance can be regenerated in isolation, and emit one CSV row per game.
 from __future__ import annotations
 
 import csv
-import math
 import operator
 import time
 from collections import Counter
@@ -30,7 +29,7 @@ from .generators import (
     rock_paper_scissors,
     uniform_random,
 )
-from .model import build_model
+from .model import build_model, check_eps, check_k
 from .simplex import SolverError
 from .solver import SolveLimits, SolveStatus, extract_strategy, solve
 
@@ -51,6 +50,7 @@ __all__ = [
 ]
 
 GAME_CLASSES = ("uniform", "chicken", "cancer", "mp", "rps", "counterexample", "file")
+SOLVERS = ("milp", "enum", "both")
 
 # nash_eps values below this print as 0: an exact tie solution reads as
 # rounding noise (1e-16 and so on) that depends on the last bits of the strategy.
@@ -114,6 +114,9 @@ class BatchConfig:
     ``m`` is always the size of the config's games. It sizes a ``uniform``
     game (default 2); every other class has a fixed size (a file game's
     header), which ``m`` defaults to and a given ``m`` must match.
+
+    ``k`` and ``eps`` get the model's checks and ``delta`` that of
+    ``Tolerances``, so a bad setting is refused before any game is solved.
     """
 
     game_class: str = "uniform"
@@ -122,7 +125,7 @@ class BatchConfig:
     seed: int = 0
     k: int = 20
     eps: float = 1e-5
-    delta: float = 1e-7
+    delta: float = Tolerances.delta
     solver: str = "milp"
     limits: SolveLimits = field(default_factory=SolveLimits)
     game: GameMatrix | None = None
@@ -130,7 +133,7 @@ class BatchConfig:
     def __post_init__(self) -> None:
         if self.game_class not in GAME_CLASSES:
             raise ValueError(f"unknown game class {self.game_class!r}")
-        for name in ("m", "n_games", "seed", "k"):
+        for name in ("m", "n_games", "seed"):
             value = getattr(self, name)
             if value is None and name == "m":
                 continue  # resolved from the class below
@@ -140,12 +143,10 @@ class BatchConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.n_games < 1:
             raise ValueError("n_games must be >= 1")
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
-        for name, value in (("eps", self.eps), ("delta", self.delta)):
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.solver not in ("milp", "enum", "both"):
+        object.__setattr__(self, "k", check_k(self.k))
+        check_eps(self.eps)
+        Tolerances(delta=self.delta)
+        if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
         if (self.game_class == "file") != (self.game is not None):
             raise ValueError("game class 'file' needs a game, and no other class takes one")

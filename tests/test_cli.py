@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from esspm import (
+    BatchConfig,
     SolverError,
     find_pure_esspm,
     mutation_population,
@@ -173,6 +174,58 @@ class TestExportLp:
         assert "Binary" in text and "y_0 y_1" in text
         # The exported model is the linearized one: one SOS2 set per square term.
         assert sum(": S2 ::" in line for line in text.splitlines()) == 4
+
+
+class TestLibraryDefaults:
+    """The CLI states no default of its own: an option left out keeps the library's."""
+
+    OWNED = ("game_class", "m", "seed", "k", "eps", "delta", "solver", "max_nodes", "max_time_ms")
+    COMMANDS = {
+        "gen": ["gen"],
+        "solve": ["solve"],
+        "batch": ["batch", "--out", "r.csv"],
+        "export-lp": ["export-lp", "--out", "m.lp"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_parser_leaves_library_options_unset(self, command):
+        from esspm.cli import _build_parser
+
+        args = vars(_build_parser().parse_args(self.COMMANDS[command]))
+        owned = {name: args[name] for name in self.OWNED if name in args}
+        assert owned and set(owned.values()) == {None}, owned
+        assert args.get("n", 100) == 100  # batch --n is the one CLI default
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bare_command_builds_the_default_config(self, tmp_path, monkeypatch, capsys, command):
+        import esspm.cli
+
+        configs = []
+
+        def recording(**kwargs):
+            configs.append(BatchConfig(**kwargs))
+            return configs[-1]
+
+        monkeypatch.setattr(esspm.cli, "BatchConfig", recording)
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(self.COMMANDS[command]) == 0
+        n_games = 100 if command == "batch" else 1
+        assert configs == [BatchConfig(n_games=n_games)]
+
+    @pytest.mark.parametrize(
+        ("flag", "value", "message"),
+        [("--k", "1", "k must be >= 2"), ("--eps", "nan", "eps must be positive and finite"),
+         ("--eps", "0", "eps must be positive and finite")],
+    )
+    def test_export_lp_gets_the_config_checks(self, tmp_path, capsys, monkeypatch, flag, value, message):
+        import esspm.cli
+
+        built = []
+        monkeypatch.setattr(esspm.cli, "build_model", lambda *a: built.append(a))
+        out = tmp_path / "bad.lp"
+        assert cli_main(["export-lp", "--class", "mp", flag, value, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert built == [] and not out.exists()
 
 
 class TestModuleEntry:

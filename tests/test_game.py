@@ -41,6 +41,14 @@ class TestGameMatrix:
         assert GameMatrix(np.array([[0.0, 1.0], [0.5, 0.25]])).is_normalized
         assert not mutation_population().is_normalized
 
+    def test_equal_games_hash_equal(self):
+        # -0.0 == 0.0, so games that differ only in the sign of a zero are one game.
+        g1 = GameMatrix([[0.0, 1.0], [1.0, 0.0]])
+        g2 = GameMatrix([[-0.0, 1.0], [1.0, 0.0]])
+        assert g1 == g2 and hash(g1) == hash(g2)
+        assert len({g1, g2}) == 1
+        assert g1 != GameMatrix([[0.0, 1.0], [1.0, 0.5]])
+
 
 class TestMixedStrategy:
     def test_pure(self):
@@ -65,6 +73,12 @@ class TestMixedStrategy:
     def test_support(self):
         s = MixedStrategy([0.5, 0.0, 0.5])
         assert s.support().indices == (0, 2)
+
+    def test_equal_strategies_hash_equal(self):
+        s1, s2 = MixedStrategy([0.0, 1.0]), MixedStrategy([-0.0, 1.0])
+        assert s1 == s2 and hash(s1) == hash(s2)
+        assert len({s1, s2}) == 1
+        assert s1 != MixedStrategy([1.0, 0.0])
 
 
 class TestSupport:

@@ -76,6 +76,35 @@ class TestModelParameters:
         assert "k must be >= 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_model_refuses_a_bad_eps(self, eps):
+        # The model owns eps: a replaced one is checked as a built one is.
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            dataclasses.replace(build_model(MP_NORM), eps=eps)
+
+    def test_model_refuses_non_square_payoffs(self):
+        with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 3\)"):
+            dataclasses.replace(build_model(MP_NORM), payoffs=np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=r"square matrix, got shape \(2,\)"):
+            dataclasses.replace(build_model(MP_NORM), payoffs=np.zeros(2))
+
+    K_USERS = {
+        "linearize": lambda k: export_lp(linearize(build_model(MP_NORM), k)),
+        "linearization_error_bound": lambda k: linearization_error_bound(MP_NORM, k),
+        "secant_gap_bound": lambda k: secant_gap_bound(0.0, 1.0, k),
+        "secant_square_value": lambda k: secant_square_value(0.5, 0.0, 1.0, k),
+    }
+
+    @pytest.mark.parametrize("user", K_USERS)
+    @pytest.mark.parametrize("k", [0, 1, -1, 2.5])
+    def test_k_is_checked_by_every_user(self, user, k):
+        with pytest.raises(ValueError, match="k must be"):
+            self.K_USERS[user](k)
+
+    @pytest.mark.parametrize("user", K_USERS)
+    def test_numpy_integer_k_is_accepted(self, user):
+        assert self.K_USERS[user](np.int64(3)) == self.K_USERS[user](3)
+
 
 class TestModelCounts:
     def test_m2_k20(self):
