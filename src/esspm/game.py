@@ -8,6 +8,7 @@ across threads.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -174,11 +175,15 @@ def normalize(game: GameMatrix) -> GameMatrix:
     Maps a -> (a - min) / (max - min), so the smallest entry becomes 0 and the
     largest 1. Affine maps do not change the strategic structure of the game.
     A constant game maps to all zeros (it is strategically empty either way).
+    A range above the largest double is halved first (exact but for
+    subnormal results), so a - min cannot overflow.
     """
     a = game.payoffs
     lo, hi = float(a.min()), float(a.max())
     if hi == lo:
         return GameMatrix(np.zeros_like(a))
+    if not math.isfinite(hi - lo):
+        a, lo, hi = a * 0.5, lo * 0.5, hi * 0.5
     return GameMatrix((a - lo) / (hi - lo))
 
 

@@ -15,6 +15,7 @@ The generator returned by ``_rng`` is therefore valid only until the next
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -77,6 +78,8 @@ class CancerParams:
 
     def __post_init__(self) -> None:
         for name, value in self.__dict__.items():
+            if not math.isfinite(value):
+                raise ValueError(f"cancer parameter {name}={value} must be finite")
             if value < 0.0:
                 raise ValueError(f"cancer parameter {name}={value} must be >= 0")
         if self.c > 1.0:

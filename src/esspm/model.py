@@ -5,14 +5,14 @@ payoff deficit against the population or a payoff tie combined with a strict
 self-play deficit. A binary y_x selects the branch via big-M rows over the
 population self-payoff z = x*' A x*.
 
-``build_model`` returns this x/z/y system in a fixed layout: columns
-x_0..x_{m-1}, then z at m, then y_0..y_{m-1} at m+1..2m; rows the four big-M
-rows per pure strategy, then the probability simplex row. ``ModelIR`` checks
-the column layout wherever a model is made. The branch-and-bound search runs
-on exactly this system, and its leaves check z = x*' A x* exactly.
+A ``ModelIR`` is built from its payoffs, eps and k alone. With k None it is
+this x/z/y system in a fixed layout: columns x_0..x_{m-1}, then z at m, then
+y_0..y_{m-1} at m+1..2m; rows the four big-M rows per pure strategy, then the
+probability simplex row. The branch-and-bound search runs on exactly this
+system, and its leaves check z = x*' A x* exactly.
 
-``linearize(model, k)`` adds the paper's linearization of z over k breakpoint
-segments, for ``export_lp`` and the tests; the search never reads k. Every
+A k adds the paper's linearization of z over k breakpoint segments
+(``linearize``), for ``export_lp`` and the tests; the search never reads k. Every
 product x_i * x_j is written with the squares (x_i + x_j)^2 and
 (x_i - x_j)^2, and each square is approximated piecewise linearly with an
 SOS2 lambda system over a uniform grid of k + 1 breakpoints. A secant through two grid
@@ -49,6 +49,7 @@ __all__ = [
     "linearization_error_bound",
 ]
 
+EPS = 1e-5  # the default strictness margin of the big-M rows
 LIN_FEAS_TOL = 1e-7
 INT_TOL = 1e-6  # a binary within this of 0 or 1 is integral, in the verify and the search
 SOS_NONZERO_TOL = 1e-7
@@ -109,30 +110,32 @@ class SquareTerm:
     hi: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelIR:
-    """Solver-agnostic feasibility program.
+    """Solver-agnostic feasibility program, built from its three inputs.
 
-    Rows reference variables by index into ``variables``; with m the size of
-    ``payoffs``, the first 2m+1 variables are x_0..x_{m-1}, z and the binaries
-    y_0..y_{m-1}. ``payoffs`` carries the normalized matrix of the quadratic
-    form z stands for, and ``eps`` the strictness margin of the big-M rows,
-    so a solver can verify candidates against the original quadratic
-    constraints at the model's own margin. A model refuses a ``payoffs``
-    that is not square and an ``eps`` that is not positive and finite. The
-    linearization fields stay empty until ``linearize`` fills them:
-    ``sos2_sets`` are ordered lambda-index lists (at most two members
-    nonzero, and adjacent) and ``squares`` the square-term records, one per
-    SOS2 set and in the same order. The z corridor half-widths are the
-    right-hand sides of the ``z_upper`` and ``z_lower`` rows.
+    ``payoffs`` is the normalized matrix of the quadratic form z stands for
+    and ``eps`` the strictness margin of the big-M rows, so a solver can
+    verify candidates against the original quadratic constraints at the
+    model's own margin. ``k`` is None, or the breakpoint count of
+    ``linearize``. The model keeps a read-only copy of ``payoffs`` and
+    refuses one that is not square or not in [0, 1], as the big-M constants
+    assume, and a bad ``eps`` or ``k``. The other fields are built from these
+    three, so they can be neither passed nor assigned, and
+    ``dataclasses.replace`` rebuilds them. Rows reference variables by index
+    into ``variables``. ``sos2_sets`` are ordered lambda-index tuples (at
+    most two members nonzero, and adjacent) and ``squares`` the square-term
+    records, one per SOS2 set and in the same order; both are empty when k
+    is None.
     """
 
-    eps: float
-    variables: list[Variable]
-    rows: list[LinearRow]
     payoffs: np.ndarray
-    sos2_sets: list[list[int]] = field(default_factory=list)
-    squares: list[SquareTerm] = field(default_factory=list)
+    eps: float = EPS
+    k: int | None = None
+    variables: tuple[Variable, ...] = field(init=False, repr=False)
+    rows: tuple[LinearRow, ...] = field(init=False, repr=False)
+    sos2_sets: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    squares: tuple[SquareTerm, ...] = field(init=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -140,22 +143,29 @@ class ModelIR:
         return self.payoffs.shape[0]
 
     def __post_init__(self) -> None:
+        a = np.array(self.payoffs, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"payoffs must be a square matrix, got shape {a.shape}")
+        if not (a.min() >= 0.0 and a.max() <= 1.0):
+            raise ValueError("the model requires payoffs in [0, 1]; the big-M constants assume it")
         check_eps(self.eps)
-        shape = np.shape(self.payoffs)
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ValueError(f"payoffs must be a square matrix, got shape {shape}")
-        m = self.m
-        layout = [f"x_{i}" for i in range(m)] + ["z"] + [f"y_{j}" for j in range(m)]
-        names = [v.name for v in self.variables[: 2 * m + 1]]
-        if names != layout or not all(v.binary for v in self.variables[m + 1 : 2 * m + 1]):
-            raise ValueError(
-                f"the first 2m+1 variables must be x_0..x_{m - 1}, z and the binary "
-                f"branch indicators y_0..y_{m - 1}; got {names}"
-            )
-        for row in self.rows:
-            for idx in row.coeffs:
-                if not 0 <= idx < len(self.variables):
-                    raise ValueError(f"row {row.name!r} references unknown variable {idx}")
+        a.setflags(write=False)
+        variables, rows = _big_m_system(a, self.eps)
+        sos2_sets, squares = (), ()
+        if self.k is not None:
+            object.__setattr__(self, "k", check_k(self.k))
+            sos2_sets, squares = _lambda_system(a, self.k, variables, rows)
+        for name, value in (("payoffs", a), ("variables", tuple(variables)), ("rows", tuple(rows)),
+                            ("sos2_sets", sos2_sets), ("squares", squares)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ModelIR):
+            return NotImplemented
+        return (self.eps, self.k) == (other.eps, other.k) and bool(np.array_equal(self.payoffs, other.payoffs))
+
+    def __hash__(self) -> int:
+        return hash((self.eps, self.k, (self.payoffs + 0.0).tobytes()))  # -0.0 hashes as 0.0
 
     def bounds_array(self) -> np.ndarray:
         return np.array([[v.lb, v.ub] for v in self.variables])
@@ -229,25 +239,20 @@ def linearization_error_bound(game_or_payoffs, k: int) -> float:
     return env_plus + env_minus
 
 
-def build_model(game: GameMatrix, eps: float = 1e-5) -> ModelIR:
-    """Assemble the x/z/y feasibility model for a normalized game.
+def build_model(game: GameMatrix, eps: float = EPS) -> ModelIR:
+    """The x/z/y feasibility model of a normalized game: ``ModelIR(game.payoffs, eps)``."""
+    return ModelIR(game.payoffs, eps)
 
-    eps is the strict-inequality margin of both strict row families (the
-    model refuses one that is not positive and finite); every big-M
-    constant is 1 + eps, the smallest that deactivates a row for payoffs in
-    [0, 1].
 
-    Variable order: x_0..x_{m-1}, z, y_0..y_{m-1}. Row order: the four big-M
-    rows per pure strategy, then the probability simplex row. ``linearize``
-    appends the lambda system for export. Both orders are deterministic so
-    exports are byte-stable.
+def _big_m_system(a: np.ndarray, eps: float) -> tuple[list[Variable], list[LinearRow]]:
+    """The columns and rows of the x/z/y system of payoffs a in [0, 1].
+
+    eps is the margin of both strict row families; every big-M constant is
+    1 + eps, the smallest that deactivates a row for payoffs in [0, 1]. The
+    column and row orders (the module docstring's layout) are deterministic,
+    so exports are byte-stable; ``linearize`` appends after them.
     """
-    if not game.is_normalized:
-        raise ValueError(
-            "build_model requires payoffs in [0, 1]; the big-M constants assume it"
-        )
-    a = game.payoffs
-    m = game.m
+    m = a.shape[0]
     big = 1.0 + eps
     z = m
 
@@ -278,18 +283,18 @@ def build_model(game: GameMatrix, eps: float = 1e-5) -> ModelIR:
         )
 
     rows.append(LinearRow({i: 1.0 for i in range(m)}, "=", 1.0, name="simplex"))
-    return ModelIR(eps=eps, variables=variables, rows=rows, payoffs=a)
+    return variables, rows
 
 
 def linearize(model: ModelIR, k: int) -> ModelIR:
-    """The model with the paper's lambda/SOS2 linearization of z appended.
+    """The model with the lambda/SOS2 system at k: ``ModelIR(model.payoffs, model.eps, k)``.
 
     k is the number of breakpoint segments per square term (k+1 grid points
     t_0..t_k, uniform on [lo, hi]). Each term adds a q column and then its
     k+1 lambda columns after y, which form one SOS2 set, and the rows
     lamsum (sum lam_r = 1), link (sum lam_r t_r = s) and qdef
     (q = sum lam_r t_r^2); the z_upper and z_lower corridor rows come last.
-    The input is not changed.
+    A linearized model is linearized afresh at the new k.
 
     These rows hold at any simplex point x with z = x' A x, q and lambdas
     from ``interpolation_assignment``, and any binary y:
@@ -307,19 +312,19 @@ def linearize(model: ModelIR, k: int) -> ModelIR:
     So a leaf that meets the x/z/y rows also meets the linearized model; the
     test suite checks this on a fuzzed deck.
     """
-    k = check_k(k)
-    m = model.m
-    if len(model.variables) != 2 * m + 1:
-        raise ValueError("linearize expects the x/z/y model that build_model returns")
-    variables = list(model.variables)
-    rows = list(model.rows)
-    sos2: list[list[int]] = []
-    squares = _square_terms(model.payoffs)
+    return ModelIR(model.payoffs, model.eps, k)
+
+
+def _lambda_system(a: np.ndarray, k: int, variables: list[Variable], rows: list[LinearRow]):
+    """Append ``linearize``'s columns and rows at k segments; return (sos2_sets, squares)."""
+    m = a.shape[0]
+    sos2: list[tuple[int, ...]] = []
+    squares = _square_terms(a)
     up, down = {m: 1.0}, {m: -1.0}
     for sq in squares:
         t = np.linspace(sq.lo, sq.hi, k + 1)
         q = len(variables)
-        lam = list(range(q + 1, q + k + 2))
+        lam = tuple(range(q + 1, q + k + 2))
         variables.append(Variable(f"q_{sq.name}", 0.0, max(sq.lo * sq.lo, sq.hi * sq.hi)))
         variables.extend(Variable(f"lam_{sq.name}_{r}", 0.0, 1.0) for r in range(k + 1))
         sos2.append(lam)
@@ -335,14 +340,7 @@ def linearize(model: ModelIR, k: int) -> ModelIR:
     env_plus, env_minus = _envelope(squares, k)
     rows.append(LinearRow(up, "<=", env_minus, name="z_upper"))
     rows.append(LinearRow(down, "<=", env_plus, name="z_lower"))
-    return ModelIR(
-        eps=model.eps,
-        variables=variables,
-        rows=rows,
-        payoffs=model.payoffs,
-        sos2_sets=sos2,
-        squares=squares,
-    )
+    return tuple(sos2), tuple(squares)
 
 
 def interpolation_assignment(model: ModelIR, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
@@ -364,7 +362,7 @@ def interpolation_assignment(model: ModelIR, x: np.ndarray, y: np.ndarray | None
     for sq, lam in zip(model.squares, model.sos2_sets):
         t = np.linspace(sq.lo, sq.hi, len(lam))
         w = _interp_lambdas(sum(coef * x[i] for i, coef in sq.coeffs.items()), t)
-        values[lam] = w
+        values[list(lam)] = w
         values[lam[0] - 1] = w @ t**2  # q sits just before its lambdas
     return values
 

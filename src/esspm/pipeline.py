@@ -29,7 +29,7 @@ from .generators import (
     rock_paper_scissors,
     uniform_random,
 )
-from .model import build_model, check_eps, check_k
+from .model import EPS, build_model, check_eps, check_k
 from .simplex import SolverError
 from .solver import SolveLimits, SolveStatus, extract_strategy, solve
 
@@ -124,7 +124,7 @@ class BatchConfig:
     n_games: int = 1
     seed: int = 0
     k: int = 20
-    eps: float = 1e-5
+    eps: float = EPS
     delta: float = Tolerances.delta
     solver: str = "milp"
     limits: SolveLimits = field(default_factory=SolveLimits)

@@ -1,6 +1,6 @@
 """Branch-and-bound feasibility solver for the stability models.
 
-Depth-first search over the branch indicators y, on the rows of the model it
+Depth-first search over the binary indicators y, on the rows of the model it
 is given: ``build_model``'s x/z/y system (2m+1 columns, 4m+1 rows), or that
 system with the rows of ``linearize`` appended. A node is its bounds array,
 and y_j is fixed where its bounds meet. A child that fixes y_j at 0 also
@@ -97,7 +97,8 @@ change the order in which the tree is searched, never which patterns it can
 accept. The leaf LP starts blank so that its strategy does not depend on
 that order.
 
-A solve owns its node stack and never mutates the model, so independent
+A solve owns its node stack and cannot mutate the model: a ``ModelIR`` is
+frozen, and its rows are built from its payoffs, eps and k. So independent
 solves over shared models may run concurrently.
 """
 

@@ -64,6 +64,15 @@ class TestSolve:
         assert code == 0
         assert "OPTIMAL" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("big", ["1e307", "1e308"])
+    def test_game_file_with_a_huge_range(self, tmp_path, capsys, big):
+        # max - min of the 1e308 game is above the largest double; it solves as the 1e307 one does.
+        path = tmp_path / "big.txt"
+        path.write_text(f"2\n-{big} {big}\n0 1\n")
+        assert cli_main(["solve", "--class", "file", "--game-file", str(path)]) == 0
+        assert capsys.readouterr().out == "status: OPTIMAL\nstrategy: 0.5;0.5\nerror: 0\n"
+
     def test_game_file_needs_file_class(self, tmp_path, capsys):
         # The file holds a game with no pure ESSPM; the default uniform 2x2
         # game at seed 0 has one, so solving that instead would print PURE.

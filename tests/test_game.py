@@ -164,6 +164,18 @@ class TestNormalize:
             g = GameMatrix(rng.normal(scale=100.0, size=(m, m)))
             assert normalize(g).is_normalized
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("big", [1e307, 1e308, np.finfo(float).max])
+    def test_range_above_the_largest_double(self, big):
+        # At 1e308 and above, max - min overflows; the result must not depend on it.
+        n = normalize(GameMatrix(np.array([[-big, big], [0.0, 1.0]])))
+        assert n.payoffs.tolist() == [[0.0, 1.0], [0.5, 0.5]]
+
+    def test_ordinary_range_keeps_its_bytes(self):
+        a = np.random.default_rng(12).normal(scale=1e300, size=(4, 4))
+        lo, hi = a.min(), a.max()
+        assert normalize(GameMatrix(a)).payoffs.tobytes() == ((a - lo) / (hi - lo)).tobytes()
+
 
 class TestGameText:
     def test_read_mp(self):

@@ -120,6 +120,13 @@ class TestCancer:
         with pytest.raises(ValueError):
             CancerParams(-0.1, 0, 0, 0, 0, 0, 0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", "acg")
+    def test_rejects_non_finite_param(self, value, name):
+        params = dict.fromkeys("abcdefg", 0.5) | {name: value}
+        with pytest.raises(ValueError, match=f"cancer parameter {name}={value} must be finite"):
+            CancerParams(**params)
+
 
 MASK = 0xFFFF_FFFF_FFFF_FFFF
 EDGE_SEEDS = [0, 1, 2**63, 2**64 - 1, -1, 2**64 + 5]

@@ -4,8 +4,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from esspm import model as model_module
 from esspm import (
+    BatchConfig,
     GameMatrix,
+    SolveStatus,
     build_model,
     cancer_game,
     chicken,
@@ -15,13 +18,13 @@ from esspm import (
     mutation_population,
     normalize,
     random_cancer_params,
+    solve,
     uniform_random,
     verify_assignment,
 )
 from esspm.cli import cli_main
 from esspm.model import (
-    LinearRow,
-    Variable,
+    ModelIR,
     interpolation_assignment,
     secant_gap_bound,
     secant_square_value,
@@ -56,6 +59,10 @@ class TestModelParameters:
             assert set(rows) == {f"strict_{j}", f"tie_ub_{j}", f"tie_lb_{j}", f"selfplay_{j}"}
             assert rows[f"strict_{j}"].rhs == -eps
             assert all(abs(r.coeffs[yj]) == 1.0 + eps for r in rows.values())
+
+    def test_one_eps_default(self):
+        assert model_module.EPS == 1e-5
+        assert ModelIR(MP_NORM.payoffs).eps is build_model(MP_NORM).eps is BatchConfig().eps is model_module.EPS
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError, match="eps must be positive"):
@@ -345,7 +352,7 @@ class TestLayout:
             assert names == [f"x_{i}" for i in range(m)] + ["z"] + [f"y_{j}" for j in range(m)]
             assert len(model.rows) == 4 * m + 1
             assert model.rows[-1].name == "simplex"
-            assert model.sos2_sets == [] and model.squares == []
+            assert model.sos2_sets == () and model.squares == ()
             assert not {"z_lower", "z_upper"} & {row.name for row in model.rows}
 
     def test_linearize_appends_after_y(self):
@@ -358,30 +365,69 @@ class TestLayout:
         assert all(full.variables[lam[0] - 1].name == f"q_{sq.name}" for sq, lam in zip(full.squares, full.sos2_sets))
         assert sum(corridor(full)) == linearization_error_bound(model.payoffs, 4)
 
-    def test_linearize_rejects_a_linearized_model(self):
-        with pytest.raises(ValueError, match="x/z/y"):
-            linearize(full_model(MP_NORM, 3), 3)
-
-    def test_layout_is_checked(self):
-        model = build_model(MP_NORM)
-        x0, x1, z, y0, y1 = model.variables
-        for variables in (
-            [x1, x0, z, y0, y1],  # x out of order
-            [x0, x1, y0, z, y1],  # z not at m
-            [x0, x1, z, Variable("y_0", 0.0, 1.0), y1],  # y_0 not binary
-            [x0, x1, z, y0],  # y_1 missing
-        ):
-            with pytest.raises(ValueError, match="branch indicators"):
-                dataclasses.replace(model, variables=variables, rows=[])
-
     def test_size_is_that_of_the_payoffs(self):
-        # m is read from payoffs, so a 2x2 layout with 3x3 payoffs cannot be built.
+        # m is read from payoffs, and a replaced payoffs rebuilds the model at its size.
         model = build_model(MP_NORM)
         assert model.m == 2
-        with pytest.raises(ValueError, match="branch indicators"):
-            dataclasses.replace(model, payoffs=normalize(uniform_random(3, seed=1)).payoffs)
+        model = dataclasses.replace(model, payoffs=normalize(uniform_random(3, seed=1)).payoffs)
+        assert model.m == 3
+        assert (len(model.variables), len(model.rows)) == (7, 13)
 
-    def test_row_indices_are_checked(self):
+
+class TestDerivedModel:
+    """A model is built from payoffs, eps and k alone, and is frozen."""
+
+    def test_init_fields_are_payoffs_eps_and_k(self):
+        assert [f.name for f in dataclasses.fields(ModelIR) if f.init] == ["payoffs", "eps", "k"]
+
+    def test_replaced_eps_rebuilds_the_rows(self):
+        # Built at 1e-3 and replaced to 1e-5, the model answers as one built at 1e-5.
+        g = normalize(uniform_random(3, seed=44))
+        replaced = dataclasses.replace(build_model(g, 1e-3), eps=1e-5)
+        assert replaced.rows == build_model(g, 1e-5).rows
+        assert solve(replaced).status is SolveStatus.FEASIBLE
+        assert solve(build_model(g, 1e-5)).status is SolveStatus.FEASIBLE
+
+    def test_replaced_payoffs_rebuild_the_rows(self):
+        g = normalize(uniform_random(3, seed=2))
+        replaced = dataclasses.replace(build_model(normalize(uniform_random(3, seed=1))), payoffs=g.payoffs)
+        built = build_model(g)
+        assert replaced.rows == built.rows and replaced.variables == built.variables
+
+    def test_replaced_k_rebuilds_the_lambda_system(self):
+        model = linearize(build_model(MP_NORM), 3)
+        assert export_lp(dataclasses.replace(model, k=5)) == export_lp(linearize(build_model(MP_NORM), 5))
+        assert export_lp(dataclasses.replace(model, k=None)) == export_lp(build_model(MP_NORM))
+
+    def test_fields_cannot_be_assigned(self):
         model = build_model(MP_NORM)
-        with pytest.raises(ValueError, match="unknown variable 5"):
-            dataclasses.replace(model, rows=[LinearRow({5: 1.0}, "<=", 1.0, name="bad")])
+        for name, value in (("eps", 1e-3), ("payoffs", np.zeros((2, 2))), ("rows", ())):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(model, name, value)
+        assert model.eps == 1e-5 and solve(model).status is SolveStatus.FEASIBLE
+
+    @pytest.mark.parametrize("name", ["variables", "rows", "sos2_sets", "squares"])
+    def test_built_fields_cannot_be_replaced(self, name):
+        with pytest.raises(ValueError, match=f"{name} is declared with init=False"):
+            dataclasses.replace(build_model(MP_NORM), **{name: ()})
+
+    @pytest.mark.parametrize("low, high", [(-0.5, 1.0), (0.0, 2.0), (0.0, float("nan"))])
+    def test_replaced_payoffs_outside_the_unit_interval_are_refused(self, low, high):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            dataclasses.replace(build_model(MP_NORM), payoffs=np.array([[low, 0.5], [0.5, high]]))
+
+    def test_models_of_equal_inputs_are_equal(self):
+        a, b = build_model(MP_NORM), build_model(normalize(mutation_population()))
+        assert a == b and hash(a) == hash(b)
+        assert a != build_model(MP_NORM, 1e-3) and a != linearize(a, 3)
+        assert a != build_model(normalize(uniform_random(2, seed=3)))
+        signed = MP_NORM.payoffs.copy()
+        signed[signed == 0.0] = -0.0
+        assert ModelIR(signed) == a and hash(ModelIR(signed)) == hash(a)
+
+    def test_payoffs_are_a_read_only_copy(self):
+        a = np.array([[0.6, 0.2], [1.0, 0.0]])
+        model = ModelIR(a)
+        a[0, 0] = 0.0
+        assert model.payoffs[0, 0] == 0.6
+        assert not model.payoffs.flags.writeable

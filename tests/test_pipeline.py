@@ -82,7 +82,7 @@ class TestSolveOne:
         m = game.m
         assert len(model.variables) == 2 * m + 1
         assert len(model.rows) == 4 * m + 1
-        assert model.sos2_sets == []
+        assert model.sos2_sets == ()
 
 
 class TestMakeGame:

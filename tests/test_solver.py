@@ -1,4 +1,3 @@
-import dataclasses
 import types
 
 import numpy as np
@@ -32,9 +31,9 @@ from esspm import (
     uniform_random,
     verify_assignment,
 )
-from esspm.model import Variable, interpolation_assignment, linearization_error_bound
+from esspm.model import interpolation_assignment, linearization_error_bound
 from esspm.enumeration import _solve_ties
-from esspm.solver import SolveResult, SolveStats, _attempt_pattern
+from esspm.solver import SolveResult, SolveStats, _attempt_pattern, _propagate, _spared_masks
 
 
 def solve_game(game, eps=1e-5):
@@ -67,12 +66,21 @@ class TestKnownGames:
         _, _, res = solve_game(rock_paper_scissors())
         assert res.status is SolveStatus.INFEASIBLE
 
-    def test_contradictory_bound_infeasible_at_root(self):
-        model = build_model(normalize(mutation_population()))
-        model.rows.append(LinearRow({0: 1.0}, ">=", 2.0, name="inject"))
-        res = solve(model)
+    def test_contradictory_bound_infeasible_at_root(self, monkeypatch):
+        # A spy adds x_0 >= 2 to every LP, so the root LP is infeasible and nothing else runs.
+        import esspm.solver
+
+        real_lp_solve, calls = esspm.solver.lp_solve, []
+
+        def spy(rows, bounds, start=None):
+            calls.append(start)
+            return real_lp_solve([*rows, LinearRow({0: 1.0}, ">=", 2.0, name="inject")], bounds)
+
+        monkeypatch.setattr(esspm.solver, "lp_solve", spy)
+        res = solve(build_model(normalize(mutation_population())))
         assert res.status is SolveStatus.INFEASIBLE
         assert res.stats.nodes == 1
+        assert calls == [None]
 
 
 class TestSolveMechanics:
@@ -151,14 +159,6 @@ class TestSolveMechanics:
             assert res.status is SolveStatus.FEASIBLE
             strat = extract_strategy(res, 2)
             assert strat.probs.max() <= 1.0 - 1e-6
-
-    def test_row_order_does_not_matter(self):
-        model = build_model(normalize(mutation_population()))
-        model.rows.reverse()
-        res = solve(model)
-        assert res.status is SolveStatus.FEASIBLE
-        assert verify_assignment(model, res.assignment) == []
-        assert full_violations(model, res) == []
 
     def test_rejects_non_model(self):
         with pytest.raises(TypeError):
@@ -399,17 +399,14 @@ class TestDominancePropagation:
             pruned += res.stats.pruned
         assert pruned > 0
 
-    def test_dominated_strategy_pinned_in_closes_the_root(self, monkeypatch):
-        import esspm.solver
-
-        monkeypatch.setattr(esspm.solver, "lp_solve", None)  # no LP may run
+    def test_dominated_strategy_pinned_in_closes_the_root(self):
         model = build_model(_no_pure((_with_dominated(uniform_random(4, seed=s), s) for s in range(200)), 1)[0])
-        k = model.m - 1
-        variables = list(model.variables)
-        variables[model.m + 1 + k] = Variable(f"y_{k}", 1.0, 1.0, binary=True)
-        res = solve(dataclasses.replace(model, variables=variables))
-        assert res.status is SolveStatus.INFEASIBLE
-        assert (res.stats.nodes, res.stats.pruned) == (0, 1)
+        m, k = model.m, model.m - 1
+        spared, everyone = _spared_masks(model.payoffs), (1 << m) - 1
+        bounds = model.bounds_array()
+        assert _propagate(spared, bounds.copy(), everyone) & (1 << k) == 0  # k is dominated
+        bounds[m + 1 + k] = 1.0  # y_k pinned at 1
+        assert _propagate(spared, bounds, everyone) == 0
 
     def test_tied_games_agree_with_the_oracle(self, monkeypatch):
         # Integer payoffs and cloned strategies make the exact ties that sit
@@ -645,12 +642,6 @@ class TestSharedTieSolve:
         monkeypatch.setattr(esspm.solver, "verify_assignment", lambda model, values: ["row tie_0 violated by 1.0"])
         with pytest.raises(SolverError, match="tie_0 violated"):
             solve(build_model(normalize(mutation_population())))
-
-    def test_model_without_indicators_rejected(self):
-        model = build_model(normalize(mutation_population()))
-        relaxed = [Variable(v.name, v.lb, v.ub) for v in model.variables]
-        with pytest.raises(ValueError, match="indicators"):
-            dataclasses.replace(model, variables=relaxed)
 
 
 class TestExtractStrategy:
