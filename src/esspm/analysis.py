@@ -25,6 +25,7 @@ __all__ = [
     "check_conditions",
     "find_pure_esspm",
     "find_all_pure_esspm",
+    "pure_nash_epsilon",
     "payoff_gaps",
     "invasion_test",
     "approximation_error",
@@ -145,6 +146,18 @@ def find_all_pure_esspm(game: GameMatrix, tol: Tolerances = Tolerances()) -> lis
     holds = (d < -tol.delta) | ((d <= tol.delta) & (margin > 0.0))
     np.fill_diagonal(holds, True)
     return np.flatnonzero(holds.all(axis=1)).tolist()
+
+
+def pure_nash_epsilon(game: GameMatrix, i: int) -> float:
+    """:func:`nash_epsilon` of pure strategy ``i``, read from its payoff column.
+
+    The gain of a deviation to j is d[i, j] = a_ji - a_ii of
+    :func:`find_all_pure_esspm`, which is what :func:`payoff_gaps` yields for
+    the unit vector, so the value is the same double. It is never negative:
+    j = i gains 0.
+    """
+    a = game.payoffs
+    return float(a[:, i].max() - a[i, i])
 
 
 def invasion_test(

@@ -8,6 +8,7 @@ across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -101,14 +102,17 @@ class MixedStrategy:
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
-    @classmethod
-    def pure(cls, i: int, m: int) -> "MixedStrategy":
-        """Degenerate strategy putting all weight on pure strategy ``i``."""
+    @staticmethod
+    def pure(i: int, m: int) -> "MixedStrategy":
+        """Degenerate strategy putting all weight on pure strategy ``i``.
+
+        Strategies are immutable, so each ``(i, m)`` gets one shared
+        instance, built on first use.
+        """
+        i, m = operator.index(i), operator.index(m)
         if not 0 <= i < m:
             raise ValueError(f"pure index {i} out of range for m={m}")
-        p = np.zeros(m)
-        p[i] = 1.0
-        return cls(p)
+        return _pure_strategy(i, m)
 
     @property
     def m(self) -> int:
@@ -125,6 +129,13 @@ class MixedStrategy:
 
     def __hash__(self) -> int:
         return hash((self.probs + 0.0).tobytes())  # -0.0 hashes as 0.0
+
+
+@functools.cache
+def _pure_strategy(i: int, m: int) -> MixedStrategy:
+    p = np.zeros(m)
+    p[i] = 1.0
+    return MixedStrategy(p)
 
 
 @dataclass(frozen=True)

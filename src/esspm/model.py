@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -82,9 +84,13 @@ class Variable:
 
 @dataclass(frozen=True)
 class LinearRow:
-    """coeffs . vars <rel> rhs with rel one of '<=', '=', '>='."""
+    """coeffs . vars <rel> rhs with rel one of '<=', '=', '>='.
 
-    coeffs: dict[int, float]
+    ``coeffs`` is kept as a read-only view of a private copy, so a built row
+    cannot be edited.
+    """
+
+    coeffs: Mapping[int, float]
     rel: str
     rhs: float
     name: str = ""
@@ -92,6 +98,7 @@ class LinearRow:
     def __post_init__(self) -> None:
         if self.rel not in ("<=", "=", ">="):
             raise ValueError(f"unknown relation {self.rel!r}")
+        object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
 
 
 @dataclass(frozen=True)
@@ -100,14 +107,18 @@ class SquareTerm:
 
     s is x_i, x_i + x_j or x_i - x_j and ranges over [lo, hi] on the simplex;
     weight is the coefficient of q in the z corridor rows. ``name`` tags the
-    term's columns and rows in the linearized model.
+    term's columns and rows in the linearized model. ``coeffs`` is kept
+    read-only, as in ``LinearRow``.
     """
 
     name: str
-    coeffs: dict[int, float]
+    coeffs: Mapping[int, float]
     weight: float
     lo: float
     hi: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .analysis import Tolerances, approximation_error, find_pure_esspm, nash_epsilon
+from .analysis import Tolerances, approximation_error, find_pure_esspm, nash_epsilon, pure_nash_epsilon
 from .enumeration import DEFAULT_SUPPORT_CAP, enumerate_esspm
 from .game import GameMatrix, MixedStrategy, normalize
 from .generators import (
@@ -264,6 +264,7 @@ def solve_record(game: GameMatrix, cfg: BatchConfig, game_id: int = 0) -> GameRe
     """Normalize, try the pure-strategy preprocessing pass, then the configured solver.
 
     Returns the verdict with its CSV fields; ``.outcome`` is the verdict alone.
+    A pure answer's ``nash_eps`` is read from its payoff column.
     """
     t0 = time.perf_counter()
     norm = normalize(game)
@@ -280,6 +281,10 @@ def solve_record(game: GameMatrix, cfg: BatchConfig, game_id: int = 0) -> GameRe
             strategy = outcome.strategy
             error = approximation_error(norm, strategy, cfg.tolerances)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
+    if pure is not None:
+        nash_eps: float | None = pure_nash_epsilon(norm, pure)
+    else:
+        nash_eps = None if strategy is None else nash_epsilon(norm, strategy)
 
     return GameRecord(
         game_id=game_id,
@@ -288,7 +293,7 @@ def solve_record(game: GameMatrix, cfg: BatchConfig, game_id: int = 0) -> GameRe
         outcome=outcome,
         strategy=strategy,
         error=error,
-        nash_eps=None if strategy is None else nash_epsilon(norm, strategy),
+        nash_eps=nash_eps,
         runtime_ms=runtime_ms,
         disagreement=disagreement,
     )

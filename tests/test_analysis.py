@@ -18,6 +18,7 @@ from esspm import (
     mutation_population,
     nash_epsilon,
     normalize,
+    pure_nash_epsilon,
     rock_paper_scissors,
 )
 from esspm.analysis import payoff_gaps
@@ -313,6 +314,17 @@ class TestPayoffGaps:
             n_games += 1
             n_found += len(expected)
         assert n_games >= 500 and n_found >= 100
+
+    def test_pure_nash_epsilon_is_the_unit_vector_value(self):
+        n_positive = 0
+        for g in pure_scan_deck(66):
+            for i in range(g.m):
+                expected = nash_epsilon(g, MixedStrategy.pure(i, g.m))
+                got = pure_nash_epsilon(g, i)
+                assert type(got) is float
+                assert got == expected and np.signbit(got) == np.signbit(expected), (g.payoffs, i)
+                n_positive += got > 0.0
+        assert n_positive >= 1000
 
     @pytest.mark.parametrize("delta", [1e-7, 1e-3])
     def test_mixed_verdicts_agree_off_threshold(self, delta):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from esspm import game as game_module
 from esspm import (
     GameMatrix,
     GameParseError,
@@ -54,6 +55,23 @@ class TestMixedStrategy:
     def test_pure(self):
         s = MixedStrategy.pure(1, 3)
         assert s.probs.tolist() == [0.0, 1.0, 0.0]
+
+    def test_pure_is_one_shared_read_only_instance(self):
+        s = MixedStrategy.pure(1, 4)
+        assert MixedStrategy.pure(1, 4) is s
+        assert MixedStrategy.pure(np.int64(1), np.int32(4)) is s
+        assert MixedStrategy.pure(2, 4) is not s and MixedStrategy.pure(1, 3) is not s
+        with pytest.raises(ValueError, match="read-only"):
+            s.probs[0] = 1.0
+        assert s == MixedStrategy([0.0, 1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("i, m", [(-1, 3), (3, 3), (np.int64(5), 2), (0, 0)])
+    def test_pure_out_of_range_raises_and_is_not_cached(self, i, m):
+        cached = game_module._pure_strategy.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="out of range"):
+                MixedStrategy.pure(i, m)
+        assert game_module._pure_strategy.cache_info().currsize == cached
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="negative"):

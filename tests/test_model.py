@@ -8,7 +8,9 @@ from esspm import model as model_module
 from esspm import (
     BatchConfig,
     GameMatrix,
+    LinearRow,
     SolveStatus,
+    SquareTerm,
     build_model,
     cancer_game,
     chicken,
@@ -431,3 +433,21 @@ class TestDerivedModel:
         a[0, 0] = 0.0
         assert model.payoffs[0, 0] == 0.6
         assert not model.payoffs.flags.writeable
+
+    def test_row_coefficients_cannot_be_edited(self):
+        # Through writable maps this edit would turn the FEASIBLE Dove/Hawk model INFEASIBLE.
+        model = build_model(MP_NORM)
+        with pytest.raises(TypeError):
+            model.rows[0].coeffs[3] = 0.0
+        with pytest.raises(TypeError):
+            model.rows[4].coeffs[4] = 0.0
+        assert solve(model).status is SolveStatus.FEASIBLE
+
+    def test_coefficient_maps_are_private_copies(self):
+        coeffs = {0: 1.0, 1: 1.0}
+        row, term = LinearRow(coeffs, "=", 1.0), SquareTerm("plus_0_1", coeffs, 0.25, 0.0, 1.0)
+        coeffs[0] = 0.0
+        assert row.coeffs == term.coeffs == {0: 1.0, 1: 1.0}
+        for square in linearize(build_model(MP_NORM), 3).squares:
+            with pytest.raises(TypeError):
+                square.coeffs[0] = 0.0

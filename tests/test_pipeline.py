@@ -7,6 +7,7 @@ import pytest
 
 from esspm import (
     BatchConfig,
+    GameMatrix,
     Infeasible,
     LimitReached,
     MixedEsspm,
@@ -19,8 +20,10 @@ from esspm import (
     SolverError,
     counterexample_game,
     enumerate_esspm,
+    find_pure_esspm,
     linearization_error_bound,
     mutation_population,
+    nash_epsilon,
     normalize,
     read_game,
     rock_paper_scissors,
@@ -300,6 +303,37 @@ class TestNashEpsColumn:
 
     def test_missing_value_is_empty(self):
         assert self.cell(None) == ""
+
+
+class TestPureAnswers:
+    """A pure answer's record, read from the scan, is the spec's bit for bit."""
+
+    @staticmethod
+    def pure_games():
+        rng = np.random.default_rng(29)
+        for m in range(2, 9):
+            for seed in range(30):
+                yield uniform_random(m, seed=1000 * m + seed)
+                ties = rng.integers(0, 3, (m, m)).astype(float)
+                yield GameMatrix(ties)  # exact ties
+                # Near ties inside the delta band: a pure answer gains up to delta.
+                yield GameMatrix(ties + 1e-8 * rng.random((m, m)))
+
+    def test_pure_records_match_the_spec(self):
+        n_pure = n_positive = 0
+        for game in self.pure_games():
+            norm = normalize(game)
+            i = find_pure_esspm(norm)
+            if i is None:
+                continue
+            record = solve_record(game, BatchConfig(m=game.m, solver="enum"))
+            spec = MixedStrategy.pure(i, game.m)
+            assert record.outcome == PureEsspm(i)
+            assert record.strategy == spec and record.error == 0.0
+            assert record.nash_eps == nash_epsilon(norm, spec), (game.payoffs, i)
+            n_pure += 1
+            n_positive += record.nash_eps > 0.0
+        assert n_pure >= 400 and n_positive >= 40
 
 
 class TestConfigValidation:
