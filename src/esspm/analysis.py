@@ -10,12 +10,11 @@ of half-width ``delta`` around zero.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameMatrix, MixedStrategy, utility
+from .game import GameMatrix, MixedStrategy, check_positive, utility
 
 __all__ = [
     "Tolerances",
@@ -44,8 +43,7 @@ class Tolerances:
     delta: float = 1e-7
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.delta) and self.delta > 0.0):
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        check_positive("delta", self.delta)
 
 
 class Condition(enum.Enum):

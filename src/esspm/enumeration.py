@@ -47,17 +47,22 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import Condition, ConditionOutcome, Tolerances, check_conditions, payoff_gaps
-from .game import PLAYED_TOL, GameMatrix, MixedStrategy, Support
+from .game import PLAYED_TOL, GameMatrix, MixedStrategy, Support, check_int
 
 __all__ = ["EsspmCertificate", "solve_support", "enumerate_esspm", "DEFAULT_SUPPORT_CAP"]
 
 DEFAULT_SUPPORT_CAP = 20
+
+
+def check_cap(m: int) -> None:
+    """Refuse a game with more than ``DEFAULT_SUPPORT_CAP`` strategies, too many supports to visit."""
+    if m > DEFAULT_SUPPORT_CAP:
+        raise ValueError(f"m={m} exceeds the enumeration cap of {DEFAULT_SUPPORT_CAP}")
 
 
 @dataclass(frozen=True)
@@ -292,15 +297,9 @@ def enumerate_esspm(
     simplex (on uniform games nearly all of the second kind); and
     ``dominated_skipped``, those pruned before their tie solve.
     """
-    if game.m > DEFAULT_SUPPORT_CAP:
-        raise ValueError(f"m={game.m} exceeds the enumeration cap of {DEFAULT_SUPPORT_CAP}")
+    check_cap(game.m)
     if limit is not None:
-        try:
-            limit = operator.index(limit)
-        except TypeError:
-            raise ValueError(f"limit must be an integer, got {limit!r}") from None
-        if limit < 1:
-            raise ValueError(f"limit must be at least 1, got {limit}")
+        limit = check_int("limit", limit, 1)
     counts = np.zeros(3, dtype=np.int64)  # supports visited, singular skipped, dominated skipped
     found: list[EsspmCertificate] = []
     for chunk, dominated, singular, candidates in _survivors(game, tol.delta):

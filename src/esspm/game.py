@@ -33,6 +33,27 @@ PROB_SUM_TOL = 1e-9
 PLAYED_TOL = 1e-9
 
 
+def check_int(name: str, value, minimum: int | None = None) -> int:
+    """A size, count, seed or limit as an int; numpy integers pass, floats and strings do not."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def check_positive(name: str, value: float) -> None:
+    """Refuse a tolerance that is not a positive, finite real."""
+    try:
+        ok = math.isfinite(value) and value > 0.0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 class GameParseError(ValueError):
     """Raised when game text cannot be parsed; message includes the offending line."""
 
@@ -53,7 +74,7 @@ class GameMatrix:
             raise ValueError(f"payoff matrix must be square, got shape {a.shape}")
         if a.shape[0] < 2:
             raise ValueError("a game needs at least 2 pure strategies")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError("payoff entries must be finite")
         a.setflags(write=False)
         object.__setattr__(self, "payoffs", a)
@@ -109,7 +130,7 @@ class MixedStrategy:
         Strategies are immutable, so each ``(i, m)`` gets one shared
         instance, built on first use.
         """
-        i, m = operator.index(i), operator.index(m)
+        i, m = check_int("i", i), check_int("m", m)
         if not 0 <= i < m:
             raise ValueError(f"pure index {i} out of range for m={m}")
         return _pure_strategy(i, m)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameMatrix
+from .game import GameMatrix, check_int
 
 __all__ = [
     "CancerParams",
@@ -40,7 +40,11 @@ _EMPTY = np.zeros(4, dtype=np.uint64)
 
 
 def _rng(seed: int) -> np.random.Generator:
-    """This thread's generator in the state of a fresh ``Philox(key=seed)``; draw before the next call."""
+    """This thread's generator in the state of a fresh ``Philox(key=seed)``; draw before the next call.
+
+    Every generator's seed is checked here: any integer, taken modulo 2^64.
+    """
+    seed = check_int("seed", seed)
     rng = getattr(_local, "rng", None)
     if rng is None:
         rng = _local.rng = np.random.Generator(np.random.Philox(0))
@@ -120,8 +124,7 @@ def rock_paper_scissors() -> GameMatrix:
 
 def uniform_random(m: int, seed: int) -> GameMatrix:
     """Game with all m*m payoffs drawn independently from Uniform[0, 1)."""
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+    m = check_int("m", m, 2)
     return GameMatrix(_rng(seed).random((m, m)))
 
 

@@ -27,15 +27,13 @@ advertised linearization bound for any feasible assignment.
 
 from __future__ import annotations
 
-import math
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
-from .game import GameMatrix
+from .game import GameMatrix, check_int, check_positive
 
 __all__ = [
     "Variable",
@@ -55,23 +53,6 @@ EPS = 1e-5  # the default strictness margin of the big-M rows
 LIN_FEAS_TOL = 1e-7
 INT_TOL = 1e-6  # a binary within this of 0 or 1 is integral, in the verify and the search
 SOS_NONZERO_TOL = 1e-7
-
-
-def check_eps(eps: float) -> None:
-    """Refuse a strictness margin that is not positive and finite."""
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-
-
-def check_k(k: int) -> int:
-    """k as an int, refused unless it is an integer of at least 2 breakpoint segments."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"k must be an integer, got {k!r}") from None
-    if k < 2:
-        raise ValueError(f"breakpoint count k must be >= 2, got {k}")
-    return k
 
 
 @dataclass(frozen=True)
@@ -159,12 +140,12 @@ class ModelIR:
             raise ValueError(f"payoffs must be a square matrix, got shape {a.shape}")
         if not (a.min() >= 0.0 and a.max() <= 1.0):
             raise ValueError("the model requires payoffs in [0, 1]; the big-M constants assume it")
-        check_eps(self.eps)
+        check_positive("eps", self.eps)
         a.setflags(write=False)
         variables, rows = _big_m_system(a, self.eps)
         sos2_sets, squares = (), ()
         if self.k is not None:
-            object.__setattr__(self, "k", check_k(self.k))
+            object.__setattr__(self, "k", check_int("k", self.k, 2))
             sos2_sets, squares = _lambda_system(a, self.k, variables, rows)
         for name, value in (("payoffs", a), ("variables", tuple(variables)), ("rows", tuple(rows)),
                             ("sos2_sets", sos2_sets), ("squares", squares)):
@@ -184,7 +165,7 @@ class ModelIR:
 
 def secant_square_value(s: float, lo: float, hi: float, k: int) -> float:
     """Value at s of the piecewise-linear interpolant of t^2 on a uniform grid."""
-    t = np.linspace(lo, hi, check_k(k) + 1)
+    t = np.linspace(lo, hi, check_int("k", k, 2) + 1)
     if not lo <= s <= hi:
         raise ValueError(f"s={s} outside [{lo}, {hi}]")
     return float(_interp_lambdas(s, t) @ t**2)
@@ -192,7 +173,7 @@ def secant_square_value(s: float, lo: float, hi: float, k: int) -> float:
 
 def secant_gap_bound(lo: float, hi: float, k: int) -> float:
     """Worst overestimate of the secant interpolant of t^2: h^2/4 at segment midpoints."""
-    h = (hi - lo) / check_k(k)
+    h = (hi - lo) / check_int("k", k, 2)
     return h * h / 4.0
 
 
@@ -246,7 +227,7 @@ def _envelope(terms: list[SquareTerm], k: int) -> tuple[float, float]:
 def linearization_error_bound(game_or_payoffs, k: int) -> float:
     """A-priori bound on |z - x' A x| over feasible assignments at k segments."""
     a = game_or_payoffs.payoffs if isinstance(game_or_payoffs, GameMatrix) else np.asarray(game_or_payoffs)
-    env_plus, env_minus = _envelope(_square_terms(a), check_k(k))
+    env_plus, env_minus = _envelope(_square_terms(a), check_int("k", k, 2))
     return env_plus + env_minus
 
 

@@ -9,17 +9,16 @@ instance can be regenerated in isolation, and emit one CSV row per game.
 from __future__ import annotations
 
 import csv
-import operator
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from .analysis import Tolerances, approximation_error, find_pure_esspm, nash_epsilon, pure_nash_epsilon
-from .enumeration import DEFAULT_SUPPORT_CAP, enumerate_esspm
-from .game import GameMatrix, MixedStrategy, normalize
+from .enumeration import check_cap, enumerate_esspm
+from .game import GameMatrix, MixedStrategy, check_int, check_positive, normalize
 from .generators import (
     cancer_game,
     chicken,
@@ -29,7 +28,7 @@ from .generators import (
     rock_paper_scissors,
     uniform_random,
 )
-from .model import EPS, build_model, check_eps, check_k
+from .model import EPS, build_model
 from .simplex import SolverError
 from .solver import SolveLimits, SolveStatus, extract_strategy, solve
 
@@ -115,8 +114,10 @@ class BatchConfig:
     game (default 2); every other class has a fixed size (a file game's
     header), which ``m`` defaults to and a given ``m`` must match.
 
-    ``k`` and ``eps`` get the model's checks and ``delta`` that of
-    ``Tolerances``, so a bad setting is refused before any game is solved.
+    Each number gets the rule of its kind, ``game.check_int`` or
+    ``game.check_positive``, and an oracle's ``m`` the cap
+    ``enumeration.check_cap``, so a bad setting is refused before any game
+    is solved.
     """
 
     game_class: str = "uniform"
@@ -127,40 +128,32 @@ class BatchConfig:
     eps: float = EPS
     delta: float = Tolerances.delta
     solver: str = "milp"
-    limits: SolveLimits = field(default_factory=SolveLimits)
+    limits: SolveLimits = SolveLimits()  # frozen, so one default instance serves every config
     game: GameMatrix | None = None
 
     def __post_init__(self) -> None:
         if self.game_class not in GAME_CLASSES:
             raise ValueError(f"unknown game class {self.game_class!r}")
-        for name in ("m", "n_games", "seed"):
+        min_m = 2 if self.game_class == "uniform" else None  # other classes fix their own size
+        for name, minimum in (("m", min_m), ("n_games", 1), ("seed", None), ("k", 2)):
             value = getattr(self, name)
-            if value is None and name == "m":
-                continue  # resolved from the class below
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        if self.n_games < 1:
-            raise ValueError("n_games must be >= 1")
-        object.__setattr__(self, "k", check_k(self.k))
-        check_eps(self.eps)
-        Tolerances(delta=self.delta)
+            if value is not None:  # a None m is resolved from the class below
+                object.__setattr__(self, name, check_int(name, value, minimum))
+        check_positive("eps", self.eps)
+        check_positive("delta", self.delta)
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
         if (self.game_class == "file") != (self.game is not None):
             raise ValueError("game class 'file' needs a game, and no other class takes one")
         if self.game_class == "uniform":
             m = 2 if self.m is None else self.m
-            if m < 2:
-                raise ValueError(f"m must be >= 2, got {m}")
         else:
             m = make_game(self, 0).m
             if self.m is not None and self.m != m:
                 raise ValueError(f"m {self.m} does not match class {self.game_class}, whose games have m={m}")
         object.__setattr__(self, "m", m)
-        if self.solver != "milp" and m > DEFAULT_SUPPORT_CAP:
-            raise ValueError(f"m={m} exceeds the enumeration cap of {DEFAULT_SUPPORT_CAP}")
+        if self.solver != "milp":
+            check_cap(m)
 
     @property
     def tolerances(self) -> Tolerances:

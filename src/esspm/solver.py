@@ -105,7 +105,6 @@ solves over shared models may run concurrently.
 from __future__ import annotations
 
 import enum
-import operator
 import time
 from dataclasses import dataclass, field
 
@@ -113,7 +112,7 @@ import numpy as np
 
 from .analysis import payoff_gaps
 from .enumeration import _solve_ties, _spared_cells
-from .game import MixedStrategy
+from .game import MixedStrategy, check_int
 from .model import INT_TOL, ModelIR, interpolation_assignment, verify_assignment
 from .simplex import LPState, SolverError, lp_solve
 
@@ -140,14 +139,7 @@ class SolveLimits:
 
     def __post_init__(self) -> None:
         for name in ("max_nodes", "max_time_ms"):
-            value = getattr(self, name)
-            try:
-                value = operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
 
 
 @dataclass
@@ -312,8 +304,7 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
         child[m + 1 + j] = child[j] = 0.0  # x_j = 0 off the pattern; popped first
         push(child, state, free & ~(1 << j))
 
-    root = model.bounds_array()
-    push(root, None, sum(1 << j for j in range(m) if root[m + 1 + j, 1] > 0.0))
+    push(model.bounds_array(), None, (1 << m) - 1)  # a ModelIR's every y is free in [0, 1]
     while stack:
         if stats.nodes >= limits.max_nodes or elapsed_ms() >= limits.max_time_ms:
             return finish(SolveStatus.LIMIT_REACHED)

@@ -73,6 +73,11 @@ class TestMixedStrategy:
                 MixedStrategy.pure(i, m)
         assert game_module._pure_strategy.cache_info().currsize == cached
 
+    @pytest.mark.parametrize(("i", "m", "name"), [(1.5, 3, "i"), (1, "3", "m")])
+    def test_pure_refuses_non_integers(self, i, m, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            MixedStrategy.pure(i, m)
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="negative"):
             MixedStrategy([-0.1, 1.1])

@@ -62,6 +62,10 @@ class TestUniformRandom:
         with pytest.raises(ValueError):
             uniform_random(1, seed=0)
 
+    def test_rejects_non_integer_m(self):
+        with pytest.raises(ValueError, match=r"m must be an integer, got 2\.5"):
+            uniform_random(2.5, seed=0)
+
     def test_pure_fraction_near_three_quarters(self):
         # A pure solution exists exactly when some diagonal entry is its
         # column maximum; for 2x2 that is 1 - (1/2)^2 = 0.75.
@@ -185,6 +189,12 @@ class TestPhiloxStreams:
             assert uniform_random(m, a).payoffs.tobytes() == want[a][m - 2].tobytes()
             assert chicken(b).payoffs.tobytes() == want[b][-2].tobytes()
             assert uniform_random(m, b).payoffs.tobytes() == want[b][m - 2].tobytes()
+
+    @pytest.mark.parametrize("make", [lambda s: uniform_random(3, s), chicken, random_cancer_params])
+    def test_every_seed_is_checked_once(self, make):
+        with pytest.raises(ValueError, match=r"seed must be an integer, got 1\.5"):
+            make(1.5)
+        assert make(np.uint64(2**64 - 1)) == make(-1)  # the key is the seed modulo 2^64
 
     def test_a_partly_drawn_generator_is_reset(self):
         # A chicken draw leaves buffered bits behind; the next call must not see them.

@@ -102,6 +102,7 @@ class TestModelParameters:
         "linearization_error_bound": lambda k: linearization_error_bound(MP_NORM, k),
         "secant_gap_bound": lambda k: secant_gap_bound(0.0, 1.0, k),
         "secant_square_value": lambda k: secant_square_value(0.5, 0.0, 1.0, k),
+        "BatchConfig": lambda k: BatchConfig(k=k),
     }
 
     @pytest.mark.parametrize("user", K_USERS)
@@ -109,6 +110,14 @@ class TestModelParameters:
     def test_k_is_checked_by_every_user(self, user, k):
         with pytest.raises(ValueError, match="k must be"):
             self.K_USERS[user](k)
+
+    def test_every_user_refuses_k_in_one_message(self):
+        messages = set()
+        for user in self.K_USERS.values():
+            with pytest.raises(ValueError) as info:
+                user(1)
+            messages.add(str(info.value))
+        assert messages == {"k must be >= 2, got 1"}
 
     @pytest.mark.parametrize("user", K_USERS)
     def test_numpy_integer_k_is_accepted(self, user):

@@ -359,7 +359,7 @@ class TestConfigValidation:
             BatchConfig(game_class="chicken", m=1)
 
     @pytest.mark.parametrize("name", ["eps", "delta"])
-    @pytest.mark.parametrize("value", [0.0, -1e-5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [0.0, -1e-5, float("nan"), float("inf"), "1e-5"])
     def test_tolerances_must_be_positive_and_finite(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             BatchConfig(**{name: value})
@@ -370,6 +370,16 @@ class TestConfigValidation:
             BatchConfig(game_class="uniform", m=21, solver=solver)
         BatchConfig(game_class="uniform", m=20, solver=solver)
         BatchConfig(game_class="uniform", m=21, solver="milp")
+
+    def test_the_cap_has_one_message(self):
+        with pytest.raises(ValueError) as config:
+            BatchConfig(m=21, solver="enum")
+        with pytest.raises(ValueError) as oracle:
+            enumerate_esspm(uniform_random(21, 1))
+        assert str(config.value) == str(oracle.value) == "m=21 exceeds the enumeration cap of 20"
+
+    def test_configs_share_the_default_limits(self):
+        assert BatchConfig().limits is BatchConfig(seed=3).limits == SolveLimits()
 
     @pytest.mark.parametrize("name", ["m", "n_games", "seed", "k"])
     @pytest.mark.parametrize("value", [2.5, 3.0, "3"])

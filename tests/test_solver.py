@@ -101,7 +101,7 @@ class TestSolveMechanics:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5, 0, -1])
     def test_limits_must_be_positive_integers(self, field, value):
         # A NaN limit would never be reached: stats.nodes >= nan is always False.
-        message = "must be positive" if isinstance(value, int) else "must be an integer"
+        message = "must be >= 1" if isinstance(value, int) else "must be an integer"
         with pytest.raises(ValueError, match=f"{field} {message}"):
             SolveLimits(**{field: value})
 
