@@ -5,11 +5,11 @@ payoff deficit against the population or a payoff tie combined with a strict
 self-play deficit. A binary y_x selects the branch via big-M rows over the
 population self-payoff z = x*' A x*.
 
-A ``ModelIR`` is built from its payoffs, eps and k alone. With k None it is
-this x/z/y system in a fixed layout: columns x_0..x_{m-1}, then z at m, then
-y_0..y_{m-1} at m+1..2m; rows the four big-M rows per pure strategy, then the
-probability simplex row. The branch-and-bound search runs on exactly this
-system, and its leaves check z = x*' A x* exactly.
+A ``ModelIR`` is built from its normalized game, eps and k alone. With k
+None it is this x/z/y system in a fixed layout: columns x_0..x_{m-1}, then z
+at m, then y_0..y_{m-1} at m+1..2m; rows the four big-M rows per pure
+strategy, then the probability simplex row. The branch-and-bound search runs
+on exactly this system, and its leaves check z = x*' A x* exactly.
 
 A k adds the paper's linearization of z over k breakpoint segments
 (``linearize``), for ``export_lp`` and the tests; the search never reads k. Every
@@ -106,14 +106,14 @@ class SquareTerm:
 class ModelIR:
     """Solver-agnostic feasibility program, built from its three inputs.
 
-    ``payoffs`` is the normalized matrix of the quadratic form z stands for
-    and ``eps`` the strictness margin of the big-M rows, so a solver can
-    verify candidates against the original quadratic constraints at the
-    model's own margin. ``k`` is None, or the breakpoint count of
-    ``linearize``. The model keeps a read-only copy of ``payoffs`` and
-    refuses one that is not square or not in [0, 1], as the big-M constants
-    assume, and a bad ``eps`` or ``k``. The other fields are built from these
-    three, so they can be neither passed nor assigned, and
+    ``game`` is the normalized game whose payoffs define the quadratic form
+    z stands for and ``eps`` the strictness margin of the big-M rows, so a
+    solver can verify candidates against the original quadratic constraints
+    at the model's own margin. ``k`` is None, or the breakpoint count of
+    ``linearize``. The model refuses a ``game`` that is not a ``GameMatrix``
+    or not in [0, 1], as the big-M constants assume, and a bad ``eps`` or
+    ``k``; it compares and hashes by these three. The other fields are built
+    from them, so they can be neither passed nor assigned, and
     ``dataclasses.replace`` rebuilds them. Rows reference variables by index
     into ``variables``. ``sos2_sets`` are ordered lambda-index tuples (at
     most two members nonzero, and adjacent) and ``squares`` the square-term
@@ -121,43 +121,34 @@ class ModelIR:
     is None.
     """
 
-    payoffs: np.ndarray
+    game: GameMatrix
     eps: float = EPS
     k: int | None = None
-    variables: tuple[Variable, ...] = field(init=False, repr=False)
-    rows: tuple[LinearRow, ...] = field(init=False, repr=False)
-    sos2_sets: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    squares: tuple[SquareTerm, ...] = field(init=False, repr=False)
+    variables: tuple[Variable, ...] = field(init=False, repr=False, compare=False)
+    rows: tuple[LinearRow, ...] = field(init=False, repr=False, compare=False)
+    sos2_sets: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    squares: tuple[SquareTerm, ...] = field(init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
-        """Pure strategies per player: the size of ``payoffs``."""
-        return self.payoffs.shape[0]
+        """Pure strategies per player: the size of the game."""
+        return self.game.m
 
     def __post_init__(self) -> None:
-        a = np.array(self.payoffs, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"payoffs must be a square matrix, got shape {a.shape}")
-        if not (a.min() >= 0.0 and a.max() <= 1.0):
+        if not isinstance(self.game, GameMatrix):
+            raise TypeError(f"expected GameMatrix, got {type(self.game).__name__}")
+        if not self.game.is_normalized:
             raise ValueError("the model requires payoffs in [0, 1]; the big-M constants assume it")
         check_positive("eps", self.eps)
-        a.setflags(write=False)
+        a = self.game.payoffs
         variables, rows = _big_m_system(a, self.eps)
         sos2_sets, squares = (), ()
         if self.k is not None:
             object.__setattr__(self, "k", check_int("k", self.k, 2))
             sos2_sets, squares = _lambda_system(a, self.k, variables, rows)
-        for name, value in (("payoffs", a), ("variables", tuple(variables)), ("rows", tuple(rows)),
+        for name, value in (("variables", tuple(variables)), ("rows", tuple(rows)),
                             ("sos2_sets", sos2_sets), ("squares", squares)):
             object.__setattr__(self, name, value)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ModelIR):
-            return NotImplemented
-        return (self.eps, self.k) == (other.eps, other.k) and bool(np.array_equal(self.payoffs, other.payoffs))
-
-    def __hash__(self) -> int:
-        return hash((self.eps, self.k, (self.payoffs + 0.0).tobytes()))  # -0.0 hashes as 0.0
 
     def bounds_array(self) -> np.ndarray:
         return np.array([[v.lb, v.ub] for v in self.variables])
@@ -224,16 +215,15 @@ def _envelope(terms: list[SquareTerm], k: int) -> tuple[float, float]:
     return env_plus, env_minus
 
 
-def linearization_error_bound(game_or_payoffs, k: int) -> float:
+def linearization_error_bound(game: GameMatrix, k: int) -> float:
     """A-priori bound on |z - x' A x| over feasible assignments at k segments."""
-    a = game_or_payoffs.payoffs if isinstance(game_or_payoffs, GameMatrix) else np.asarray(game_or_payoffs)
-    env_plus, env_minus = _envelope(_square_terms(a), check_int("k", k, 2))
+    env_plus, env_minus = _envelope(_square_terms(game.payoffs), check_int("k", k, 2))
     return env_plus + env_minus
 
 
 def build_model(game: GameMatrix, eps: float = EPS) -> ModelIR:
-    """The x/z/y feasibility model of a normalized game: ``ModelIR(game.payoffs, eps)``."""
-    return ModelIR(game.payoffs, eps)
+    """The x/z/y feasibility model of a normalized game: ``ModelIR(game, eps)``."""
+    return ModelIR(game, eps)
 
 
 def _big_m_system(a: np.ndarray, eps: float) -> tuple[list[Variable], list[LinearRow]]:
@@ -279,7 +269,7 @@ def _big_m_system(a: np.ndarray, eps: float) -> tuple[list[Variable], list[Linea
 
 
 def linearize(model: ModelIR, k: int) -> ModelIR:
-    """The model with the lambda/SOS2 system at k: ``ModelIR(model.payoffs, model.eps, k)``.
+    """The model with the lambda/SOS2 system at k: ``ModelIR(model.game, model.eps, k)``.
 
     k is the number of breakpoint segments per square term (k+1 grid points
     t_0..t_k, uniform on [lo, hi]). Each term adds a q column and then its
@@ -304,7 +294,7 @@ def linearize(model: ModelIR, k: int) -> ModelIR:
     So a leaf that meets the x/z/y rows also meets the linearized model; the
     test suite checks this on a fuzzed deck.
     """
-    return ModelIR(model.payoffs, model.eps, k)
+    return ModelIR(model.game, model.eps, k)
 
 
 def _lambda_system(a: np.ndarray, k: int, variables: list[Variable], rows: list[LinearRow]):
@@ -348,7 +338,7 @@ def interpolation_assignment(model: ModelIR, x: np.ndarray, y: np.ndarray | None
     x = np.asarray(x, dtype=float)
     values = np.zeros(len(model.variables))
     values[:m] = x
-    values[m] = x @ model.payoffs @ x
+    values[m] = x @ model.game.payoffs @ x
     if y is not None:
         values[m + 1 : 2 * m + 1] = y
     for sq, lam in zip(model.squares, model.sos2_sets):

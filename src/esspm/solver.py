@@ -98,7 +98,7 @@ accept. The leaf LP starts blank so that its strategy does not depend on
 that order.
 
 A solve owns its node stack and cannot mutate the model: a ``ModelIR`` is
-frozen, and its rows are built from its payoffs, eps and k. So independent
+frozen, and its rows are built from its game, eps and k. So independent
 solves over shared models may run concurrently.
 """
 
@@ -231,7 +231,7 @@ def _attempt_pattern(model: ModelIR, pattern: np.ndarray, stats: SolveStats) -> 
     support = np.flatnonzero(pattern)
     if not support.size:
         return None  # every strategy strictly worse than the average: impossible
-    rejected, probs = _solve_ties(model.payoffs, support[None, :])
+    rejected, probs = _solve_ties(model.game.payoffs, support[None, :])
     if rejected[0]:
         leaf = model.bounds_array()
         leaf[m + 1 : 2 * m + 1] = pattern[:, None]
@@ -245,7 +245,7 @@ def _attempt_pattern(model: ModelIR, pattern: np.ndarray, stats: SolveStats) -> 
         x /= x.sum()  # positive: the feasible point meets the simplex row
     else:
         x = probs[0]
-    d, margin = payoff_gaps(model.payoffs, x)
+    d, margin = payoff_gaps(model.game.payoffs, x)
     ok = np.where(
         pattern != 0,
         (np.abs(d) <= _TIE_TOL) & (margin >= model.eps - _MARGIN_TOL),
@@ -285,7 +285,7 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
 
     m = model.m
     ys = slice(m + 1, 2 * m + 1)
-    spared = _spared_masks(model.payoffs)
+    spared = _spared_masks(model.game.payoffs)
     # (a node's bounds, its parent's final LP state or None at the root, its mask U)
     stack: list[tuple[np.ndarray, LPState | None, int]] = []
 

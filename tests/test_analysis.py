@@ -101,9 +101,31 @@ class TestInvasionTest:
         out = invasion_test(mutation_population(), MP_MIX, MixedStrategy.pure(1, 2))
         assert out is InvasionResult.RESISTED
 
+    def test_strict_equilibrium_resists_a_worse_mutant(self):
+        # Pure 0 is a strict equilibrium: the mutant loses against it, so the
+        # first condition decides, with no payoff tie.
+        g = GameMatrix([[1.0, 0.5], [0.0, 1.0]])
+        out = invasion_test(g, MixedStrategy.pure(0, 2), MixedStrategy([0.5, 0.5]))
+        assert out is InvasionResult.RESISTED
+
     def test_identical_mutant_rejected(self):
         with pytest.raises(ValueError, match="differ"):
             invasion_test(mutation_population(), MP_MIX, MixedStrategy([0.2, 0.8]))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda g, x: approximation_error(g, x),
+        lambda g, x: nash_epsilon(g, x),
+        lambda g, x: invasion_test(g, MP_MIX, x),
+        lambda g, x: invasion_test(g, x, MP_MIX),
+    ],
+    ids=["approximation_error", "nash_epsilon", "invasion_test_mutant", "invasion_test_candidate"],
+)
+def test_strategy_of_the_wrong_size_is_refused(check):
+    with pytest.raises(ValueError, match="dimensions? do(es)? not match the game"):
+        check(normalize(mutation_population()), MixedStrategy([0.2, 0.3, 0.5]))
 
 
 class TestApproximationError:

@@ -135,6 +135,13 @@ class TestBatch:
         assert len(rows) == 21
         assert "games=20" in capsys.readouterr().out
 
+    def test_infeasible_summary(self, tmp_path, capsys):
+        # Rock-paper-scissors has no stable strategy, so every game is INFEASIBLE.
+        assert cli_main(["batch", "--class", "rps", "--n", "2", "--out", str(tmp_path / "r.csv")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "infeasible=2" in lines[0].split()
+        assert lines[1].startswith("mean_runtime_infeasible_ms=")
+
     def test_file_batch_reads_the_game_once(self, tmp_path, capsys, monkeypatch):
         import esspm.cli
         import esspm.pipeline

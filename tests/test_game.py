@@ -93,6 +93,10 @@ class TestMixedStrategy:
         with pytest.raises(ValueError, match="non-finite"):
             MixedStrategy(probs)
 
+    def test_rejects_two_dimensional(self):
+        with pytest.raises(ValueError, match="1-d"):
+            MixedStrategy([[0.5, 0.5]])
+
     def test_support(self):
         s = MixedStrategy([0.5, 0.0, 0.5])
         assert s.support().indices == (0, 2)
@@ -112,6 +116,10 @@ class TestSupport:
     def test_nonempty(self):
         with pytest.raises(ValueError, match="nonempty"):
             Support(())
+
+    def test_rejects_negative_index(self):
+        with pytest.raises(ValueError, match="negative support index -1"):
+            Support((-1, 0))
 
     def test_range_check(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -226,6 +234,10 @@ class TestGameText:
     def test_bad_header(self):
         with pytest.raises(GameParseError, match="line 1"):
             read_game("two\n1 2\n3 4\n")
+        with pytest.raises(GameParseError, match="line 1: empty input"):
+            read_game("# only a comment\n")
+        with pytest.raises(GameParseError, match="strategy count must be >= 2, got 1"):
+            read_game("1\n0.5\n")
 
     def test_non_numeric_entry(self):
         with pytest.raises(GameParseError, match="non-numeric"):

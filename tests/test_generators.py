@@ -124,6 +124,10 @@ class TestCancer:
         with pytest.raises(ValueError):
             CancerParams(-0.1, 0, 0, 0, 0, 0, 0)
 
+    def test_rejects_cytotoxin_cost_above_one(self):
+        with pytest.raises(ValueError, match="cytotoxin cost c=1.5 must be <= 1"):
+            CancerParams(**(dict.fromkeys("abcdefg", 0.5) | {"c": 1.5}))
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("name", "acg")
     def test_rejects_non_finite_param(self, value, name):

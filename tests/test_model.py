@@ -64,7 +64,7 @@ class TestModelParameters:
 
     def test_one_eps_default(self):
         assert model_module.EPS == 1e-5
-        assert ModelIR(MP_NORM.payoffs).eps is build_model(MP_NORM).eps is BatchConfig().eps is model_module.EPS
+        assert ModelIR(MP_NORM).eps is build_model(MP_NORM).eps is BatchConfig().eps is model_module.EPS
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError, match="eps must be positive"):
@@ -92,10 +92,14 @@ class TestModelParameters:
             dataclasses.replace(build_model(MP_NORM), eps=eps)
 
     def test_model_refuses_non_square_payoffs(self):
-        with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 3\)"):
-            dataclasses.replace(build_model(MP_NORM), payoffs=np.zeros((2, 3)))
-        with pytest.raises(ValueError, match=r"square matrix, got shape \(2,\)"):
-            dataclasses.replace(build_model(MP_NORM), payoffs=np.zeros(2))
+        # Only a GameMatrix, which checks its own shape, reaches the model.
+        for a in (np.zeros((2, 3)), np.zeros(2), np.full((2, 2), 0.5)):
+            with pytest.raises(TypeError, match="expected GameMatrix, got ndarray"):
+                ModelIR(a)
+            with pytest.raises(TypeError, match="expected GameMatrix, got ndarray"):
+                dataclasses.replace(build_model(MP_NORM), game=a)
+        with pytest.raises(ValueError, match=r"must be square, got shape \(2, 3\)"):
+            GameMatrix(np.zeros((2, 3)))
 
     K_USERS = {
         "linearize": lambda k: export_lp(linearize(build_model(MP_NORM), k)),
@@ -246,6 +250,10 @@ class TestSecantInterpolation:
                 gap = secant_square_value(float(s), lo, hi, k) - s * s
                 assert -1e-12 <= gap <= bound + 1e-12
 
+    def test_point_outside_the_grid_is_refused(self):
+        with pytest.raises(ValueError, match=r"s=1.5 outside \[0.0, 1.0\]"):
+            secant_square_value(1.5, 0.0, 1.0, 4)
+
     def test_refinement_quarters_the_gap(self):
         for k in (5, 10, 20, 40):
             assert secant_gap_bound(0.0, 1.0, 2 * k) == pytest.approx(
@@ -374,22 +382,23 @@ class TestLayout:
         assert full.rows[:13] == model.rows
         assert min(i for lam in full.sos2_sets for i in lam) > 7
         assert all(full.variables[lam[0] - 1].name == f"q_{sq.name}" for sq, lam in zip(full.squares, full.sos2_sets))
-        assert sum(corridor(full)) == linearization_error_bound(model.payoffs, 4)
+        assert sum(corridor(full)) == linearization_error_bound(model.game, 4)
 
     def test_size_is_that_of_the_payoffs(self):
-        # m is read from payoffs, and a replaced payoffs rebuilds the model at its size.
+        # m is read from the game, and a replaced game rebuilds the model at its size.
         model = build_model(MP_NORM)
         assert model.m == 2
-        model = dataclasses.replace(model, payoffs=normalize(uniform_random(3, seed=1)).payoffs)
+        model = dataclasses.replace(model, game=normalize(uniform_random(3, seed=1)))
         assert model.m == 3
         assert (len(model.variables), len(model.rows)) == (7, 13)
 
 
 class TestDerivedModel:
-    """A model is built from payoffs, eps and k alone, and is frozen."""
+    """A model is built from its game, eps and k alone, and is frozen."""
 
-    def test_init_fields_are_payoffs_eps_and_k(self):
-        assert [f.name for f in dataclasses.fields(ModelIR) if f.init] == ["payoffs", "eps", "k"]
+    def test_init_fields_are_game_eps_and_k(self):
+        assert [f.name for f in dataclasses.fields(ModelIR) if f.init] == ["game", "eps", "k"]
+        assert [f.name for f in dataclasses.fields(ModelIR) if f.compare] == ["game", "eps", "k"]
 
     def test_replaced_eps_rebuilds_the_rows(self):
         # Built at 1e-3 and replaced to 1e-5, the model answers as one built at 1e-5.
@@ -401,7 +410,7 @@ class TestDerivedModel:
 
     def test_replaced_payoffs_rebuild_the_rows(self):
         g = normalize(uniform_random(3, seed=2))
-        replaced = dataclasses.replace(build_model(normalize(uniform_random(3, seed=1))), payoffs=g.payoffs)
+        replaced = dataclasses.replace(build_model(normalize(uniform_random(3, seed=1))), game=g)
         built = build_model(g)
         assert replaced.rows == built.rows and replaced.variables == built.variables
 
@@ -412,7 +421,7 @@ class TestDerivedModel:
 
     def test_fields_cannot_be_assigned(self):
         model = build_model(MP_NORM)
-        for name, value in (("eps", 1e-3), ("payoffs", np.zeros((2, 2))), ("rows", ())):
+        for name, value in (("eps", 1e-3), ("game", normalize(uniform_random(2, seed=3))), ("rows", ())):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(model, name, value)
         assert model.eps == 1e-5 and solve(model).status is SolveStatus.FEASIBLE
@@ -422,10 +431,11 @@ class TestDerivedModel:
         with pytest.raises(ValueError, match=f"{name} is declared with init=False"):
             dataclasses.replace(build_model(MP_NORM), **{name: ()})
 
-    @pytest.mark.parametrize("low, high", [(-0.5, 1.0), (0.0, 2.0), (0.0, float("nan"))])
+    @pytest.mark.parametrize("low, high", [(-0.5, 1.0), (0.0, 2.0)])
     def test_replaced_payoffs_outside_the_unit_interval_are_refused(self, low, high):
+        game = GameMatrix(np.array([[low, 0.5], [0.5, high]]))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            dataclasses.replace(build_model(MP_NORM), payoffs=np.array([[low, 0.5], [0.5, high]]))
+            dataclasses.replace(build_model(MP_NORM), game=game)
 
     def test_models_of_equal_inputs_are_equal(self):
         a, b = build_model(MP_NORM), build_model(normalize(mutation_population()))
@@ -434,14 +444,16 @@ class TestDerivedModel:
         assert a != build_model(normalize(uniform_random(2, seed=3)))
         signed = MP_NORM.payoffs.copy()
         signed[signed == 0.0] = -0.0
-        assert ModelIR(signed) == a and hash(ModelIR(signed)) == hash(a)
+        assert ModelIR(GameMatrix(signed)) == a and hash(ModelIR(GameMatrix(signed))) == hash(a)
 
     def test_payoffs_are_a_read_only_copy(self):
+        # The game holds the copy; the model keeps the game itself.
         a = np.array([[0.6, 0.2], [1.0, 0.0]])
-        model = ModelIR(a)
+        model = ModelIR(GameMatrix(a))
         a[0, 0] = 0.0
-        assert model.payoffs[0, 0] == 0.6
-        assert not model.payoffs.flags.writeable
+        assert model.game.payoffs[0, 0] == 0.6
+        assert not model.game.payoffs.flags.writeable
+        assert build_model(MP_NORM).game is MP_NORM
 
     def test_row_coefficients_cannot_be_edited(self):
         # Through writable maps this edit would turn the FEASIBLE Dove/Hawk model INFEASIBLE.
@@ -451,6 +463,10 @@ class TestDerivedModel:
         with pytest.raises(TypeError):
             model.rows[4].coeffs[4] = 0.0
         assert solve(model).status is SolveStatus.FEASIBLE
+
+    def test_row_refuses_an_unknown_relation(self):
+        with pytest.raises(ValueError, match="unknown relation '<'"):
+            LinearRow({0: 1.0}, "<", 0.0)
 
     def test_coefficient_maps_are_private_copies(self):
         coeffs = {0: 1.0, 1: 1.0}

@@ -402,7 +402,7 @@ class TestDominancePropagation:
     def test_dominated_strategy_pinned_in_closes_the_root(self):
         model = build_model(_no_pure((_with_dominated(uniform_random(4, seed=s), s) for s in range(200)), 1)[0])
         m, k = model.m, model.m - 1
-        spared, everyone = _spared_masks(model.payoffs), (1 << m) - 1
+        spared, everyone = _spared_masks(model.game.payoffs), (1 << m) - 1
         bounds = model.bounds_array()
         assert _propagate(spared, bounds.copy(), everyone) & (1 << k) == 0  # k is dominated
         bounds[m + 1 + k] = 1.0  # y_k pinned at 1
@@ -634,6 +634,16 @@ class TestSharedTieSolve:
                 fallback += bool(_solve_ties(norm.payoffs, np.array([support]))[0][0])
         assert feasible >= 200
         assert fallback >= 3
+
+    def test_leaf_with_an_infeasible_fallback_lp_is_refused(self):
+        # The all-ones tie system is regular but its solution (-0.549, 0.486,
+        # 1.063) leaves the simplex, so the leaf LP decides, and finds no point.
+        model = build_model(normalize(uniform_random(3, seed=0)))
+        rejected, _ = _solve_ties(model.game.payoffs, np.array([[0, 1, 2]]))
+        assert rejected[0]
+        stats = SolveStats()
+        assert _attempt_pattern(model, np.ones(3), stats) is None
+        assert stats.lp_iterations > 0
 
     def test_row_violation_after_the_exact_check_raises(self, monkeypatch):
         # The exact check decides; a row it passes but the model rejects is a solver fault.
