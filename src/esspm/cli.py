@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .game import normalize, read_game, write_game
 from .model import build_model, export_lp, linearize
@@ -23,9 +24,10 @@ from .solver import SolveLimits
 
 __all__ = ["cli_main", "main"]
 
-# The options that BatchConfig and SolveLimits own; an option left out keeps their default.
-_SETTINGS = ("game_class", "m", "seed", "k", "eps", "delta", "solver")
-_LIMITS = ("max_nodes", "max_time_ms")
+# The options that BatchConfig and SolveLimits own, named as their fields; an
+# option left out keeps their default.
+_SETTINGS = frozenset(f.name for f in fields(BatchConfig))
+_LIMITS = frozenset(f.name for f in fields(SolveLimits))
 
 
 def _add_game_source(p: argparse.ArgumentParser) -> None:
@@ -62,20 +64,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a game and write it in the text format")
+    gen.set_defaults(handler=_cmd_gen)
     _add_game_source(gen)
     gen.add_argument("--out", help="output path (default: stdout)")
 
     solve_p = sub.add_parser("solve", help="solve a single game")
+    solve_p.set_defaults(handler=_cmd_solve)
     _add_game_source(solve_p)
     _add_solve_params(solve_p)
 
     batch = sub.add_parser("batch", help="generate and solve many games, writing a CSV")
+    batch.set_defaults(handler=_cmd_batch)
     _add_game_source(batch)
     _add_solve_params(batch)
     batch.add_argument("--n", type=int, default=100, help="number of games")
     batch.add_argument("--out", required=True, help="CSV output path")
 
     export = sub.add_parser("export-lp", help="write the feasibility model in LP format")
+    export.set_defaults(handler=_cmd_export)
     _add_game_source(export)
     export.add_argument("--k", type=int, help="breakpoint segments per square term of the linearization")
     export.add_argument("--eps", type=float, help="strict-inequality margin")
@@ -91,8 +97,8 @@ def _config(args: argparse.Namespace, n_games: int = 1) -> BatchConfig:
         with open(args.game_file, encoding="utf-8") as fh:
             game = read_game(fh.read())
     given = {name: value for name, value in vars(args).items() if value is not None}
-    settings = {name: given[name] for name in _SETTINGS if name in given}
-    limits = {name: given[name] for name in _LIMITS if name in given}
+    settings = {name: value for name, value in given.items() if name in _SETTINGS}
+    limits = {name: value for name, value in given.items() if name in _LIMITS}
     return BatchConfig(n_games=n_games, game=game, limits=SolveLimits(**limits), **settings)
 
 
@@ -157,14 +163,8 @@ def cli_main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handlers = {
-        "gen": _cmd_gen,
-        "solve": _cmd_solve,
-        "batch": _cmd_batch,
-        "export-lp": _cmd_export,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1

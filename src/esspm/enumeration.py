@@ -300,7 +300,7 @@ def enumerate_esspm(
     check_cap(game.m)
     if limit is not None:
         limit = check_int("limit", limit, 1)
-    counts = np.zeros(3, dtype=np.int64)  # supports visited, singular skipped, dominated skipped
+    visited = singular_skipped = dominated_skipped = 0
     found: list[EsspmCertificate] = []
     for chunk, dominated, singular, candidates in _survivors(game, tol.delta):
         end = len(chunk)  # positions examined: up to the last certificate needed
@@ -311,10 +311,13 @@ def enumerate_esspm(
                 if len(found) == limit:
                     end = k + 1
                     break
-        counts += end, np.count_nonzero(singular[:end]), np.count_nonzero(dominated[:end])
+        visited += end
+        singular_skipped += int(np.count_nonzero(singular[:end]))
+        dominated_skipped += int(np.count_nonzero(dominated[:end]))
         if len(found) == limit:
             break
     if counters is not None:
-        keys = ("supports_visited", "singular_skipped", "dominated_skipped")
-        counters.update(zip(keys, counts.tolist()))
+        counters.update(
+            supports_visited=visited, singular_skipped=singular_skipped, dominated_skipped=dominated_skipped
+        )
     return found

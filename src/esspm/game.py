@@ -34,8 +34,10 @@ PLAYED_TOL = 1e-9
 
 
 def check_int(name: str, value, minimum: int | None = None) -> int:
-    """A size, count, seed or limit as an int; numpy integers pass, floats and strings do not."""
+    """A size, count, seed or limit as an int; numpy integers pass, floats, strings and booleans do not."""
     try:
+        if isinstance(value, bool):  # an int to operator.index, but never a count
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -45,9 +47,9 @@ def check_int(name: str, value, minimum: int | None = None) -> int:
 
 
 def check_positive(name: str, value: float) -> None:
-    """Refuse a tolerance that is not a positive, finite real."""
+    """Refuse a tolerance that is not a positive, finite real; booleans are refused too."""
     try:
-        ok = math.isfinite(value) and value > 0.0
+        ok = not isinstance(value, (bool, np.bool_)) and math.isfinite(value) and value > 0.0
     except TypeError:
         ok = False
     if not ok:

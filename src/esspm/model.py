@@ -44,6 +44,7 @@ __all__ = [
     "linearize",
     "export_lp",
     "verify_assignment",
+    "interpolation_assignment",
     "secant_square_value",
     "secant_gap_bound",
     "linearization_error_bound",

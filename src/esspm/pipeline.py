@@ -48,29 +48,9 @@ __all__ = [
     "run_batch",
 ]
 
-GAME_CLASSES = ("uniform", "chicken", "cancer", "mp", "rps", "counterexample", "file")
-SOLVERS = ("milp", "enum", "both")
-
 # nash_eps values below this print as 0: an exact tie solution reads as
 # rounding noise (1e-16 and so on) that depends on the last bits of the strategy.
 _NASH_EPS_FLOOR = 1e-12
-
-CSV_COLUMNS = [
-    "game_id",
-    "class",
-    "m",
-    "k",
-    "eps",
-    "delta",
-    "method",
-    "status",
-    "support_size",
-    "strategy",
-    "error",
-    "nash_eps",
-    "runtime_ms",
-    "disagreement",
-]
 
 
 # Each outcome class names its CSV status once, as ``status``.
@@ -195,22 +175,22 @@ class GameRecord:
     disagreement: int
 
 
+# Each game class is one maker (cfg, seed) -> GameMatrix; the keys are GAME_CLASSES.
+_GAME_MAKERS = {
+    "uniform": lambda cfg, seed: uniform_random(cfg.m, seed),
+    "chicken": lambda cfg, seed: chicken(seed),
+    "cancer": lambda cfg, seed: cancer_game(random_cancer_params(seed)),
+    "mp": lambda cfg, seed: mutation_population(),
+    "rps": lambda cfg, seed: rock_paper_scissors(),
+    "counterexample": lambda cfg, seed: counterexample_game(),
+    "file": lambda cfg, seed: cfg.game,
+}
+GAME_CLASSES = tuple(_GAME_MAKERS)
+
+
 def make_game(cfg: BatchConfig, index: int) -> GameMatrix:
     """Instance ``index`` of the configured class, seeded with seed + index."""
-    seed = (cfg.seed + index) & 0xFFFFFFFFFFFFFFFF
-    if cfg.game_class == "uniform":
-        return uniform_random(cfg.m, seed)
-    if cfg.game_class == "chicken":
-        return chicken(seed)
-    if cfg.game_class == "cancer":
-        return cancer_game(random_cancer_params(seed))
-    if cfg.game_class == "mp":
-        return mutation_population()
-    if cfg.game_class == "rps":
-        return rock_paper_scissors()
-    if cfg.game_class == "counterexample":
-        return counterexample_game()
-    return cfg.game
+    return _GAME_MAKERS[cfg.game_class](cfg, (cfg.seed + index) & 0xFFFFFFFFFFFFFFFF)
 
 
 def _milp_outcome(norm: GameMatrix, cfg: BatchConfig) -> EsspmOutcome:
@@ -235,12 +215,8 @@ def _enum_outcome(norm: GameMatrix, cfg: BatchConfig) -> EsspmOutcome:
     return MixedEsspm(certs[0].strategy)
 
 
-def _solve_normalized(norm: GameMatrix, cfg: BatchConfig) -> tuple[EsspmOutcome, int]:
-    """(outcome, disagreement flag) for a game already past preprocessing."""
-    if cfg.solver == "milp":
-        return _milp_outcome(norm, cfg), 0
-    if cfg.solver == "enum":
-        return _enum_outcome(norm, cfg), 0
+def _both_route(norm: GameMatrix, cfg: BatchConfig) -> tuple[EsspmOutcome, int]:
+    """The MILP's verdict, and 1 if the oracle contradicts it."""
     milp = _milp_outcome(norm, cfg)
     if isinstance(milp, LimitReached):
         return milp, 0
@@ -251,6 +227,16 @@ def _solve_normalized(norm: GameMatrix, cfg: BatchConfig) -> tuple[EsspmOutcome,
     # strict margin of eps).
     certs = enumerate_esspm(norm, cfg.tolerances)
     return milp, int(any(c.min_slack() > cfg.eps for c in certs))
+
+
+# Each solver is one route (norm, cfg) -> (outcome, disagreement flag) for a
+# game already past preprocessing; the keys are SOLVERS.
+_SOLVE_ROUTES = {
+    "milp": lambda norm, cfg: (_milp_outcome(norm, cfg), 0),
+    "enum": lambda norm, cfg: (_enum_outcome(norm, cfg), 0),
+    "both": _both_route,
+}
+SOLVERS = tuple(_SOLVE_ROUTES)
 
 
 def solve_record(game: GameMatrix, cfg: BatchConfig, game_id: int = 0) -> GameRecord:
@@ -269,7 +255,7 @@ def solve_record(game: GameMatrix, cfg: BatchConfig, game_id: int = 0) -> GameRe
         outcome: EsspmOutcome = PureEsspm(pure)
         strategy, error = MixedStrategy.pure(pure, norm.m), 0.0
     else:
-        outcome, disagreement = _solve_normalized(norm, cfg)
+        outcome, disagreement = _SOLVE_ROUTES[cfg.solver](norm, cfg)
         if isinstance(outcome, MixedEsspm):
             strategy = outcome.strategy
             error = approximation_error(norm, strategy, cfg.tolerances)
@@ -303,24 +289,28 @@ def _nash_eps_cell(nash_eps: float | None) -> str:
     return "0" if nash_eps < _NASH_EPS_FLOOR else f"{nash_eps:.9g}"
 
 
+# Each CSV column is one (name, cell) pair; a cell maps (record, cfg) to its value.
+_CSV_CELLS = (
+    ("game_id", lambda r, cfg: r.game_id),
+    ("class", lambda r, cfg: r.game_class),
+    ("m", lambda r, cfg: r.m),
+    ("k", lambda r, cfg: cfg.k),
+    ("eps", lambda r, cfg: f"{cfg.eps:.9g}"),
+    ("delta", lambda r, cfg: f"{cfg.delta:.9g}"),
+    ("method", lambda r, cfg: cfg.solver),
+    ("status", lambda r, cfg: r.outcome.status),
+    ("support_size", lambda r, cfg: "" if r.strategy is None else len(r.strategy.support())),
+    ("strategy", lambda r, cfg: "" if r.strategy is None else strategy_cell(r.strategy)),
+    ("error", lambda r, cfg: "" if r.error is None else f"{r.error:.9g}"),
+    ("nash_eps", lambda r, cfg: _nash_eps_cell(r.nash_eps)),
+    ("runtime_ms", lambda r, cfg: f"{r.runtime_ms:.3f}"),
+    ("disagreement", lambda r, cfg: r.disagreement),
+)
+CSV_COLUMNS = [name for name, _ in _CSV_CELLS]
+
+
 def _csv_row(record: GameRecord, cfg: BatchConfig) -> list:
-    strategy = record.strategy
-    return [
-        record.game_id,
-        record.game_class,
-        record.m,
-        cfg.k,
-        f"{cfg.eps:.9g}",
-        f"{cfg.delta:.9g}",
-        cfg.solver,
-        record.outcome.status,
-        "" if strategy is None else len(strategy.support()),
-        "" if strategy is None else strategy_cell(strategy),
-        "" if record.error is None else f"{record.error:.9g}",
-        _nash_eps_cell(record.nash_eps),
-        f"{record.runtime_ms:.3f}",
-        record.disagreement,
-    ]
+    return [cell(record, cfg) for _, cell in _CSV_CELLS]
 
 
 def run_batch(cfg: BatchConfig, out) -> BatchStats:

@@ -212,6 +212,13 @@ class TestLibraryDefaults:
         assert owned and set(owned.values()) == {None}, owned
         assert args.get("n", 100) == 100  # batch --n is the one CLI default
 
+    def test_owned_options_are_config_fields(self):
+        from esspm.cli import _LIMITS, _SETTINGS, _build_parser
+
+        parser = _build_parser()
+        dests = {name for argv in self.COMMANDS.values() for name in vars(parser.parse_args(argv))}
+        assert dests & (_SETTINGS | _LIMITS) == set(self.OWNED)
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_bare_command_builds_the_default_config(self, tmp_path, monkeypatch, capsys, command):
         import esspm.cli
@@ -328,6 +335,14 @@ class TestSizeOption:
     def test_uniform_defaults_to_two_strategies(self, capsys):
         assert cli_main(["gen", "--class", "uniform"]) == 0
         assert read_game(capsys.readouterr().out).m == 2
+
+
+class TestHelp:
+    def test_help_lists_the_classes_and_solvers(self, capsys):
+        assert cli_main(["solve", "--help"]) == 0
+        text = capsys.readouterr().out
+        assert "{uniform,chicken,cancer,mp,rps,counterexample,file}" in text
+        assert "{milp,enum,both}" in text
 
 
 class TestErrors:

@@ -50,6 +50,11 @@ class TestGameMatrix:
         assert len({g1, g2}) == 1
         assert g1 != GameMatrix([[0.0, 1.0], [1.0, 0.5]])
 
+    def test_unequal_to_a_non_game(self):
+        g = mutation_population()
+        assert g != "x" and g != g.payoffs.tolist()
+        assert GameMatrix.__eq__(g, "x") is NotImplemented
+
 
 class TestMixedStrategy:
     def test_pure(self):
@@ -107,6 +112,11 @@ class TestMixedStrategy:
         assert len({s1, s2}) == 1
         assert s1 != MixedStrategy([1.0, 0.0])
 
+    def test_unequal_to_a_non_strategy(self):
+        s = MixedStrategy([0.0, 1.0])
+        assert s != "x" and s != Support((1,))
+        assert MixedStrategy.__eq__(s, [0.0, 1.0]) is NotImplemented
+
 
 class TestSupport:
     def test_ordering_enforced(self):
@@ -129,6 +139,10 @@ class TestSupport:
     def test_rejects_non_integer_indices(self, indices):
         with pytest.raises(ValueError, match="integers"):
             Support(indices)
+
+    def test_iterates_its_indices(self):
+        assert tuple(Support((0, 2))) == (0, 2)
+        assert list(MixedStrategy([0.5, 0.0, 0.5]).support()) == [0, 2]
 
     def test_numpy_integer_indices(self):
         support = Support(tuple(np.array([0, 2], dtype=np.int64)))

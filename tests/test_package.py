@@ -42,6 +42,12 @@ def test_no_export_was_dropped():
     assert HAND_LISTED <= set(esspm.__all__)
 
 
+def test_assignment_api_is_exported():
+    # The README lists interpolation_assignment with the assignment API.
+    assert "interpolation_assignment" in model.__all__
+    assert esspm.interpolation_assignment is model.interpolation_assignment
+
+
 def test_solver_error_is_declared_in_simplex():
     assert "SolverError" in simplex.__all__ and "SolverError" not in solver.__all__
     assert solver.SolverError is simplex.SolverError is esspm.SolverError

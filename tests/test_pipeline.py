@@ -31,7 +31,7 @@ from esspm import (
     solve_record,
     uniform_random,
 )
-from esspm.pipeline import CSV_COLUMNS, GameRecord, _csv_row, make_game
+from esspm.pipeline import CSV_COLUMNS, GAME_CLASSES, SOLVERS, GameRecord, _csv_row, make_game
 
 
 def batch_csv(cfg):
@@ -115,6 +115,29 @@ class TestMakeGame:
         with pytest.raises(ValueError, match="enumeration cap"):
             BatchConfig(game_class="file", game=game, solver=solver)
         assert BatchConfig(game_class="file", game=game).game is game
+
+
+class TestChoiceTables:
+    """Each list of choices is the keys of one table of the code it selects."""
+
+    def test_lists_keep_their_order(self):
+        assert GAME_CLASSES == ("uniform", "chicken", "cancer", "mp", "rps", "counterexample", "file")
+        assert SOLVERS == ("milp", "enum", "both")
+        assert CSV_COLUMNS == [
+            "game_id", "class", "m", "k", "eps", "delta", "method", "status", "support_size",
+            "strategy", "error", "nash_eps", "runtime_ms", "disagreement",
+        ]
+
+    @pytest.mark.parametrize("game_class", [name for name in GAME_CLASSES if name != "file"])
+    def test_every_class_makes_a_game_of_its_size(self, game_class):
+        cfg = BatchConfig(game_class=game_class, seed=5)
+        game = make_game(cfg, 1)
+        assert isinstance(game, GameMatrix) and game.m == BatchConfig(game_class=game_class).m
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_every_solver_answers_mp(self, solver):
+        record = solve_record(mutation_population(), BatchConfig(game_class="mp", solver=solver))
+        assert isinstance(record.outcome, MixedEsspm) and record.disagreement == 0
 
 
 class TestRunBatch:
@@ -359,7 +382,7 @@ class TestConfigValidation:
             BatchConfig(game_class="chicken", m=1)
 
     @pytest.mark.parametrize("name", ["eps", "delta"])
-    @pytest.mark.parametrize("value", [0.0, -1e-5, float("nan"), float("inf"), "1e-5"])
+    @pytest.mark.parametrize("value", [0.0, -1e-5, float("nan"), float("inf"), "1e-5", True, np.True_])
     def test_tolerances_must_be_positive_and_finite(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             BatchConfig(**{name: value})
@@ -382,7 +405,7 @@ class TestConfigValidation:
         assert BatchConfig().limits is BatchConfig(seed=3).limits == SolveLimits()
 
     @pytest.mark.parametrize("name", ["m", "n_games", "seed", "k"])
-    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", True, np.True_])
     def test_counts_must_be_integers(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             BatchConfig(**{name: value})

@@ -106,6 +106,12 @@ class TestSolveMechanics:
             SolveLimits(**{field: value})
 
     @pytest.mark.parametrize("field", ["max_nodes", "max_time_ms"])
+    @pytest.mark.parametrize("value", [True, np.True_])
+    def test_boolean_limits_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SolveLimits(**{field: value})
+
+    @pytest.mark.parametrize("field", ["max_nodes", "max_time_ms"])
     def test_numpy_integer_limit_accepted(self, field):
         limits = SolveLimits(**{field: np.int64(5)})
         assert getattr(limits, field) == 5 and type(getattr(limits, field)) is int
