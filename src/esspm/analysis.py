@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameMatrix, MixedStrategy, check_positive, utility
+from .game import GameMatrix, MixedStrategy, check_int, check_positive, utility
 
 __all__ = [
     "Tolerances",
@@ -86,8 +86,10 @@ def check_conditions(
     FAILS otherwise. At most one of the two stability conditions can hold, so
     testing them in order is exhaustive.
     """
-    if not 0 <= j < game.m:
+    if not 0 <= check_int("j", j) < game.m:
         raise ValueError(f"mutant index {j} out of range for m={game.m}")
+    if xstar.m != game.m:
+        raise ValueError("strategy dimension does not match the game")
     against = game.payoffs @ xstar.probs  # against[i] = u1(i, x*)
     d = float(against[j] - xstar.probs @ against)
     if d < -tol.delta:
@@ -154,6 +156,8 @@ def pure_nash_epsilon(game: GameMatrix, i: int) -> float:
     the unit vector, so the value is the same double. It is never negative:
     j = i gains 0.
     """
+    if not 0 <= check_int("i", i) < game.m:
+        raise ValueError(f"pure index {i} out of range for m={game.m}")
     a = game.payoffs
     return float(a[:, i].max() - a[i, i])
 

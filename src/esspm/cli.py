@@ -26,7 +26,7 @@ __all__ = ["cli_main", "main"]
 
 # The options that BatchConfig and SolveLimits own, named as their fields; an
 # option left out keeps their default.
-_SETTINGS = frozenset(f.name for f in fields(BatchConfig))
+_SETTINGS = frozenset(f.name for f in fields(BatchConfig) if f.init)
 _LIMITS = frozenset(f.name for f in fields(SolveLimits))
 
 

@@ -163,14 +163,14 @@ def _pure_strategy(i: int, m: int) -> MixedStrategy:
 
 @dataclass(frozen=True)
 class Support:
-    """Nonempty, strictly increasing tuple of pure-strategy indices (ints or numpy ints)."""
+    """Nonempty, strictly increasing tuple of pure-strategy indices (ints or numpy ints, not booleans)."""
 
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
         try:
-            idx = tuple(operator.index(i) for i in self.indices)
-        except TypeError:
+            idx = tuple(check_int("index", i) for i in self.indices)
+        except (TypeError, ValueError):
             raise ValueError(f"support indices must be integers, got {self.indices!r}") from None
         if not idx:
             raise ValueError("support must be nonempty")

@@ -36,7 +36,6 @@ import numpy as np
 from .game import GameMatrix, check_int, check_positive
 
 __all__ = [
-    "Variable",
     "LinearRow",
     "SquareTerm",
     "ModelIR",
@@ -54,14 +53,6 @@ EPS = 1e-5  # the default strictness margin of the big-M rows
 LIN_FEAS_TOL = 1e-7
 INT_TOL = 1e-6  # a binary within this of 0 or 1 is integral, in the verify and the search
 SOS_NONZERO_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    lb: float
-    ub: float
-    binary: bool = False
 
 
 @dataclass(frozen=True)
@@ -115,17 +106,19 @@ class ModelIR:
     or not in [0, 1], as the big-M constants assume, and a bad ``eps`` or
     ``k``; it compares and hashes by these three. The other fields are built
     from them, so they can be neither passed nor assigned, and
-    ``dataclasses.replace`` rebuilds them. Rows reference variables by index
-    into ``variables``. ``sos2_sets`` are ordered lambda-index tuples (at
-    most two members nonzero, and adjacent) and ``squares`` the square-term
-    records, one per SOS2 set and in the same order; both are empty when k
-    is None.
+    ``dataclasses.replace`` rebuilds them. ``variables`` names the columns in
+    layout order, ``bounds`` is their read-only (n, 2) array of [lower, upper]
+    bounds and ``ys`` slices the binary block y; rows index the columns.
+    ``sos2_sets`` are ordered lambda-index tuples (at most two members
+    nonzero, and adjacent) and ``squares`` the square-term records, one per
+    SOS2 set and in the same order; both are empty when k is None.
     """
 
     game: GameMatrix
     eps: float = EPS
     k: int | None = None
-    variables: tuple[Variable, ...] = field(init=False, repr=False, compare=False)
+    variables: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    bounds: np.ndarray = field(init=False, repr=False, compare=False)
     rows: tuple[LinearRow, ...] = field(init=False, repr=False, compare=False)
     sos2_sets: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     squares: tuple[SquareTerm, ...] = field(init=False, repr=False, compare=False)
@@ -135,6 +128,11 @@ class ModelIR:
         """Pure strategies per player: the size of the game."""
         return self.game.m
 
+    @property
+    def ys(self) -> slice:
+        """The columns of the binary block y_0..y_{m-1}."""
+        return slice(self.m + 1, 2 * self.m + 1)
+
     def __post_init__(self) -> None:
         if not isinstance(self.game, GameMatrix):
             raise TypeError(f"expected GameMatrix, got {type(self.game).__name__}")
@@ -142,17 +140,16 @@ class ModelIR:
             raise ValueError("the model requires payoffs in [0, 1]; the big-M constants assume it")
         check_positive("eps", self.eps)
         a = self.game.payoffs
-        variables, rows = _big_m_system(a, self.eps)
+        names, bounds, rows = _big_m_system(a, self.eps)
         sos2_sets, squares = (), ()
         if self.k is not None:
             object.__setattr__(self, "k", check_int("k", self.k, 2))
-            sos2_sets, squares = _lambda_system(a, self.k, variables, rows)
-        for name, value in (("variables", tuple(variables)), ("rows", tuple(rows)),
+            sos2_sets, squares, lam_bounds = _lambda_system(a, self.k, names, rows)
+            bounds = np.vstack((bounds, lam_bounds))
+        bounds.setflags(write=False)
+        for name, value in (("variables", tuple(names)), ("bounds", bounds), ("rows", tuple(rows)),
                             ("sos2_sets", sos2_sets), ("squares", squares)):
             object.__setattr__(self, name, value)
-
-    def bounds_array(self) -> np.ndarray:
-        return np.array([[v.lb, v.ub] for v in self.variables])
 
 
 def secant_square_value(s: float, lo: float, hi: float, k: int) -> float:
@@ -227,8 +224,8 @@ def build_model(game: GameMatrix, eps: float = EPS) -> ModelIR:
     return ModelIR(game, eps)
 
 
-def _big_m_system(a: np.ndarray, eps: float) -> tuple[list[Variable], list[LinearRow]]:
-    """The columns and rows of the x/z/y system of payoffs a in [0, 1].
+def _big_m_system(a: np.ndarray, eps: float) -> tuple[list[str], np.ndarray, list[LinearRow]]:
+    """The column names, column bounds and rows of the x/z/y system of payoffs a in [0, 1].
 
     eps is the margin of both strict row families; every big-M constant is
     1 + eps, the smallest that deactivates a row for payoffs in [0, 1]. The
@@ -239,9 +236,10 @@ def _big_m_system(a: np.ndarray, eps: float) -> tuple[list[Variable], list[Linea
     big = 1.0 + eps
     z = m
 
-    variables = [Variable(f"x_{i}", 0.0, 1.0) for i in range(m)]
-    variables.append(Variable("z", -1.0, 2.0))
-    variables.extend(Variable(f"y_{j}", 0.0, 1.0, binary=True) for j in range(m))
+    names = [f"x_{i}" for i in range(m)] + ["z"] + [f"y_{j}" for j in range(m)]
+    bounds = np.zeros((2 * m + 1, 2))
+    bounds[:, 1] = 1.0
+    bounds[z] = (-1.0, 2.0)
 
     rows: list[LinearRow] = []
     for j in range(m):
@@ -266,7 +264,7 @@ def _big_m_system(a: np.ndarray, eps: float) -> tuple[list[Variable], list[Linea
         )
 
     rows.append(LinearRow({i: 1.0 for i in range(m)}, "=", 1.0, name="simplex"))
-    return variables, rows
+    return names, bounds, rows
 
 
 def linearize(model: ModelIR, k: int) -> ModelIR:
@@ -298,18 +296,19 @@ def linearize(model: ModelIR, k: int) -> ModelIR:
     return ModelIR(model.game, model.eps, k)
 
 
-def _lambda_system(a: np.ndarray, k: int, variables: list[Variable], rows: list[LinearRow]):
-    """Append ``linearize``'s columns and rows at k segments; return (sos2_sets, squares)."""
+def _lambda_system(a: np.ndarray, k: int, names: list[str], rows: list[LinearRow]):
+    """Append ``linearize``'s column names and rows at k segments; return (sos2_sets, squares, column bounds)."""
     m = a.shape[0]
     sos2: list[tuple[int, ...]] = []
+    upper: list[float] = []
     squares = _square_terms(a)
     up, down = {m: 1.0}, {m: -1.0}
     for sq in squares:
         t = np.linspace(sq.lo, sq.hi, k + 1)
-        q = len(variables)
+        q = len(names)
         lam = tuple(range(q + 1, q + k + 2))
-        variables.append(Variable(f"q_{sq.name}", 0.0, max(sq.lo * sq.lo, sq.hi * sq.hi)))
-        variables.extend(Variable(f"lam_{sq.name}_{r}", 0.0, 1.0) for r in range(k + 1))
+        names += [f"q_{sq.name}"] + [f"lam_{sq.name}_{r}" for r in range(k + 1)]
+        upper += [max(sq.lo * sq.lo, sq.hi * sq.hi)] + [1.0] * (k + 1)
         sos2.append(lam)
         rows.append(LinearRow(dict.fromkeys(lam, 1.0), "=", 1.0, name=f"lamsum_{sq.name}"))
         link = {li: float(tr) for li, tr in zip(lam, t)}
@@ -323,7 +322,7 @@ def _lambda_system(a: np.ndarray, k: int, variables: list[Variable], rows: list[
     env_plus, env_minus = _envelope(squares, k)
     rows.append(LinearRow(up, "<=", env_minus, name="z_upper"))
     rows.append(LinearRow(down, "<=", env_plus, name="z_lower"))
-    return tuple(sos2), tuple(squares)
+    return tuple(sos2), tuple(squares), np.column_stack((np.zeros(len(upper)), upper))
 
 
 def interpolation_assignment(model: ModelIR, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
@@ -341,7 +340,7 @@ def interpolation_assignment(model: ModelIR, x: np.ndarray, y: np.ndarray | None
     values[:m] = x
     values[m] = x @ model.game.payoffs @ x
     if y is not None:
-        values[m + 1 : 2 * m + 1] = y
+        values[model.ys] = y
     for sq, lam in zip(model.squares, model.sos2_sets):
         t = np.linspace(sq.lo, sq.hi, len(lam))
         w = _interp_lambdas(sum(coef * x[i] for i, coef in sq.coeffs.items()), t)
@@ -366,13 +365,12 @@ def verify_assignment(model: ModelIR, values: np.ndarray) -> list[str]:
         )
     values = values.tolist()  # Python floats: the same sums, and plain reprs in the messages
     violations: list[str] = []
-    for i, v in enumerate(model.variables):
-        if values[i] < v.lb - LIN_FEAS_TOL or values[i] > v.ub + LIN_FEAS_TOL:
-            violations.append(
-                f"{v.name}={values[i]!r} outside bounds [{v.lb}, {v.ub}]"
-            )
-        if v.binary and min(abs(values[i]), abs(values[i] - 1.0)) > INT_TOL:
-            violations.append(f"binary {v.name}={values[i]!r} not integral")
+    binary = range(len(values))[model.ys]
+    for i, (name, value, (lb, ub)) in enumerate(zip(model.variables, values, model.bounds.tolist())):
+        if value < lb - LIN_FEAS_TOL or value > ub + LIN_FEAS_TOL:
+            violations.append(f"{name}={value!r} outside bounds [{lb}, {ub}]")
+        if i in binary and min(abs(value), abs(value - 1.0)) > INT_TOL:
+            violations.append(f"binary {name}={value!r} not integral")
 
     for row in model.rows:
         lhs = sum(coef * values[idx] for idx, coef in row.coeffs.items())
@@ -415,20 +413,20 @@ def export_lp(model: ModelIR) -> str:
             coef = row.coeffs[idx]
             if coef == 0.0:
                 continue
-            parts.append(term(coef, model.variables[idx].name, not parts))
+            parts.append(term(coef, model.variables[idx], not parts))
         rname = row.name or f"c{ri}"
         lines.append(f" {rname}: {' '.join(parts)} {row.rel} {num(row.rhs)}")
     lines.append("Bounds")
-    for v in model.variables:
-        if v.binary:
-            continue
-        lines.append(f" {num(v.lb)} <= {v.name} <= {num(v.ub)}")
+    binary = range(len(model.variables))[model.ys]
+    for i, (name, (lb, ub)) in enumerate(zip(model.variables, model.bounds.tolist())):
+        if i not in binary:
+            lines.append(f" {num(lb)} <= {name} <= {num(ub)}")
     lines.append("Binary")
-    lines.append(" " + " ".join(v.name for v in model.variables if v.binary))
+    lines.append(" " + " ".join(model.variables[model.ys]))
     lines.append("SOS")
     for si, lam_idx in enumerate(model.sos2_sets):
         members = " ".join(
-            f"{model.variables[idx].name}:{pos + 1}" for pos, idx in enumerate(lam_idx)
+            f"{model.variables[idx]}:{pos + 1}" for pos, idx in enumerate(lam_idx)
         )
         lines.append(f" s{si}: S2 :: {members}")
     lines.append("End")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -97,7 +97,7 @@ class BatchConfig:
     Each number gets the rule of its kind, ``game.check_int`` or
     ``game.check_positive``, and an oracle's ``m`` the cap
     ``enumeration.check_cap``, so a bad setting is refused before any game
-    is solved.
+    is solved. ``tolerances`` is built from ``delta``, once.
     """
 
     game_class: str = "uniform"
@@ -110,6 +110,7 @@ class BatchConfig:
     solver: str = "milp"
     limits: SolveLimits = SolveLimits()  # frozen, so one default instance serves every config
     game: GameMatrix | None = None
+    tolerances: Tolerances = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.game_class not in GAME_CLASSES:
@@ -120,7 +121,7 @@ class BatchConfig:
             if value is not None:  # a None m is resolved from the class below
                 object.__setattr__(self, name, check_int(name, value, minimum))
         check_positive("eps", self.eps)
-        check_positive("delta", self.delta)
+        object.__setattr__(self, "tolerances", Tolerances(self.delta))
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
         if (self.game_class == "file") != (self.game is not None):
@@ -134,10 +135,6 @@ class BatchConfig:
         object.__setattr__(self, "m", m)
         if self.solver != "milp":
             check_cap(m)
-
-    @property
-    def tolerances(self) -> Tolerances:
-        return Tolerances(delta=self.delta)
 
 
 @dataclass

@@ -184,25 +184,26 @@ def _spared_masks(payoffs: np.ndarray) -> list[list[int]]:
     return [masks[i * m : (i + 1) * m] for i in range(m)]
 
 
-def _propagate(spared: list[list[int]], bounds: np.ndarray, free: int) -> int:
+def _propagate(spared: list[list[int]], bounds: np.ndarray, ys: slice, free: int) -> int:
     """Close a node under iterated conditional dominance, fixing bounds in place.
 
-    ``free`` is the mask U of the strategies whose y is not fixed at 0. Each
-    dominated member of U gets y = x = 0 and leaves U, until none is left.
+    ``ys`` is the model's slice of the y columns and ``free`` the mask U of
+    the strategies whose y is not fixed at 0. Each dominated member of U
+    gets y = x = 0 and leaves U, until none is left.
     Returns U at that fixpoint, or 0 when the node is dead: a dominated
     strategy has y fixed at 1, or U is empty.
     """
-    m = len(spared)
+    y = bounds[ys]
     changed = True
     while changed:
         changed = False
         for i, rows in enumerate(spared):
             bit = 1 << i
             if free & bit and not all(s & free for s in rows):
-                if bounds[m + 1 + i, 0] > 0.0:
+                if y[i, 0] > 0.0:
                     return 0  # y_i is fixed at 1
                 free ^= bit
-                bounds[i] = bounds[m + 1 + i] = 0.0
+                bounds[i] = y[i] = 0.0
                 changed = True
     return free
 
@@ -233,8 +234,8 @@ def _attempt_pattern(model: ModelIR, pattern: np.ndarray, stats: SolveStats) -> 
         return None  # every strategy strictly worse than the average: impossible
     rejected, probs = _solve_ties(model.game.payoffs, support[None, :])
     if rejected[0]:
-        leaf = model.bounds_array()
-        leaf[m + 1 : 2 * m + 1] = pattern[:, None]
+        leaf = model.bounds.copy()
+        leaf[model.ys] = pattern[:, None]
         leaf[:m][pattern == 0] = 0.0  # x_j = 0 off the pattern
         status, point, iters = lp_solve(model.rows, leaf)
         stats.lp_iterations += iters
@@ -283,14 +284,13 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
         stats.wall_ms = elapsed_ms()
         return SolveResult(status, assignment, stats)
 
-    m = model.m
-    ys = slice(m + 1, 2 * m + 1)
+    m, ys = model.m, model.ys
     spared = _spared_masks(model.game.payoffs)
     # (a node's bounds, its parent's final LP state or None at the root, its mask U)
     stack: list[tuple[np.ndarray, LPState | None, int]] = []
 
     def push(bounds: np.ndarray, start: LPState | None, free: int) -> None:
-        free = _propagate(spared, bounds, free)
+        free = _propagate(spared, bounds, ys, free)
         if free:
             stack.append((bounds, start, free))
         else:
@@ -298,13 +298,13 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
 
     def children(bounds: np.ndarray, j: int, state: LPState, free: int) -> None:
         child = bounds.copy()
-        child[m + 1 + j] = 1.0
+        child[ys][j] = 1.0
         stack.append((child, state, free))  # the parent's U, already closed
         child = bounds.copy()
-        child[m + 1 + j] = child[j] = 0.0  # x_j = 0 off the pattern; popped first
+        child[ys][j] = child[j] = 0.0  # x_j = 0 off the pattern; popped first
         push(child, state, free & ~(1 << j))
 
-    push(model.bounds_array(), None, (1 << m) - 1)  # a ModelIR's every y is free in [0, 1]
+    push(model.bounds.copy(), None, (1 << m) - 1)  # a ModelIR's every y is free in [0, 1]
     while stack:
         if stats.nodes >= limits.max_nodes or elapsed_ms() >= limits.max_time_ms:
             return finish(SolveStatus.LIMIT_REACHED)

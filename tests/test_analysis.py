@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,49 @@ class TestCheckConditions:
     def test_index_range(self):
         with pytest.raises(ValueError):
             check_conditions(mutation_population(), MP_MIX, 2)
+
+    @pytest.mark.parametrize(
+        "j, message",
+        [
+            (-1, "mutant index -1 out of range for m=2"),
+            (2, "mutant index 2 out of range for m=2"),
+            (True, "j must be an integer, got True"),
+            (np.True_, f"j must be an integer, got {np.True_!r}"),
+            (1.0, "j must be an integer, got 1.0"),
+        ],
+    )
+    def test_bad_mutant_index_is_refused(self, j, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_conditions(mutation_population(), MP_MIX, j)
+
+    def test_numpy_integer_mutant_index(self):
+        game = mutation_population()
+        assert check_conditions(game, MP_MIX, np.int64(1)) == check_conditions(game, MP_MIX, 1)
+
+    @pytest.mark.parametrize("xstar", [RPS_UNIFORM, MixedStrategy([1.0])])
+    def test_wrong_size_strategy_is_refused(self, xstar):
+        with pytest.raises(ValueError, match="^strategy dimension does not match the game$"):
+            check_conditions(mutation_population(), xstar, 0)
+
+
+class TestPureNashEpsilon:
+    @pytest.mark.parametrize(
+        "i, message",
+        [
+            (-1, "pure index -1 out of range for m=2"),
+            (2, "pure index 2 out of range for m=2"),
+            (True, "i must be an integer, got True"),
+            (np.True_, f"i must be an integer, got {np.True_!r}"),
+            (1.0, "i must be an integer, got 1.0"),
+        ],
+    )
+    def test_bad_index_is_refused(self, i, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pure_nash_epsilon(mutation_population(), i)
+
+    def test_numpy_integer_index(self):
+        game = mutation_population()
+        assert pure_nash_epsilon(game, np.int64(1)) == pure_nash_epsilon(game, 1) > 0.0
 
 
 class TestFindPure:

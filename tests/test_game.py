@@ -135,7 +135,9 @@ class TestSupport:
         with pytest.raises(ValueError, match="out of range"):
             Support((0, 5)).validate_for(3)
 
-    @pytest.mark.parametrize("indices", [(0, 1.5), (0.0, 1), (0, np.float64(2.0))])
+    @pytest.mark.parametrize(
+        "indices", [(0, 1.5), (0.0, 1), (0, np.float64(2.0)), (False, True), (np.False_, 1)]
+    )
     def test_rejects_non_integer_indices(self, indices):
         with pytest.raises(ValueError, match="integers"):
             Support(indices)

@@ -131,20 +131,20 @@ class TestModelParameters:
 class TestModelCounts:
     def test_m2_k20(self):
         model = full_model(MP_NORM, 20)
-        assert [v.name for v in model.variables if v.binary] == ["y_0", "y_1"]
-        assert sum(1 for v in model.variables if v.binary) == 2
+        assert list(model.variables[model.ys]) == ["y_0", "y_1"]
+        assert len(model.variables[model.ys]) == 2
         big_m_rows = [r for r in model.rows if r.name.split("_")[0] in ("strict", "tie", "selfplay")]
         assert len(big_m_rows) == 8
         assert sum(1 for r in model.rows if r.name == "simplex") == 1
         assert len(model.sos2_sets) == 4  # 2 diagonal squares + plus/minus pair
-        lams = [v for v in model.variables if v.name.startswith("lam_")]
+        lams = [name for name in model.variables if name.startswith("lam_")]
         assert len(lams) == 84  # 4 squares, 21 lambdas each
         assert all(len(s) == 21 for s in model.sos2_sets)
 
     def test_m3_k10(self):
         g = normalize(uniform_random(3, seed=1))
         model = full_model(g, 10)
-        assert [v.name for v in model.variables if v.binary] == ["y_0", "y_1", "y_2"]
+        assert list(model.variables[model.ys]) == ["y_0", "y_1", "y_2"]
         big_m_rows = [r for r in model.rows if r.name.split("_")[0] in ("strict", "tie", "selfplay")]
         assert len(big_m_rows) == 12
         assert len(model.sos2_sets) == 9  # 3 diagonal + 2 * C(3,2) separable squares
@@ -367,7 +367,7 @@ class TestLayout:
     def test_build_model_is_the_x_z_y_system(self):
         for m in range(2, 6):
             model = build_model(normalize(uniform_random(m, seed=m)))
-            names = [v.name for v in model.variables]
+            names = list(model.variables)
             assert names == [f"x_{i}" for i in range(m)] + ["z"] + [f"y_{j}" for j in range(m)]
             assert len(model.rows) == 4 * m + 1
             assert model.rows[-1].name == "simplex"
@@ -379,10 +379,34 @@ class TestLayout:
         full = linearize(model, 4)
         assert len(model.variables) == 7 and len(model.rows) == 13  # input untouched
         assert full.variables[:7] == model.variables
+        assert (full.bounds[:7] == model.bounds).all()
         assert full.rows[:13] == model.rows
         assert min(i for lam in full.sos2_sets for i in lam) > 7
-        assert all(full.variables[lam[0] - 1].name == f"q_{sq.name}" for sq, lam in zip(full.squares, full.sos2_sets))
+        assert all(full.variables[lam[0] - 1] == f"q_{sq.name}" for sq, lam in zip(full.squares, full.sos2_sets))
         assert sum(corridor(full)) == linearization_error_bound(model.game, 4)
+
+    def test_bounds_pin_the_layout(self):
+        model = build_model(MP_NORM)
+        assert model.bounds.tolist() == [[0.0, 1.0]] * 2 + [[-1.0, 2.0]] + [[0.0, 1.0]] * 2
+        assert model.bounds[model.ys].tolist() == [[0.0, 1.0]] * 2
+        full = linearize(model, 4)
+        # After the x/z/y columns, each of the four squares has a q in [0, 1]
+        # (s ranges over [0, 1] or [-1, 1]) and then its five lambdas in [0, 1].
+        assert full.bounds.tolist() == model.bounds.tolist() + [[0.0, 1.0]] * (4 * 6)
+        g = normalize(uniform_random(3, seed=2))
+        for built in (build_model(g), linearize(build_model(g), 3)):
+            assert built.bounds.shape == (len(built.variables), 2)
+            for sq, lam in zip(built.squares, built.sos2_sets):
+                assert built.bounds[lam[0] - 1].tolist() == [0.0, max(sq.lo**2, sq.hi**2)]
+                assert built.bounds[list(lam)].tolist() == [[0.0, 1.0]] * len(lam)
+
+    def test_bounds_are_read_only_and_a_solve_leaves_them(self):
+        for model in (build_model(MP_NORM), linearize(build_model(MP_NORM), 5)):
+            before = model.bounds.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                model.bounds[model.ys] = 1.0
+            assert solve(model).status is SolveStatus.FEASIBLE
+            assert np.array_equal(model.bounds, before)
 
     def test_size_is_that_of_the_payoffs(self):
         # m is read from the game, and a replaced game rebuilds the model at its size.
@@ -426,7 +450,7 @@ class TestDerivedModel:
                 setattr(model, name, value)
         assert model.eps == 1e-5 and solve(model).status is SolveStatus.FEASIBLE
 
-    @pytest.mark.parametrize("name", ["variables", "rows", "sos2_sets", "squares"])
+    @pytest.mark.parametrize("name", ["variables", "bounds", "rows", "sos2_sets", "squares"])
     def test_built_fields_cannot_be_replaced(self, name):
         with pytest.raises(ValueError, match=f"{name} is declared with init=False"):
             dataclasses.replace(build_model(MP_NORM), **{name: ()})

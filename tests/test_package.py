@@ -15,7 +15,7 @@ HAND_LISTED = {
     "EsspmCertificate", "EsspmOutcome", "GameMatrix", "GameParseError", "Infeasible",
     "InvasionResult", "LimitReached", "LinearRow", "MixedEsspm", "MixedStrategy", "ModelIR",
     "PureEsspm", "SolveFailed", "SolveLimits", "SolveResult", "SolveStats", "SolveStatus",
-    "SolverError", "SquareTerm", "Support", "Tolerances", "Variable", "__version__",
+    "SolverError", "SquareTerm", "Support", "Tolerances", "__version__",
     "approximation_error", "build_model", "cancer_game", "check_conditions", "chicken",
     "counterexample_game", "enumerate_esspm", "export_lp", "extract_strategy",
     "find_all_pure_esspm", "find_pure_esspm", "invasion_test", "linearization_error_bound",

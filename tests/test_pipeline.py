@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from esspm import (
     SolveStats,
     SolveStatus,
     SolverError,
+    Tolerances,
     counterexample_game,
     enumerate_esspm,
     find_pure_esspm,
@@ -386,6 +388,16 @@ class TestConfigValidation:
     def test_tolerances_must_be_positive_and_finite(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             BatchConfig(**{name: value})
+
+    def test_tolerances_are_built_once_from_delta(self):
+        cfg = BatchConfig(delta=1e-3)
+        assert cfg.tolerances is cfg.tolerances and cfg.tolerances == Tolerances(delta=1e-3)
+        assert dataclasses.replace(cfg, delta=1e-4).tolerances == Tolerances(delta=1e-4)
+        with pytest.raises(TypeError):
+            BatchConfig(tolerances=Tolerances())
+        with pytest.raises(ValueError, match="tolerances is declared with init=False"):
+            dataclasses.replace(cfg, tolerances=Tolerances())
+        assert cfg == BatchConfig(delta=1e-3) and "tolerances" not in repr(cfg)
 
     @pytest.mark.parametrize("solver", ["enum", "both"])
     def test_oracle_over_the_cap(self, solver):

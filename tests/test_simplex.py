@@ -199,7 +199,7 @@ class TestFeasibility:
     def test_mp_root_relaxation_feasible(self):
         model = linearize(build_model(normalize(mutation_population())), 20)
         assert len(model.variables) > 80  # the full lambda model, not the x/z/y system
-        x = feasible_point(model.rows, model.bounds_array())
+        x = feasible_point(model.rows, model.bounds)
         assert rows_satisfied(model.rows, x)
 
     def test_upper_bounds_respected(self):

@@ -234,7 +234,7 @@ class TestSearchModel:
         lambda_rows = {
             row.name
             for row in full.rows
-            if any(full.variables[i].name.startswith(("q_", "lam_")) for i in row.coeffs)
+            if any(full.variables[i].startswith(("q_", "lam_")) for i in row.coeffs)
         }
         assert lambda_rows
         calls = []
@@ -409,10 +409,10 @@ class TestDominancePropagation:
         model = build_model(_no_pure((_with_dominated(uniform_random(4, seed=s), s) for s in range(200)), 1)[0])
         m, k = model.m, model.m - 1
         spared, everyone = _spared_masks(model.game.payoffs), (1 << m) - 1
-        bounds = model.bounds_array()
-        assert _propagate(spared, bounds.copy(), everyone) & (1 << k) == 0  # k is dominated
-        bounds[m + 1 + k] = 1.0  # y_k pinned at 1
-        assert _propagate(spared, bounds, everyone) == 0
+        bounds = model.bounds.copy()
+        assert _propagate(spared, bounds.copy(), model.ys, everyone) & (1 << k) == 0  # k is dominated
+        bounds[model.ys][k] = 1.0  # y_k pinned at 1
+        assert _propagate(spared, bounds, model.ys, everyone) == 0
 
     def test_tied_games_agree_with_the_oracle(self, monkeypatch):
         # Integer payoffs and cloned strategies make the exact ties that sit
@@ -553,10 +553,11 @@ def _highs_status(model) -> int:
             hi[r] = 0.0
             r += 1
         w0 += k
-    integrality = np.array([int(v.binary) for v in model.variables] + [1] * n_seg)
+    integrality = np.zeros(n + n_seg, dtype=int)
+    integrality[model.ys] = integrality[n:] = 1
     bounds = Bounds(
-        [v.lb for v in model.variables] + [0.0] * n_seg,
-        [v.ub for v in model.variables] + [1.0] * n_seg,
+        np.concatenate((model.bounds[:, 0], np.zeros(n_seg))),
+        np.concatenate((model.bounds[:, 1], np.ones(n_seg))),
     )
     res = milp(
         np.zeros(n + n_seg),
