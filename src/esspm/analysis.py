@@ -5,18 +5,29 @@ against the incumbent population, or it ties against the population but does
 strictly worse against itself than the incumbent does against it. Exact payoff
 equality is unreliable in floating point, so the tie test is softened to a band
 of half-width ``delta`` around zero.
+
+The verdict records (``PureEsspm``, ``MixedEsspm``, ``Infeasible``,
+``LimitReached``, ``SolveFailed``) live here too, next to the pure scan: the
+MILP's ``solve``, the oracle route and the batch all answer with them.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .game import GameMatrix, MixedStrategy, check_int, check_positive, utility
 
 __all__ = [
+    "PureEsspm",
+    "MixedEsspm",
+    "Infeasible",
+    "LimitReached",
+    "SolveFailed",
+    "EsspmOutcome",
     "Tolerances",
     "Condition",
     "ConditionOutcome",
@@ -116,6 +127,39 @@ def payoff_gaps(payoffs: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.
     d = against - (probs[..., None, :] @ against[..., :, None])[..., 0]
     margin = probs @ payoffs - payoffs.diagonal()
     return d, margin
+
+
+# Each outcome class names its CSV status once, as ``status``.
+@dataclass(frozen=True)
+class PureEsspm:
+    status: ClassVar[str] = "PURE"
+    index: int
+
+
+@dataclass(frozen=True)
+class MixedEsspm:
+    status: ClassVar[str] = "OPTIMAL"
+    strategy: MixedStrategy
+
+
+@dataclass(frozen=True)
+class Infeasible:
+    status: ClassVar[str] = "INFEASIBLE"
+
+
+@dataclass(frozen=True)
+class LimitReached:
+    status: ClassVar[str] = "LIMIT"
+
+
+EsspmOutcome = PureEsspm | MixedEsspm | Infeasible | LimitReached
+
+
+@dataclass(frozen=True)
+class SolveFailed:
+    """A batch game whose solve raised ``SolverError``; only ``run_batch`` makes one."""
+
+    status: ClassVar[str] = "ERROR"
 
 
 def find_pure_esspm(game: GameMatrix, tol: Tolerances = Tolerances()) -> int | None:

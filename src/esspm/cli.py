@@ -6,14 +6,13 @@ import argparse
 import sys
 from dataclasses import fields
 
+from .analysis import LimitReached, PureEsspm
 from .game import normalize, read_game, write_game
 from .model import build_model, export_lp, linearize
 from .pipeline import (
     BatchConfig,
     GAME_CLASSES,
     SOLVERS,
-    LimitReached,
-    PureEsspm,
     make_game,
     run_batch,
     solve_record,

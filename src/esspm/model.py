@@ -108,7 +108,8 @@ class ModelIR:
     from them, so they can be neither passed nor assigned, and
     ``dataclasses.replace`` rebuilds them. ``variables`` names the columns in
     layout order, ``bounds`` is their read-only (n, 2) array of [lower, upper]
-    bounds and ``ys`` slices the binary block y; rows index the columns.
+    bounds, ``xs`` slices the strategy block x and ``ys`` the binary block y;
+    rows index the columns.
     ``sos2_sets`` are ordered lambda-index tuples (at most two members
     nonzero, and adjacent) and ``squares`` the square-term records, one per
     SOS2 set and in the same order; both are empty when k is None.
@@ -127,6 +128,11 @@ class ModelIR:
     def m(self) -> int:
         """Pure strategies per player: the size of the game."""
         return self.game.m
+
+    @property
+    def xs(self) -> slice:
+        """The columns of the strategy block x_0..x_{m-1}."""
+        return slice(0, self.m)
 
     @property
     def ys(self) -> slice:
@@ -332,14 +338,19 @@ def interpolation_assignment(model: ModelIR, x: np.ndarray, y: np.ndarray | None
     Returns the column values in the model's layout (x, z, y, then the q and
     lambda columns of each square term). Used to certify feasibility
     constructively and by the solver to assemble candidate leaves. y defaults
-    to all zeros.
+    to all zeros. An x or y that is not one value per strategy raises
+    ValueError.
     """
     m = model.m
     x = np.asarray(x, dtype=float)
+    if x.shape != (m,):
+        raise ValueError(f"x has shape {x.shape}, the model has {m} strategies")
     values = np.zeros(len(model.variables))
-    values[:m] = x
+    values[model.xs] = x
     values[m] = x @ model.game.payoffs @ x
     if y is not None:
+        if np.shape(y) != (m,):
+            raise ValueError(f"y has shape {np.shape(y)}, the model has {m} strategies")
         values[model.ys] = y
     for sq, lam in zip(model.squares, model.sos2_sets):
         t = np.linspace(sq.lo, sq.hi, len(lam))

@@ -2,7 +2,8 @@
 
 The per-game pipeline normalizes payoffs, runs the pure-strategy preprocessing
 pass, and only forwards games without a pure solution to the configured
-solver(s). Batches assign each game a derived seed (base + index) so any single
+solver(s), whose ``analysis`` verdict records it passes on as they are.
+Batches assign each game a derived seed (base + index) so any single
 instance can be regenerated in isolation, and emit one CSV row per game.
 """
 
@@ -12,11 +13,13 @@ import csv
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
-from .analysis import Tolerances, approximation_error, find_pure_esspm, nash_epsilon, pure_nash_epsilon
+from .analysis import (
+    EsspmOutcome, Infeasible, LimitReached, MixedEsspm, PureEsspm, SolveFailed, Tolerances,
+    approximation_error, find_pure_esspm, nash_epsilon, pure_nash_epsilon,
+)
 from .enumeration import check_cap, enumerate_esspm
 from .game import GameMatrix, MixedStrategy, check_int, check_positive, normalize
 from .generators import (
@@ -30,15 +33,9 @@ from .generators import (
 )
 from .model import EPS, build_model
 from .simplex import SolverError
-from .solver import SolveLimits, SolveStatus, extract_strategy, solve
+from .solver import SolveLimits, solve
 
 __all__ = [
-    "PureEsspm",
-    "MixedEsspm",
-    "Infeasible",
-    "LimitReached",
-    "SolveFailed",
-    "EsspmOutcome",
     "BatchConfig",
     "BatchStats",
     "GameRecord",
@@ -51,39 +48,6 @@ __all__ = [
 # nash_eps values below this print as 0: an exact tie solution reads as
 # rounding noise (1e-16 and so on) that depends on the last bits of the strategy.
 _NASH_EPS_FLOOR = 1e-12
-
-
-# Each outcome class names its CSV status once, as ``status``.
-@dataclass(frozen=True)
-class PureEsspm:
-    status: ClassVar[str] = "PURE"
-    index: int
-
-
-@dataclass(frozen=True)
-class MixedEsspm:
-    status: ClassVar[str] = "OPTIMAL"
-    strategy: MixedStrategy
-
-
-@dataclass(frozen=True)
-class Infeasible:
-    status: ClassVar[str] = "INFEASIBLE"
-
-
-@dataclass(frozen=True)
-class LimitReached:
-    status: ClassVar[str] = "LIMIT"
-
-
-EsspmOutcome = PureEsspm | MixedEsspm | Infeasible | LimitReached
-
-
-@dataclass(frozen=True)
-class SolveFailed:
-    """A batch game whose solve raised ``SolverError``; only ``run_batch`` makes one."""
-
-    status: ClassVar[str] = "ERROR"
 
 
 @dataclass(frozen=True)
@@ -191,13 +155,7 @@ def make_game(cfg: BatchConfig, index: int) -> GameMatrix:
 
 
 def _milp_outcome(norm: GameMatrix, cfg: BatchConfig) -> EsspmOutcome:
-    model = build_model(norm, cfg.eps)
-    result = solve(model, cfg.limits)
-    if result.status is SolveStatus.FEASIBLE:
-        return MixedEsspm(extract_strategy(result, norm.m))
-    if result.status is SolveStatus.LIMIT_REACHED:
-        return LimitReached()
-    return Infeasible()
+    return solve(build_model(norm, cfg.eps), cfg.limits).outcome
 
 
 def _enum_outcome(norm: GameMatrix, cfg: BatchConfig) -> EsspmOutcome:

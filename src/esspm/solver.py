@@ -30,8 +30,8 @@ of ``linearize``. It is re-verified against every bound, binary and row of
 the model (``verify_assignment``). The proof below shows that this never
 fails after a passed exact check, so a violation is a fault of the solver
 and raises SolverError naming it; the exact check alone decides.
-``extract_strategy`` reports the assignment's x as the leaf certified it,
-bit for bit.
+``solve``'s ``MixedEsspm`` verdict holds the assignment's x as the leaf
+certified it, bit for bit.
 
 The search never needs the rows of ``linearize``: they would only enlarge
 every LP, and an accepted leaf satisfies them anyway (``linearize`` proves
@@ -78,7 +78,7 @@ member, and INFEASIBLE stays a proof.
 
 The exactness gate is what keeps the solver sound: z is free in the search
 LPs, so their margins may be pure relaxation artifact, and rejecting those at
-the leaves means a Feasible verdict always corresponds to a genuine candidate
+the leaves means a MixedEsspm verdict always corresponds to a genuine candidate
 at the model's strictness margin. Infeasible is returned only after the
 pattern tree is exhausted, so remaining false negatives are exactly the games
 whose true margins fall below the model's eps.
@@ -104,32 +104,23 @@ solves over shared models may run concurrently.
 
 from __future__ import annotations
 
-import enum
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import payoff_gaps
+from .analysis import Infeasible, LimitReached, MixedEsspm, payoff_gaps
 from .enumeration import _solve_ties, _spared_cells
 from .game import MixedStrategy, check_int
 from .model import INT_TOL, ModelIR, interpolation_assignment, verify_assignment
 from .simplex import LPState, SolverError, lp_solve
 
 __all__ = [
-    "SolveStatus",
     "SolveLimits",
     "SolveStats",
     "SolveResult",
     "solve",
-    "extract_strategy",
 ]
-
-
-class SolveStatus(enum.Enum):
-    FEASIBLE = "feasible"
-    INFEASIBLE = "infeasible"
-    LIMIT_REACHED = "limit_reached"
 
 
 @dataclass(frozen=True)
@@ -155,10 +146,12 @@ class SolveStats:
 
 @dataclass
 class SolveResult:
-    """``assignment`` holds the column values of a FEASIBLE result in the
-    model's layout (x, z, y, ...); it is None otherwise."""
+    """``outcome`` is the verdict: ``MixedEsspm`` with the x the leaf certified,
+    ``Infeasible`` or ``LimitReached``. ``assignment`` holds the column values
+    of a ``MixedEsspm`` result in the model's layout (x, z, y, ...); it is None
+    otherwise."""
 
-    status: SolveStatus
+    outcome: MixedEsspm | Infeasible | LimitReached
     assignment: np.ndarray | None
     stats: SolveStats = field(default_factory=SolveStats)
 
@@ -184,16 +177,16 @@ def _spared_masks(payoffs: np.ndarray) -> list[list[int]]:
     return [masks[i * m : (i + 1) * m] for i in range(m)]
 
 
-def _propagate(spared: list[list[int]], bounds: np.ndarray, ys: slice, free: int) -> int:
+def _propagate(spared: list[list[int]], bounds: np.ndarray, model: ModelIR, free: int) -> int:
     """Close a node under iterated conditional dominance, fixing bounds in place.
 
-    ``ys`` is the model's slice of the y columns and ``free`` the mask U of
-    the strategies whose y is not fixed at 0. Each dominated member of U
+    ``model`` gives the slices of the x and y columns and ``free`` is the mask
+    U of the strategies whose y is not fixed at 0. Each dominated member of U
     gets y = x = 0 and leaves U, until none is left.
     Returns U at that fixpoint, or 0 when the node is dead: a dominated
     strategy has y fixed at 1, or U is empty.
     """
-    y = bounds[ys]
+    x, y = bounds[model.xs], bounds[model.ys]
     changed = True
     while changed:
         changed = False
@@ -203,7 +196,7 @@ def _propagate(spared: list[list[int]], bounds: np.ndarray, ys: slice, free: int
                 if y[i, 0] > 0.0:
                     return 0  # y_i is fixed at 1
                 free ^= bit
-                bounds[i] = y[i] = 0.0
+                x[i] = y[i] = 0.0
                 changed = True
     return free
 
@@ -228,7 +221,6 @@ def _attempt_pattern(model: ModelIR, pattern: np.ndarray, stats: SolveStats) -> 
     accepted candidate's assignment meets every row of the model (the module
     docstring proves it), so a violation raises SolverError.
     """
-    m = model.m
     support = np.flatnonzero(pattern)
     if not support.size:
         return None  # every strategy strictly worse than the average: impossible
@@ -236,12 +228,12 @@ def _attempt_pattern(model: ModelIR, pattern: np.ndarray, stats: SolveStats) -> 
     if rejected[0]:
         leaf = model.bounds.copy()
         leaf[model.ys] = pattern[:, None]
-        leaf[:m][pattern == 0] = 0.0  # x_j = 0 off the pattern
+        leaf[model.xs][pattern == 0] = 0.0  # x_j = 0 off the pattern
         status, point, iters = lp_solve(model.rows, leaf)
         stats.lp_iterations += iters
         if status != "feasible":
             return None
-        x = np.zeros(m)
+        x = np.zeros(model.m)
         x[support] = np.clip(point[support], 0.0, None)
         x /= x.sum()  # positive: the feasible point meets the simplex row
     else:
@@ -280,17 +272,17 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
     def elapsed_ms() -> float:
         return (time.perf_counter() - t0) * 1000.0
 
-    def finish(status: SolveStatus, assignment=None) -> SolveResult:
+    def finish(outcome: MixedEsspm | Infeasible | LimitReached, assignment=None) -> SolveResult:
         stats.wall_ms = elapsed_ms()
-        return SolveResult(status, assignment, stats)
+        return SolveResult(outcome, assignment, stats)
 
-    m, ys = model.m, model.ys
+    xs, ys = model.xs, model.ys
     spared = _spared_masks(model.game.payoffs)
     # (a node's bounds, its parent's final LP state or None at the root, its mask U)
     stack: list[tuple[np.ndarray, LPState | None, int]] = []
 
     def push(bounds: np.ndarray, start: LPState | None, free: int) -> None:
-        free = _propagate(spared, bounds, ys, free)
+        free = _propagate(spared, bounds, model, free)
         if free:
             stack.append((bounds, start, free))
         else:
@@ -301,13 +293,13 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
         child[ys][j] = 1.0
         stack.append((child, state, free))  # the parent's U, already closed
         child = bounds.copy()
-        child[ys][j] = child[j] = 0.0  # x_j = 0 off the pattern; popped first
+        child[ys][j] = child[xs][j] = 0.0  # x_j = 0 off the pattern; popped first
         push(child, state, free & ~(1 << j))
 
-    push(model.bounds.copy(), None, (1 << m) - 1)  # a ModelIR's every y is free in [0, 1]
+    push(model.bounds.copy(), None, (1 << model.m) - 1)  # a ModelIR's every y is free in [0, 1]
     while stack:
         if stats.nodes >= limits.max_nodes or elapsed_ms() >= limits.max_time_ms:
-            return finish(SolveStatus.LIMIT_REACHED)
+            return finish(LimitReached())
         bounds, start, free = stack.pop()
         stats.nodes += 1
 
@@ -329,15 +321,8 @@ def solve(model: ModelIR, limits: SolveLimits = SolveLimits()) -> SolveResult:
         pattern = np.where(unfixed, y > 0.5, lo)
         assignment = _attempt_pattern(model, pattern, stats)
         if assignment is not None:
-            return finish(SolveStatus.FEASIBLE, assignment)
+            return finish(MixedEsspm(MixedStrategy(assignment[xs])), assignment)
         if unfixed.any():  # else the pattern is refuted and fully pinned: dead end
             children(bounds, int(np.argmax(unfixed)), state, free)
 
-    return finish(SolveStatus.INFEASIBLE)
-
-
-def extract_strategy(result: SolveResult, m: int) -> MixedStrategy:
-    """The strategy of a feasible result: the first m columns, as the leaf certified them."""
-    if result.status != SolveStatus.FEASIBLE or result.assignment is None:
-        raise ValueError(f"cannot extract a strategy from status {result.status}")
-    return MixedStrategy(result.assignment[:m])
+    return finish(Infeasible())

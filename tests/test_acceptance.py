@@ -13,9 +13,9 @@ from esspm import (
     BatchConfig,
     GameMatrix,
     InvasionResult,
+    Infeasible,
     MixedEsspm,
     MixedStrategy,
-    SolveStatus,
     Tolerances,
     approximation_error,
     build_model,
@@ -23,7 +23,6 @@ from esspm import (
     chicken,
     counterexample_game,
     enumerate_esspm,
-    extract_strategy,
     find_pure_esspm,
     invasion_test,
     linearize,
@@ -129,7 +128,7 @@ def test_criterion_4_chicken_class():
         if certs:
             n_certified += 1
         res = solve(build_model(norm, EPS))
-        if res.status is SolveStatus.FEASIBLE:
+        if isinstance(res.outcome, MixedEsspm):
             n_milp += 1
         elif certs:
             # A miss must be explainable: the oracle's own margin has to sit
@@ -158,10 +157,10 @@ def test_criterion_5_oracle_agreement():
             model = build_model(norm, EPS)
             res = solve(model)
             certs = enumerate_esspm(norm, tol)
-            if res.status is SolveStatus.FEASIBLE:
+            if isinstance(res.outcome, MixedEsspm):
                 assert verify_assignment(model, res.assignment) == []
                 assert full_violations(model, res) == []
-                strat = extract_strategy(res, m)
+                strat = res.outcome.strategy
                 err = approximation_error(norm, strat, tol)
                 assert err <= 5e-3
                 assert certs, f"m={m} game {i}: solver found what the oracle did not"
@@ -201,7 +200,7 @@ def test_criterion_6_known_answer_suite():
     assert find_pure_esspm(rps) is None
     assert enumerate_esspm(normalize(rps)) == []
     res = solve(build_model(normalize(rps), EPS))
-    assert res.status is SolveStatus.INFEASIBLE
+    assert isinstance(res.outcome, Infeasible)
     _report(6, "counterexample pure A + mixed (0, 1/2, 1/2); B/C resisted, blend invades; RPS empty on both routes")
 
 
@@ -217,8 +216,8 @@ def test_criterion_7_cancer_class():
             n_pure += 1
             continue
         res = solve(build_model(norm, EPS))
-        if res.status is SolveStatus.FEASIBLE:
-            strat = extract_strategy(res, 4)
+        if isinstance(res.outcome, MixedEsspm):
+            strat = res.outcome.strategy
             errors.append(approximation_error(norm, strat, tol))
     frac = n_pure / n
     assert abs(frac - 0.87) <= 0.04
@@ -249,8 +248,8 @@ class TestCriterion8PropertySuites:
                 assert nash_epsilon(norm, cert.strategy) <= 10 * DELTA
                 outputs += 1
             res = solve(build_model(norm, EPS))
-            if res.status is SolveStatus.FEASIBLE:
-                strat = extract_strategy(res, norm.m)
+            if isinstance(res.outcome, MixedEsspm):
+                strat = res.outcome.strategy
                 assert nash_epsilon(norm, strat) <= 10 * DELTA
                 outputs += 1
         assert outputs >= 100
@@ -322,7 +321,7 @@ class TestCriterion8PropertySuites:
                 continue
             model = build_model(norm, EPS)
             res = solve(model)
-            if res.status is SolveStatus.FEASIBLE:
+            if isinstance(res.outcome, MixedEsspm):
                 assert verify_assignment(model, res.assignment) == []
                 assert full_violations(model, res) == []
                 verified += 1

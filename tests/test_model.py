@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from esspm import (
     BatchConfig,
     GameMatrix,
     LinearRow,
-    SolveStatus,
+    MixedEsspm,
     SquareTerm,
     build_model,
     cancer_game,
@@ -203,6 +204,27 @@ class TestBranchSemantics:
         values = interpolation_assignment(model, np.array([0.2, 0.8]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="columns"):
             verify_assignment(model, np.resize(values, len(values) + extra))
+
+    @pytest.mark.parametrize(
+        "x, y, name, shape",
+        [
+            ([0.2, 0.8], [1.0], "y", (1,)),
+            ([0.2, 0.8], 1.0, "y", ()),
+            ([0.2, 0.8], [1.0, 1.0, 1.0], "y", (3,)),
+            ([0.2, 0.8], [[1.0, 1.0]], "y", (1, 2)),
+            ([1.0], [1.0, 1.0], "x", (1,)),
+            ([0.2, 0.3, 0.5], None, "x", (3,)),
+            (0.5, None, "x", ()),
+            ([[0.2, 0.8]], None, "x", (1, 2)),
+        ],
+        ids=["y-short", "y-scalar", "y-long", "y-2d", "x-short", "x-long", "x-scalar", "x-2d"],
+    )
+    def test_wrong_shape_input_refused(self, x, y, name, shape):
+        # A short y was broadcast over the whole y block; a wrong x failed inside numpy.
+        message = rf"^{name} has shape {re.escape(str(shape))}, the model has 2 strategies$"
+        for model in (build_model(MP_NORM), full_model(MP_NORM, 4)):
+            with pytest.raises(ValueError, match=message):
+                interpolation_assignment(model, x, y)
 
     def test_big_m_deactivates_rows_at_simplex_vertices(self):
         # With the branch indicator at its deactivating value, every big-M row
@@ -405,8 +427,16 @@ class TestLayout:
             before = model.bounds.copy()
             with pytest.raises(ValueError, match="read-only"):
                 model.bounds[model.ys] = 1.0
-            assert solve(model).status is SolveStatus.FEASIBLE
+            assert isinstance(solve(model).outcome, MixedEsspm)
             assert np.array_equal(model.bounds, before)
+
+    def test_xs_slices_the_strategy_block(self):
+        for m in range(2, 6):
+            model = build_model(normalize(uniform_random(m, seed=m)))
+            for built in (model, linearize(model, 3)):
+                assert built.variables[built.xs] == tuple(f"x_{i}" for i in range(m))
+                x = np.full(m, 1.0 / m)
+                assert interpolation_assignment(built, x)[built.xs].tobytes() == x.tobytes()
 
     def test_size_is_that_of_the_payoffs(self):
         # m is read from the game, and a replaced game rebuilds the model at its size.
@@ -429,8 +459,8 @@ class TestDerivedModel:
         g = normalize(uniform_random(3, seed=44))
         replaced = dataclasses.replace(build_model(g, 1e-3), eps=1e-5)
         assert replaced.rows == build_model(g, 1e-5).rows
-        assert solve(replaced).status is SolveStatus.FEASIBLE
-        assert solve(build_model(g, 1e-5)).status is SolveStatus.FEASIBLE
+        assert isinstance(solve(replaced).outcome, MixedEsspm)
+        assert isinstance(solve(build_model(g, 1e-5)).outcome, MixedEsspm)
 
     def test_replaced_payoffs_rebuild_the_rows(self):
         g = normalize(uniform_random(3, seed=2))
@@ -448,7 +478,7 @@ class TestDerivedModel:
         for name, value in (("eps", 1e-3), ("game", normalize(uniform_random(2, seed=3))), ("rows", ())):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(model, name, value)
-        assert model.eps == 1e-5 and solve(model).status is SolveStatus.FEASIBLE
+        assert model.eps == 1e-5 and isinstance(solve(model).outcome, MixedEsspm)
 
     @pytest.mark.parametrize("name", ["variables", "bounds", "rows", "sos2_sets", "squares"])
     def test_built_fields_cannot_be_replaced(self, name):
@@ -486,7 +516,7 @@ class TestDerivedModel:
             model.rows[0].coeffs[3] = 0.0
         with pytest.raises(TypeError):
             model.rows[4].coeffs[4] = 0.0
-        assert solve(model).status is SolveStatus.FEASIBLE
+        assert isinstance(solve(model).outcome, MixedEsspm)
 
     def test_row_refuses_an_unknown_relation(self):
         with pytest.raises(ValueError, match="unknown relation '<'"):

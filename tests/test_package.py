@@ -14,10 +14,10 @@ HAND_LISTED = {
     "BatchConfig", "BatchStats", "CancerParams", "Condition", "ConditionOutcome",
     "EsspmCertificate", "EsspmOutcome", "GameMatrix", "GameParseError", "Infeasible",
     "InvasionResult", "LimitReached", "LinearRow", "MixedEsspm", "MixedStrategy", "ModelIR",
-    "PureEsspm", "SolveFailed", "SolveLimits", "SolveResult", "SolveStats", "SolveStatus",
+    "PureEsspm", "SolveFailed", "SolveLimits", "SolveResult", "SolveStats",
     "SolverError", "SquareTerm", "Support", "Tolerances", "__version__",
     "approximation_error", "build_model", "cancer_game", "check_conditions", "chicken",
-    "counterexample_game", "enumerate_esspm", "export_lp", "extract_strategy",
+    "counterexample_game", "enumerate_esspm", "export_lp",
     "find_all_pure_esspm", "find_pure_esspm", "invasion_test", "linearization_error_bound",
     "linearize", "mutation_population", "nash_epsilon", "normalize", "random_cancer_params",
     "read_game", "rock_paper_scissors", "run_batch", "solve", "solve_record", "solve_support",

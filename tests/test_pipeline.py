@@ -17,7 +17,6 @@ from esspm import (
     SolveLimits,
     SolveResult,
     SolveStats,
-    SolveStatus,
     SolverError,
     Tolerances,
     counterexample_game,
@@ -214,7 +213,7 @@ class TestBothExcuse:
     def miss_flag(monkeypatch, eps):
         import esspm.pipeline
 
-        infeasible = SolveResult(SolveStatus.INFEASIBLE, None, SolveStats())
+        infeasible = SolveResult(Infeasible(), None, SolveStats())
         monkeypatch.setattr(esspm.pipeline, "solve", lambda model, limits: infeasible)
         _, rows = batch_csv(BatchConfig(game_class="mp", eps=eps, solver="both"))
         assert rows[1][CSV_COLUMNS.index("status")] == "INFEASIBLE"

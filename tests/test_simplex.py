@@ -7,9 +7,8 @@ from scipy.optimize import linprog
 from esspm import (
     GameMatrix,
     LinearRow,
-    SolveStatus,
+    MixedEsspm,
     build_model,
-    extract_strategy,
     linearize,
     mutation_population,
     normalize,
@@ -459,8 +458,8 @@ class TestBlandRule:
     def test_mutation_population_milp(self, bland_calls):
         norm = normalize(mutation_population())
         res = solve(build_model(norm))
-        assert res.status is SolveStatus.FEASIBLE
-        np.testing.assert_allclose(extract_strategy(res, norm.m).probs, [0.2, 0.8], atol=1e-12)
+        assert isinstance(res.outcome, MixedEsspm)
+        np.testing.assert_allclose(res.outcome.strategy.probs, [0.2, 0.8], atol=1e-12)
         assert bland_calls and all(bland_calls)
 
 

@@ -6,10 +6,11 @@ import pytest
 from esspm import (
     BatchConfig,
     GameMatrix,
+    Infeasible,
+    LimitReached,
     LinearRow,
     MixedEsspm,
     SolveLimits,
-    SolveStatus,
     SolverError,
     Tolerances,
     approximation_error,
@@ -18,7 +19,6 @@ from esspm import (
     check_conditions,
     chicken,
     enumerate_esspm,
-    extract_strategy,
     find_pure_esspm,
     linearize,
     mutation_population,
@@ -33,7 +33,7 @@ from esspm import (
 )
 from esspm.model import interpolation_assignment, linearization_error_bound
 from esspm.enumeration import _solve_ties
-from esspm.solver import SolveResult, SolveStats, _attempt_pattern, _propagate, _spared_masks
+from esspm.solver import SolveStats, _attempt_pattern, _propagate, _spared_masks
 
 
 def solve_game(game, eps=1e-5):
@@ -53,8 +53,8 @@ def full_violations(model, res, k=20):
 class TestKnownGames:
     def test_mp_recovers_the_mixed_solution(self):
         norm, model, res = solve_game(mutation_population())
-        assert res.status is SolveStatus.FEASIBLE
-        strat = extract_strategy(res, 2)
+        assert isinstance(res.outcome, MixedEsspm)
+        strat = res.outcome.strategy
         assert np.max(np.abs(strat.probs - np.array([0.2, 0.8]))) <= 0.01
         assert approximation_error(norm, strat) <= 1e-3
 
@@ -64,7 +64,7 @@ class TestKnownGames:
         norm = normalize(rock_paper_scissors())
         assert enumerate_esspm(norm) == []
         _, _, res = solve_game(rock_paper_scissors())
-        assert res.status is SolveStatus.INFEASIBLE
+        assert isinstance(res.outcome, Infeasible)
 
     def test_contradictory_bound_infeasible_at_root(self, monkeypatch):
         # A spy adds x_0 >= 2 to every LP, so the root LP is infeasible and nothing else runs.
@@ -78,7 +78,7 @@ class TestKnownGames:
 
         monkeypatch.setattr(esspm.solver, "lp_solve", spy)
         res = solve(build_model(normalize(mutation_population())))
-        assert res.status is SolveStatus.INFEASIBLE
+        assert isinstance(res.outcome, Infeasible)
         assert res.stats.nodes == 1
         assert calls == [None]
 
@@ -88,14 +88,14 @@ class TestSolveMechanics:
         g = chicken(17)
         _, _, res1 = solve_game(g)
         _, _, res2 = solve_game(g)
-        assert res1.status == res2.status
+        assert res1.outcome == res2.outcome
         assert res1.assignment.tobytes() == res2.assignment.tobytes()
         assert res1.stats.nodes == res2.stats.nodes
 
     def test_node_limit(self):
         model = build_model(normalize(mutation_population()))
         res = solve(model, SolveLimits(max_nodes=1, max_time_ms=600_000))
-        assert res.status is SolveStatus.LIMIT_REACHED
+        assert isinstance(res.outcome, LimitReached)
 
     @pytest.mark.parametrize("field", ["max_nodes", "max_time_ms"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5, 0, -1])
@@ -135,10 +135,10 @@ class TestSolveMechanics:
         model = build_model(normalize(mutation_population()))
         limits = SolveLimits(max_nodes=1_000, max_time_ms=1_000)
         res = solve(model, limits)
-        assert res.status is SolveStatus.LIMIT_REACHED
+        assert isinstance(res.outcome, LimitReached)
         assert res.stats.nodes == 1 and res.stats.wall_ms == 1_000.0
         jump[0] = 0.0  # a clock that never moves: the same search finishes
-        assert solve(model, limits).status is SolveStatus.FEASIBLE
+        assert isinstance(solve(model, limits).outcome, MixedEsspm)
 
     def test_feasible_assignments_reverify(self):
         # Independent re-check of the returned assignment against the IR.
@@ -151,7 +151,7 @@ class TestSolveMechanics:
                 continue
             model = build_model(norm)
             res = solve(model)
-            if res.status is SolveStatus.FEASIBLE:
+            if isinstance(res.outcome, MixedEsspm):
                 assert verify_assignment(model, res.assignment) == []
                 assert full_violations(model, res) == []
                 checked += 1
@@ -162,8 +162,8 @@ class TestSolveMechanics:
             norm = normalize(chicken(seed))
             model = build_model(norm)
             res = solve(model)
-            assert res.status is SolveStatus.FEASIBLE
-            strat = extract_strategy(res, 2)
+            assert isinstance(res.outcome, MixedEsspm)
+            strat = res.outcome.strategy
             assert strat.probs.max() <= 1.0 - 1e-6
 
     def test_rejects_non_model(self):
@@ -175,9 +175,9 @@ class TestSolveMechanics:
         # tight ones are fine. Thresholds are solver-specific by design.
         norm = normalize(mutation_population())
         res_big = solve(build_model(norm, eps=1e-1))
-        assert res_big.status is SolveStatus.INFEASIBLE
+        assert isinstance(res_big.outcome, Infeasible)
         res_small = solve(build_model(norm, eps=1e-4))
-        assert res_small.status is SolveStatus.FEASIBLE
+        assert isinstance(res_small.outcome, MixedEsspm)
 
 
 class TestEndToEnd:
@@ -195,8 +195,8 @@ class TestEndToEnd:
             total += 1
             model = build_model(norm)
             res = solve(model)
-            if res.status is SolveStatus.FEASIBLE:
-                strat = extract_strategy(res, 2)
+            if isinstance(res.outcome, MixedEsspm):
+                strat = res.outcome.strategy
                 assert approximation_error(norm, strat) <= 5e-3
                 solved += 1
         assert solved / total >= 0.97
@@ -210,8 +210,8 @@ class TestEndToEnd:
             certs = enumerate_esspm(norm, tol)
             model = build_model(norm)
             res = solve(model)
-            if res.status is SolveStatus.FEASIBLE:
-                strat = extract_strategy(res, 3)
+            if isinstance(res.outcome, MixedEsspm):
+                strat = res.outcome.strategy
                 assert certs, "solver found a solution the oracle missed"
                 dist = min(
                     float(np.max(np.abs(strat.probs - c.strategy.probs))) for c in certs
@@ -246,7 +246,7 @@ class TestSearchModel:
 
         monkeypatch.setattr(esspm.solver, "lp_solve", spy)
         res = solve(model)
-        assert res.status is SolveStatus.FEASIBLE
+        assert isinstance(res.outcome, MixedEsspm)
         assert verify_assignment(model, res.assignment) == []
         assert full_violations(model, res) == []
         assert calls
@@ -312,16 +312,16 @@ class TestSupportBound:
         norm = _planted_full(m, seed=m)
         assert find_pure_esspm(norm) is None
         res = solve(build_model(norm))
-        assert res.status is SolveStatus.FEASIBLE
+        assert isinstance(res.outcome, MixedEsspm)
         assert res.stats.nodes == 1
-        assert extract_strategy(res, m).support().indices == tuple(range(m))
+        assert res.outcome.strategy.support().indices == tuple(range(m))
 
     def test_planted_half_support_returns_its_block(self):
         norm, block = _planted_half(10, seed=10)
         assert find_pure_esspm(norm) is None
         res = solve(build_model(norm))
-        assert res.status is SolveStatus.FEASIBLE
-        strategy = extract_strategy(res, norm.m)
+        assert isinstance(res.outcome, MixedEsspm)
+        strategy = res.outcome.strategy
         assert strategy.support().indices == block
         assert [c.strategy.support().indices for c in enumerate_esspm(norm, Tolerances())] == [block]
 
@@ -394,8 +394,8 @@ class TestDominancePropagation:
             lp_calls.clear()
             patterns.clear()
             res = solve(build_model(norm))
-            assert res.status is SolveStatus.FEASIBLE
-            assert extract_strategy(res, m).probs[k] == 0.0
+            assert isinstance(res.outcome, MixedEsspm)
+            assert res.outcome.strategy.probs[k] == 0.0
             assert patterns and all(p[k] == 0 for p in patterns)
             # Node LPs pass start=; the leaf LP does not. Dead children solve none.
             assert sum(node for node, _ in lp_calls) == res.stats.nodes
@@ -410,9 +410,9 @@ class TestDominancePropagation:
         m, k = model.m, model.m - 1
         spared, everyone = _spared_masks(model.game.payoffs), (1 << m) - 1
         bounds = model.bounds.copy()
-        assert _propagate(spared, bounds.copy(), model.ys, everyone) & (1 << k) == 0  # k is dominated
+        assert _propagate(spared, bounds.copy(), model, everyone) & (1 << k) == 0  # k is dominated
         bounds[model.ys][k] = 1.0  # y_k pinned at 1
-        assert _propagate(spared, bounds, model.ys, everyone) == 0
+        assert _propagate(spared, bounds, model, everyone) == 0
 
     def test_tied_games_agree_with_the_oracle(self, monkeypatch):
         # Integer payoffs and cloned strategies make the exact ties that sit
@@ -473,7 +473,7 @@ class TestSearchPins:
             nodes += res.stats.nodes
             pruned += res.stats.pruned
             pivots += res.stats.lp_iterations
-            feasible += res.status is SolveStatus.FEASIBLE
+            feasible += isinstance(res.outcome, MixedEsspm)
         assert (nodes, pruned, pivots, feasible) == (822, 351, 5513, 190)
 
 
@@ -492,7 +492,7 @@ class TestLinearizedModel:
         for norm in (g for deck in decks for g in deck):
             model = build_model(norm)
             res = solve(model)
-            if res.status is SolveStatus.FEASIBLE:
+            if isinstance(res.outcome, MixedEsspm):
                 for k in (3, 20):
                     assert full_violations(model, res, k) == []
                     feasible += 1
@@ -513,8 +513,8 @@ class TestLinearizedModel:
         model = build_model(norm)
         full = linearize(model, 5)
         compact_res, full_res = solve(model), solve(full)
-        assert compact_res.status is full_res.status
-        if full_res.status is SolveStatus.FEASIBLE:
+        assert type(compact_res.outcome) is type(full_res.outcome)
+        if isinstance(full_res.outcome, MixedEsspm):
             assert verify_assignment(full, full_res.assignment) == []
             assert len(full_res.assignment) == len(full.variables)
 
@@ -592,9 +592,9 @@ class TestHighsCrossCheck:
         assert find_pure_esspm(norm) is None
         model = build_model(norm, eps)
         highs_feasible = _highs_status(linearize(model, k)) == 0
-        ours = solve(model).status
-        assert ours in (SolveStatus.FEASIBLE, SolveStatus.INFEASIBLE)
-        if ours is SolveStatus.FEASIBLE:
+        ours = solve(model).outcome
+        assert isinstance(ours, (MixedEsspm, Infeasible))
+        if isinstance(ours, MixedEsspm):
             assert highs_feasible
         elif highs_feasible:
             # The corridor admits points whose margin is approximation
@@ -614,9 +614,9 @@ class TestSharedTieSolve:
         feasible = 0
         for norm in (g for group in games for g in group):
             res = solve(build_model(norm))
-            if res.status is not SolveStatus.FEASIBLE:
+            if not isinstance(res.outcome, MixedEsspm):
                 continue
-            strategy = extract_strategy(res, norm.m)
+            strategy = res.outcome.strategy
             expected = solve_support(norm, strategy.support())
             assert expected is not None
             assert strategy.probs.tobytes() == expected.probs.tobytes()
@@ -631,7 +631,7 @@ class TestSharedTieSolve:
             for norm in _no_pure(_integer_games(m, 100 + m, 2000), 150):
                 model = build_model(norm)
                 res = solve(model)
-                if res.status is not SolveStatus.FEASIBLE:
+                if not isinstance(res.outcome, MixedEsspm):
                     continue
                 pattern = res.assignment[m + 1 : 2 * m + 1]
                 support = np.flatnonzero(pattern).tolist()
@@ -662,29 +662,30 @@ class TestSharedTieSolve:
 
 
 class TestExtractStrategy:
-    def _feasible(self, x):
-        return SolveResult(SolveStatus.FEASIBLE, x, SolveStats())
-
-    def test_identity(self):
-        res = self._feasible(np.array([0.19972, 0.80028]))
-        strat = extract_strategy(res, 2)
-        np.testing.assert_allclose(strat.probs, [0.19972, 0.80028])
+    """A MixedEsspm verdict's strategy is the x of its assignment, extracted as the leaf certified it."""
 
     @pytest.mark.parametrize("m, seed", [(3, 271489), (4, 360061)])
     def test_reports_the_certified_point_bitwise(self, m, seed):
         # No pure ESSPM; renormalizing these leaves' points again moved them by an ulp.
         norm = normalize(uniform_random(m, seed))
         assert find_pure_esspm(norm) is None
-        res = solve(build_model(norm))
-        assert res.status is SolveStatus.FEASIBLE
-        assert extract_strategy(res, m).probs.tobytes() == res.assignment[:m].tobytes()
+        model = build_model(norm)
+        res = solve(model)
+        assert isinstance(res.outcome, MixedEsspm)
+        assert res.outcome.strategy.probs.tobytes() == res.assignment[model.xs].tobytes()
 
-    def test_tolerance_breach(self):
-        res = self._feasible(np.array([-0.01, 1.01]))
-        with pytest.raises(ValueError, match="negative probability"):
-            extract_strategy(res, 2)
 
-    def test_requires_feasible_status(self):
-        res = SolveResult(SolveStatus.INFEASIBLE, None, SolveStats())
-        with pytest.raises(ValueError, match="status"):
-            extract_strategy(res, 2)
+class TestVerdicts:
+    """solve answers with the verdict records that the pipeline and the CSV use."""
+
+    def test_solve_answers_with_the_pipeline_verdicts(self):
+        import esspm.analysis
+        import esspm.pipeline
+
+        mp = solve(build_model(normalize(mutation_population()))).outcome
+        assert mp == solve_record(mutation_population(), BatchConfig(game_class="mp")).outcome
+        assert isinstance(mp, MixedEsspm) and mp.status == "OPTIMAL"
+        rps = build_model(normalize(rock_paper_scissors()))
+        assert solve(rps).outcome == Infeasible()
+        assert solve(rps, SolveLimits(max_nodes=1)).outcome == LimitReached()
+        assert esspm.pipeline.MixedEsspm is esspm.analysis.MixedEsspm
