@@ -1,8 +1,8 @@
 """Evolutionarily stable strategies against pure mutations for symmetric games.
 
 The package offers three routes to a solution: a pure-strategy preprocessing
-pass, a mixed-integer feasibility model solved by a built-in branch-and-bound
-solver (its piecewise linearization, ``linearize``, serves LP export), and a
+pass, an exact mixed-integer linear feasibility model solved by a built-in
+branch-and-bound solver (``export_lp`` writes it for any MILP solver), and a
 support-enumeration oracle that also serves as ground truth in tests and
 experiments.
 

@@ -8,7 +8,7 @@ from dataclasses import fields
 
 from .analysis import LimitReached, PureEsspm
 from .game import normalize, read_game, write_game
-from .model import build_model, export_lp, linearize
+from .model import build_model, export_lp
 from .pipeline import (
     BatchConfig,
     GAME_CLASSES,
@@ -45,8 +45,8 @@ def _add_solve_params(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--k",
         type=int,
-        help="breakpoint segments per square term; echoed in the batch CSV, "
-        "the search does not read it",
+        help="breakpoint segments per square term of the paper's piecewise-linear z; "
+        "echoed in the batch CSV, the search does not read it",
     )
     p.add_argument("--eps", type=float, help="strict-inequality margin")
     p.add_argument("--delta", type=float, help="payoff-equality precision")
@@ -79,10 +79,9 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--n", type=int, default=100, help="number of games")
     batch.add_argument("--out", required=True, help="CSV output path")
 
-    export = sub.add_parser("export-lp", help="write the feasibility model in LP format")
+    export = sub.add_parser("export-lp", help="write the exact feasibility MILP in LP format")
     export.set_defaults(handler=_cmd_export)
     _add_game_source(export)
-    export.add_argument("--k", type=int, help="breakpoint segments per square term of the linearization")
     export.add_argument("--eps", type=float, help="strict-inequality margin")
     export.add_argument("--out", required=True, help="LP output path")
     return parser
@@ -148,7 +147,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    model = linearize(build_model(normalize(make_game(cfg, 0)), cfg.eps), cfg.k)
+    model = build_model(normalize(make_game(cfg, 0)), cfg.eps)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(export_lp(model))
     print(f"wrote {args.out}")

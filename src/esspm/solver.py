@@ -1,44 +1,42 @@
 """Branch-and-bound feasibility solver for the stability models.
 
-Depth-first search over the binary indicators y, on the rows of the model it
-is given: ``build_model``'s x/z/y system (2m+1 columns, 4m+1 rows), or that
-system with the rows of ``linearize`` appended. A node is its bounds array,
-and y_j is fixed where its bounds meet. A child that fixes y_j at 0 also
-fixes x_j at [0, 0]: the support link x_j <= y_j of Sandholm, Gilpin &
-Conitzer (2005), applied as a bound on that branch only, so the root LP and
-the model's rows are untouched. Each node solves the LP relaxation
-(binaries relaxed to [0, 1]); infeasible relaxations prune the subtree. When
-every indicator is integral the node's pattern S = {j : y_j = 1} is
-attempted. The candidate is the strategy that the oracle's stacked tie
-kernel, ``enumeration._solve_ties``, returns for the S-tie system: the same
-row that ``solve_support`` and the oracle take as they are. Only when that
-system is singular or leaves the simplex does one more feasibility LP run
-from the blank state, under the model's bounds with the y's pinned to the
-pattern and the strategies outside S fixed at zero, and its point, clamped
-at 0 and renormalized, becomes the candidate. The candidate therefore
-depends on the model and S only, not on the search path. It is accepted
-only if its payoff gaps (``analysis.payoff_gaps``) meet the branch
-conditions at the model's ``eps`` with the exact quadratic value x' A x in
-place of z.
+Depth-first search over the binary indicators y, on the model's rows (2m+1
+columns, 4m+1 rows). A node is its bounds array, and y_j is fixed where its
+bounds meet. A child that fixes y_j at 0 also fixes x_j at [0, 0]: the
+model's support link x_j <= y_j (Sandholm, Gilpin & Conitzer 2005), applied
+as a bound on that branch only, so the root LP sees the rows alone. Each
+node solves the LP relaxation (binaries relaxed to [0, 1]); infeasible
+relaxations prune the subtree. When every indicator is integral the node's
+pattern S = {j : y_j = 1} is attempted. The candidate is the strategy that
+the oracle's stacked tie kernel, ``enumeration._solve_ties``, returns for
+the S-tie system: the same row that ``solve_support`` and the oracle take as
+they are. Only when that system is singular or leaves the simplex does one
+more feasibility LP run from the blank state, under the model's bounds with
+the y's pinned to the pattern and the strategies outside S fixed at zero,
+and its point, clamped at 0 and renormalized, becomes the candidate. The
+candidate therefore depends on the model and S only, not on the search path.
+It is accepted only if its payoff gaps (``analysis.payoff_gaps``) meet the
+branch conditions at the model's ``eps`` with the exact quadratic value
+x' A x in place of z.
 Skipping the leaf LP for a regular tie system loses nothing: a tie point
 that passes that exact check satisfies every row of the leaf (the proof
 below), so the skipped LP would have been feasible, and a tie point that
 fails it is rejected whatever the LP says. The accepted assignment
 (``interpolation_assignment``) is the array of the model's column values: x,
-z at x' A x, y = 1_S and, on a linearized model, the interpolated columns
-of ``linearize``. It is re-verified against every bound, binary and row of
-the model (``verify_assignment``). The proof below shows that this never
-fails after a passed exact check, so a violation is a fault of the solver
-and raises SolverError naming it; the exact check alone decides.
+z at x' A x and y = 1_S. It is re-verified against every bound, binary,
+row and link of the model (``verify_assignment``). The proof below shows
+that this never fails after a passed exact check, so a violation is a
+fault of the solver and raises SolverError naming it; the exact check
+alone decides.
 ``solve``'s ``MixedEsspm`` verdict holds the assignment's x as the leaf
 certified it, bit for bit.
 
-The search never needs the rows of ``linearize``: they would only enlarge
-every LP, and an accepted leaf satisfies them anyway (``linearize`` proves
-that they hold at any interpolated simplex point). Proof, for an accepted
-leaf with pattern S, strategy x on the simplex, z = x' A x and y = 1_S,
-writing d_j = (A x)_j - z and margin_j = (A' x)_j - a_jj, with payoffs in
-[0, 1] so that |d_j| <= 1 and a_jj - (A' x)_j <= 1:
+The link rows stay out of the search's LPs: they would enlarge every LP,
+the branch bounds apply each link where it binds, and an accepted leaf
+satisfies them anyway. Proof that it meets every row and link, for an
+accepted leaf with pattern S, strategy x on the simplex, z = x' A x and
+y = 1_S, writing d_j = (A x)_j - z and margin_j = (A' x)_j - a_jj, with
+payoffs in [0, 1] so that |d_j| <= 1 and a_jj - (A' x)_j <= 1:
   - Big-M rows (M = 1 + eps). strict_j reads d_j - M y_j <= -eps: off S the
     exact check gives d_j <= 1e-9 - eps, on S it reads d_j <= 1. tie_ub_j
     and tie_lb_j read +-d_j + M y_j <= M: on S the check gives
@@ -49,14 +47,16 @@ writing d_j = (A x)_j - z and margin_j = (A' x)_j - a_jj, with payoffs in
     sit below ``LIN_FEAS_TOL`` (1e-7), so every big-M row verifies. The
     simplex row, x in [0, 1], z in [0, 1] inside its bounds [-1, 2] and the
     binary y hold as well.
+  - Links. x_j - y_j <= 0 reads x_j <= 1 on S and x_j <= 0 off S, where the
+    candidate has no mass.
 
 The x_j = 0 bound of a y_j = 0 child cuts off no pattern the search could
 accept. An accepted leaf's candidate has no mass off its pattern S, and the
-point (x, x' A x, 1_S) meets every row (the proof above) and every bound a
-node on the path to S adds: y is fixed at 1_S's values, and x_j is fixed at
-zero only where y_j = 0, that is off S, where x_j is zero. So every node on
-that path keeps a feasible LP, and an INFEASIBLE verdict is still a proof
-that no pattern is acceptable.
+point (x, x' A x, 1_S) meets every row and link (the proof above) and every
+bound a node on the path to S adds: y is fixed at 1_S's values, and x_j is
+fixed at zero only where y_j = 0, that is off S, where x_j is zero. So every
+node on that path keeps a feasible LP, and an INFEASIBLE verdict is still a
+proof that no pattern is acceptable.
 
 Each node is also closed under iterated conditional dominance (Porter,
 Nudelman & Shoham 2008, the rule the oracle prunes supports with). Let U be
@@ -98,7 +98,7 @@ accept. The leaf LP starts blank so that its strategy does not depend on
 that order.
 
 A solve owns its node stack and cannot mutate the model: a ``ModelIR`` is
-frozen, and its rows are built from its game, eps and k. So independent
+frozen, and its rows are built from its game and eps. So independent
 solves over shared models may run concurrently.
 """
 
@@ -216,10 +216,10 @@ def _attempt_pattern(model: ModelIR, pattern: np.ndarray, stats: SolveStats) -> 
     The candidate is accepted only if it meets the branch conditions with
     the true quadratic payoff in place of z: members of S tie and lose
     self-play by at least eps, the others lose by at least eps against the
-    population. This is the original (non-linearized) question, so passing it
-    certifies the candidate independently of any linearization of z. An
-    accepted candidate's assignment meets every row of the model (the module
-    docstring proves it), so a violation raises SolverError.
+    population. This is the original question with the exact quadratic, so
+    passing it certifies the candidate whatever z the LP point held. An
+    accepted candidate's assignment meets every row and link of the model
+    (the module docstring proves it), so a violation raises SolverError.
     """
     support = np.flatnonzero(pattern)
     if not support.size:

@@ -184,12 +184,13 @@ class TestBatch:
 class TestExportLp:
     def test_writes_lp_file(self, tmp_path, capsys):
         out = tmp_path / "mp.lp"
-        code = cli_main(["export-lp", "--class", "mp", "--k", "20", "--out", str(out)])
+        code = cli_main(["export-lp", "--class", "mp", "--out", str(out)])
         assert code == 0
-        text = out.read_text()
-        assert "Binary" in text and "y_0 y_1" in text
-        # The exported model is the linearized one: one SOS2 set per square term.
-        assert sum(": S2 ::" in line for line in text.splitlines()) == 4
+        lines = out.read_text().splitlines()
+        # The exported model is the exact one: the rows, one link per strategy, no SOS section.
+        assert [line.split(":")[0] for line in lines if line.startswith(" link_")] == [" link_0", " link_1"]
+        assert lines[-3:] == ["Binary", " y_0 y_1", "End"]
+        assert not any("SOS" in line for line in lines)
 
 
 class TestLibraryDefaults:
@@ -237,7 +238,7 @@ class TestLibraryDefaults:
 
     @pytest.mark.parametrize(
         ("flag", "value", "message"),
-        [("--k", "1", "k must be >= 2"), ("--eps", "nan", "eps must be positive and finite"),
+        [("--k", "20", "unrecognized arguments: --k 20"), ("--eps", "nan", "eps must be positive and finite"),
          ("--eps", "0", "eps must be positive and finite")],
     )
     def test_export_lp_gets_the_config_checks(self, tmp_path, capsys, monkeypatch, flag, value, message):
@@ -283,7 +284,7 @@ class TestNumpyOnlyRuntime:
             "assert all(name in globals() for name in esspm.__all__)\n"
             "from esspm.cli import cli_main\n"
             "assert cli_main(['solve', '--class', 'mp', '--solver', 'both']) == 0\n"
-            f"assert cli_main(['export-lp', '--class', 'mp', '--k', '20', '--out', {str(tmp_path / 'm.lp')!r}]) == 0\n"
+            f"assert cli_main(['export-lp', '--class', 'mp', '--out', {str(tmp_path / 'm.lp')!r}]) == 0\n"
             "assert not any(name.split('.')[0] == 'scipy' and mod is not None for name, mod in sys.modules.items())\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)

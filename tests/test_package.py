@@ -15,11 +15,11 @@ HAND_LISTED = {
     "EsspmCertificate", "EsspmOutcome", "GameMatrix", "GameParseError", "Infeasible",
     "InvasionResult", "LimitReached", "LinearRow", "MixedEsspm", "MixedStrategy", "ModelIR",
     "PureEsspm", "SolveFailed", "SolveLimits", "SolveResult", "SolveStats",
-    "SolverError", "SquareTerm", "Support", "Tolerances", "__version__",
+    "SolverError", "Support", "Tolerances", "__version__",
     "approximation_error", "build_model", "cancer_game", "check_conditions", "chicken",
     "counterexample_game", "enumerate_esspm", "export_lp",
     "find_all_pure_esspm", "find_pure_esspm", "invasion_test", "linearization_error_bound",
-    "linearize", "mutation_population", "nash_epsilon", "normalize", "random_cancer_params",
+    "mutation_population", "nash_epsilon", "normalize", "random_cancer_params",
     "read_game", "rock_paper_scissors", "run_batch", "solve", "solve_record", "solve_support",
     "uniform_random", "utility", "verify_assignment", "write_game",
 }

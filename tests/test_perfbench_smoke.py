@@ -71,6 +71,7 @@ def test_milp_mixed_trace():
     assert metrics["simplex.pivots"]["value"] <= 1350
     assert metrics["model.verify_ms"]["value"] > 0
     # Every milp_mixed game has m <= 5, so the x/z/y model has at most 11
-    # columns and 21 rows; more means the lambda system is back on the hot path.
+    # columns and 21 rows; more means the link rows, which the search applies
+    # as branch bounds, have moved into its LPs.
     assert metrics["model.cols_per_model"]["value"] <= 11
     assert metrics["model.rows_per_model"]["value"] <= 21

@@ -19,6 +19,7 @@ from esspm import (
     SolveStats,
     SolverError,
     Tolerances,
+    build_model,
     counterexample_game,
     enumerate_esspm,
     find_pure_esspm,
@@ -69,8 +70,8 @@ class TestSolveOne:
         "cls, game", [("mp", mutation_population()), ("rps", rock_paper_scissors())], ids=["mp", "rps"]
     )
     def test_milp_solves_the_compact_model(self, monkeypatch, cls, game):
-        # The search runs on the x/z/y system alone; a linearize() between
-        # build_model and solve would put the lambda system back on the hot path.
+        # The search runs on build_model's exact model: the x/z/y rows, with
+        # the links kept as a field of their own.
         import esspm.pipeline
 
         models = []
@@ -86,7 +87,7 @@ class TestSolveOne:
         m = game.m
         assert len(model.variables) == 2 * m + 1
         assert len(model.rows) == 4 * m + 1
-        assert model.sos2_sets == ()
+        assert model == build_model(normalize(game)) and len(model.links) == m
 
 
 class TestMakeGame:

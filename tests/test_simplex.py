@@ -9,7 +9,6 @@ from esspm import (
     LinearRow,
     MixedEsspm,
     build_model,
-    linearize,
     mutation_population,
     normalize,
     solve,
@@ -196,10 +195,10 @@ class TestFeasibility:
         assert is_infeasible(rows, [[0, 1], [0, 1]])
 
     def test_mp_root_relaxation_feasible(self):
-        model = linearize(build_model(normalize(mutation_population())), 20)
-        assert len(model.variables) > 80  # the full lambda model, not the x/z/y system
-        x = feasible_point(model.rows, model.bounds)
-        assert rows_satisfied(model.rows, x)
+        model = build_model(normalize(mutation_population()))
+        rows = model.rows + model.links  # the exact model's root relaxation
+        x = feasible_point(rows, model.bounds)
+        assert rows_satisfied(rows, x)
 
     def test_upper_bounds_respected(self):
         rows = [LinearRow({0: 1.0, 1: 1.0}, ">=", 1.2)]

@@ -1,4 +1,5 @@
 import types
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from esspm import (
     check_conditions,
     chicken,
     enumerate_esspm,
+    export_lp,
     find_pure_esspm,
-    linearize,
     mutation_population,
     normalize,
     random_cancer_params,
@@ -31,7 +32,6 @@ from esspm import (
     uniform_random,
     verify_assignment,
 )
-from esspm.model import interpolation_assignment, linearization_error_bound
 from esspm.enumeration import _solve_ties
 from esspm.solver import SolveStats, _attempt_pattern, _propagate, _spared_masks
 
@@ -40,14 +40,6 @@ def solve_game(game, eps=1e-5):
     norm = normalize(game)
     model = build_model(norm, eps)
     return norm, model, solve(model)
-
-
-def full_violations(model, res, k=20):
-    """A FEASIBLE result's x and y, interpolated into the model linearized at k, checked against all of it."""
-    full = linearize(model, k)
-    m = model.m
-    x, y = res.assignment[:m], res.assignment[m + 1 : 2 * m + 1]
-    return verify_assignment(full, interpolation_assignment(full, x, y))
 
 
 class TestKnownGames:
@@ -152,8 +144,7 @@ class TestSolveMechanics:
             model = build_model(norm)
             res = solve(model)
             if isinstance(res.outcome, MixedEsspm):
-                assert verify_assignment(model, res.assignment) == []
-                assert full_violations(model, res) == []
+                assert verify_assignment(model, res.assignment) == []  # every row and link
                 checked += 1
         assert checked >= 2
 
@@ -225,18 +216,12 @@ class TestEndToEnd:
 class TestSearchModel:
     @pytest.mark.parametrize("m, seed", [(3, 0), (4, 24)])
     def test_lps_see_only_the_x_z_y_rows(self, monkeypatch, m, seed):
+        # The link rows enter the search as branch bounds only, never as LP rows.
         import esspm.solver
 
         norm = normalize(uniform_random(m, seed=seed))
         assert find_pure_esspm(norm) is None
         model = build_model(norm)
-        full = linearize(model, 10)
-        lambda_rows = {
-            row.name
-            for row in full.rows
-            if any(full.variables[i].startswith(("q_", "lam_")) for i in row.coeffs)
-        }
-        assert lambda_rows
         calls = []
         real_lp_solve = esspm.solver.lp_solve
 
@@ -248,14 +233,11 @@ class TestSearchModel:
         res = solve(model)
         assert isinstance(res.outcome, MixedEsspm)
         assert verify_assignment(model, res.assignment) == []
-        assert full_violations(model, res) == []
         assert calls
         for rows, bounds in calls:
             assert len(bounds) == 2 * m + 1
-            assert len(rows) == 4 * m + 1
-            for row in rows:
-                assert row.name not in lambda_rows
-                assert all(0 <= i < 2 * m + 1 for i in row.coeffs)
+            assert rows is model.rows and len(rows) == 4 * m + 1
+            assert not {row.name for row in rows} & {row.name for row in model.links}
 
 
 def _planted_full(m, seed):
@@ -367,6 +349,13 @@ def _cloned(games, seed):
         yield GameMatrix(game.payoffs[np.ix_(idx, idx)])
 
 
+# Columns 1 and 2 are equal, so the tie system of the MILP's support
+# {0, 1, 2, 4} is singular: the oracle finds no certificate at all.
+TWINS = normalize(GameMatrix(np.array(
+    [[1, 1, 1, 2, 2], [1, 1, 1, 1, 2], [2, 0, 0, 2, 0], [0, 1, 1, 0, 0], [1, 2, 2, 1, 0]], dtype=float
+)))
+
+
 class TestDominancePropagation:
     """Nodes are closed under iterated conditional dominance before they are pushed."""
 
@@ -433,10 +422,7 @@ class TestDominancePropagation:
         feasible = 0
         deck = [g for m in range(2, 7) for g in _no_pure(_integer_games(m, 60 + m, 2000), 100)]
         deck += [g for m in range(2, 6) for g in _no_pure(_cloned(_integer_games(m, 70 + m, 2000), m), 125)]
-        # Columns 1 and 2 are equal, so the tie system of the MILP's support
-        # {0, 1, 2, 4} is singular: the oracle finds no certificate at all.
-        twins = [[1, 1, 1, 2, 2], [1, 1, 1, 1, 2], [2, 0, 0, 2, 0], [0, 1, 1, 0, 0], [1, 2, 2, 1, 0]]
-        deck.append(normalize(GameMatrix(np.array(twins, dtype=float))))
+        deck.append(TWINS)
         for norm in deck:
             record = solve_record(norm, cfg)
             if isinstance(record.outcome, MixedEsspm):
@@ -477,131 +463,114 @@ class TestSearchPins:
         assert (nodes, pruned, pivots, feasible) == (822, 351, 5513, 190)
 
 
-class TestLinearizedModel:
-    """The x/z/y search, checked against the paper's full lambda/SOS2 model."""
-
-    def test_feasible_results_verify_against_the_lambda_model(self):
-        # The solver docstring's proof, as a property: every accepted leaf,
-        # interpolated into linearize(model, k), meets every row, bound, binary
-        # and SOS2 set of the full model.
-        decks = [_no_pure(_integer_games(m, 40 + m, 400), 25) for m in (2, 3, 4)]
-        decks += [_no_pure((uniform_random(m, seed=3_000 * m + s) for s in range(400)), 15) for m in (3, 4, 5)]
-        decks.append([normalize(chicken(900 + s)) for s in range(15)])
-        decks.append(_no_pure((cancer_game(random_cancer_params(900 + s)) for s in range(400)), 15))
-        feasible = 0
-        for norm in (g for deck in decks for g in deck):
-            model = build_model(norm)
-            res = solve(model)
-            if isinstance(res.outcome, MixedEsspm):
-                for k in (3, 20):
-                    assert full_violations(model, res, k) == []
-                    feasible += 1
-        assert feasible >= 180
-
-    @pytest.mark.parametrize(
-        "norm",
-        [
-            normalize(mutation_population()),
-            normalize(rock_paper_scissors()),
-            normalize(chicken(3)),
-            *_no_pure((uniform_random(3, seed=s) for s in range(200)), 3),
-            *_no_pure(_integer_games(3, 7, 200), 2),
-        ],
-        ids=["mp", "rps", "chicken-3", "u3-a", "u3-b", "u3-c", "int3-a", "int3-b"],
-    )
-    def test_same_verdict_on_the_linearized_model(self, norm):
-        model = build_model(norm)
-        full = linearize(model, 5)
-        compact_res, full_res = solve(model), solve(full)
-        assert type(compact_res.outcome) is type(full_res.outcome)
-        if isinstance(full_res.outcome, MixedEsspm):
-            assert verify_assignment(full, full_res.assignment) == []
-            assert len(full_res.assignment) == len(full.variables)
+def _parse_lp(text):
+    """The rows, column bounds and binaries of ``export_lp``'s text, read back from the text alone."""
+    lines = text.splitlines()
+    assert lines[:3] == ["Minimize", " obj:", "Subject To"] and lines[-1] == "End"
+    at_bounds, at_binary = lines.index("Bounds"), lines.index("Binary")
+    assert at_binary + 2 == len(lines) - 1  # one line of binaries, then End
+    rows = []
+    for line in lines[3:at_bounds]:
+        *terms, rel, rhs = line.split(":", 1)[1].split()
+        coeffs, tokens = {}, iter(terms)
+        for token in tokens:
+            sign = 1.0
+            if token in ("+", "-"):
+                sign, token = (-1.0 if token == "-" else 1.0), next(tokens)
+            coeffs[next(tokens)] = sign * float(token)
+        rows.append((coeffs, rel, float(rhs)))
+    bounds = {}
+    for line in lines[at_bounds + 1 : at_binary]:
+        lo, le, name, le2, hi = line.split()
+        assert le == le2 == "<="
+        bounds[name] = (float(lo), float(hi))
+    return rows, bounds, lines[at_binary + 1].split()
 
 
-def _highs_status(model) -> int:
-    """scipy.optimize.milp status on the full lambda model, SOS2 as segment binaries.
-
-    Each SOS2 set of k+1 lambdas gets k segment binaries w with sum w = 1 and
-    lam_r <= w_{r-1} + w_r, so only the two lambdas of the chosen segment may
-    be nonzero. Status 0 is feasible, 2 infeasible.
-    """
+def _highs_status(text) -> int:
+    """scipy.optimize.milp's status on an exported model: 0 feasible, 2 infeasible."""
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    n = len(model.variables)
-    n_seg = sum(len(lam) - 1 for lam in model.sos2_sets)
-    n_rows = len(model.rows) + sum(len(lam) + 1 for lam in model.sos2_sets)
-    a = np.zeros((n_rows, n + n_seg))
-    lo = np.full(n_rows, -np.inf)
-    hi = np.full(n_rows, np.inf)
-    for r, row in enumerate(model.rows):
-        for i, c in row.coeffs.items():
-            a[r, i] = c
-        if row.rel != ">=":
-            hi[r] = row.rhs
-        if row.rel != "<=":
-            lo[r] = row.rhs
-    r, w0 = len(model.rows), n
-    for lam in model.sos2_sets:
-        k = len(lam) - 1
-        a[r, w0 : w0 + k] = 1.0
-        lo[r] = hi[r] = 1.0
-        r += 1
-        for pos, li in enumerate(lam):
-            a[r, li] = 1.0
-            a[r, w0 + max(pos - 1, 0) : w0 + min(pos, k - 1) + 1] = -1.0
-            hi[r] = 0.0
-            r += 1
-        w0 += k
-    integrality = np.zeros(n + n_seg, dtype=int)
-    integrality[model.ys] = integrality[n:] = 1
-    bounds = Bounds(
-        np.concatenate((model.bounds[:, 0], np.zeros(n_seg))),
-        np.concatenate((model.bounds[:, 1], np.ones(n_seg))),
-    )
+    rows, bounds, binary = _parse_lp(text)
+    names = [*bounds, *binary]
+    column = {name: i for i, name in enumerate(names)}
+    a = np.zeros((len(rows), len(names)))
+    lo, hi = np.full(len(rows), -np.inf), np.full(len(rows), np.inf)
+    for r, (coeffs, rel, rhs) in enumerate(rows):
+        for name, coef in coeffs.items():
+            a[r, column[name]] = coef
+        if rel != ">=":
+            hi[r] = rhs
+        if rel != "<=":
+            lo[r] = rhs
+    box = np.array([*bounds.values(), *[(0.0, 1.0)] * len(binary)])
     res = milp(
-        np.zeros(n + n_seg),
+        np.zeros(len(names)),
         constraints=LinearConstraint(a, lo, hi),
-        integrality=integrality,
-        bounds=bounds,
+        integrality=[0] * len(bounds) + [1] * len(binary),
+        bounds=Bounds(box[:, 0], box[:, 1]),
     )
     assert res.status in (0, 2), res.message
     return res.status
 
 
-def _case(name, game, k, eps=1e-5):
-    return pytest.param(normalize(game), k, eps, id=f"{name}-k{k}-eps{eps:g}")
+def _referee_deck():
+    """Named games, then the first 15 no-pure uniform games from seed 0 at each m, then two at m=16."""
+    deck = [
+        pytest.param(normalize(mutation_population()), 1e-5, id="mp"),
+        pytest.param(normalize(mutation_population()), 1e-1, id="mp-eps0.1"),
+        pytest.param(normalize(rock_paper_scissors()), 1e-5, id="rps"),
+        pytest.param(normalize(uniform_random(3, seed=255)), 5e-2, id="u3-255-eps0.05"),
+        pytest.param(TWINS, 1e-5, id="twins"),
+    ]
+    for m in (3, 4, 5, 6, 8):
+        games = ((s, normalize(uniform_random(m, seed=s))) for s in range(10_000))
+        no_pure = islice(((s, g) for s, g in games if find_pure_esspm(g) is None), 15)
+        deck += [pytest.param(g, 1e-5, id=f"u{m}-{s}") for s, g in no_pure]
+    deck += [pytest.param(normalize(uniform_random(16, seed=s)), 1e-5, id=f"u16-{s}") for s in (0, 3)]
+    return deck
 
 
 class TestHighsCrossCheck:
-    """The paper's full lambda/SOS2 formulation, solved by HiGHS, against the x/z/y search."""
+    """HiGHS on the exported exact model, rows and links, referees the search's verdict."""
 
-    @pytest.mark.parametrize(
-        "norm, k, eps",
-        [
-            _case("mp", mutation_population(), 5),
-            _case("mp", mutation_population(), 10, eps=1e-1),
-            _case("rps", rock_paper_scissors(), 5),
-            *[_case(f"u2-{s}", uniform_random(2, seed=s), k) for s in (4, 11) for k in (5, 10)],
-            *[_case(f"u3-{s}", uniform_random(3, seed=s), 5) for s in (0, 117)],
-            _case("u3-255", uniform_random(3, seed=255), 5, eps=5e-2),
-        ],
-    )
-    def test_agrees_with_compact_search(self, norm, k, eps):
+    @pytest.mark.parametrize("norm, eps", _referee_deck())
+    def test_agrees_with_the_search(self, norm, eps):
         pytest.importorskip("scipy")
         assert find_pure_esspm(norm) is None
         model = build_model(norm, eps)
-        highs_feasible = _highs_status(linearize(model, k)) == 0
         ours = solve(model).outcome
         assert isinstance(ours, (MixedEsspm, Infeasible))
-        if isinstance(ours, MixedEsspm):
-            assert highs_feasible
-        elif highs_feasible:
-            # The corridor admits points whose margin is approximation
-            # artifact; the miss is excused only below the model's resolution.
-            certs = enumerate_esspm(norm, Tolerances())
-            best = max((c.min_slack() for c in certs), default=-np.inf)
-            assert best <= eps + linearization_error_bound(norm, k)
+        assert (_highs_status(export_lp(model)) == 0) == isinstance(ours, MixedEsspm)
+
+    def test_deck_has_both_verdicts(self):
+        outcomes = [type(solve(build_model(*p.values)).outcome) for p in _referee_deck()]
+        assert outcomes.count(Infeasible) >= 4 and outcomes.count(MixedEsspm) >= 70
+
+    def test_links_are_what_make_the_model_exact(self):
+        # Without its link rows, rps's model is feasible: z is then free of x' A x.
+        pytest.importorskip("scipy")
+        text = export_lp(build_model(normalize(rock_paper_scissors())))
+        assert _highs_status(text) == 2
+        unlinked = "".join(line for line in text.splitlines(keepends=True) if not line.startswith(" link_"))
+        assert _highs_status(unlinked) == 0
+
+    def test_twin_column_disagreement_is_the_oracles(self):
+        # MILP and HiGHS agree that the twin-column game has an ESSPM, and it
+        # certifies against every pure mutant. The oracle misses it because its
+        # support's tie system is singular, so --solver both flags a false
+        # disagreement: the oracle's fault, not the MILP's.
+        pytest.importorskip("scipy")
+        assert _highs_status(export_lp(build_model(TWINS))) == 0
+        outcome = solve(build_model(TWINS)).outcome
+        assert isinstance(outcome, MixedEsspm)
+        strategy = outcome.strategy
+        assert strategy.support().indices == (0, 1, 2, 4)
+        assert all(check_conditions(TWINS, strategy, j).holds for j in range(TWINS.m))
+        assert enumerate_esspm(TWINS, Tolerances()) == []
+        assert _solve_ties(TWINS.payoffs, np.array([[0, 1, 2, 4]]))[0][0]  # singular: rejected
+        assert solve_support(TWINS, strategy.support()) is None
+        assert solve_record(TWINS, BatchConfig(solver="both")).disagreement == 1
 
 
 class TestSharedTieSolve:
