@@ -238,7 +238,8 @@ class TestLibraryDefaults:
 
     @pytest.mark.parametrize(
         ("flag", "value", "message"),
-        [("--k", "20", "unrecognized arguments: --k 20"), ("--eps", "nan", "eps must be positive and finite"),
+        [pytest.param("--k", "20", "unrecognized arguments: --k 20", id="--k-refused"),
+         ("--eps", "nan", "eps must be positive and finite"),
          ("--eps", "0", "eps must be positive and finite")],
     )
     def test_export_lp_gets_the_config_checks(self, tmp_path, capsys, monkeypatch, flag, value, message):
