@@ -42,12 +42,6 @@ def _add_game_source(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solve_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--k",
-        type=int,
-        help="breakpoint segments per square term of the paper's piecewise-linear z; "
-        "echoed in the batch CSV, the search does not read it",
-    )
     p.add_argument("--eps", type=float, help="strict-inequality margin")
     p.add_argument("--delta", type=float, help="payoff-equality precision")
     p.add_argument("--solver", choices=SOLVERS)

@@ -132,7 +132,7 @@ def linearization_error_bound(game: GameMatrix, k: int) -> float:
     x_i + x_j lie in [0, 1] and x_i - x_j in [-1, 1], so the weighted gaps sum
     to (sum_i |a_ii| + 1.25 sum_{i<j} |c_ij|) / (4 k^2). The model needs no
     such approximation (its links make z = x' A x exact); the bound describes
-    the paper's formulation at the batch setting k.
+    the paper's formulation at the batch's constant ``BatchConfig.k``.
     """
     k = check_int("k", k, 2)
     a = game.payoffs
@@ -263,7 +263,7 @@ def export_lp(model: ModelIR) -> str:
 
     def term(coef: float, name: str, first: bool) -> str:
         sign = "-" if coef < 0 else ("" if first else "+")
-        return f"{sign}{num(abs(coef))} {name}" if first else f" {sign} {num(abs(coef))} {name}"
+        return f"{sign}{num(abs(coef))} {name}" if first else f"{sign} {num(abs(coef))} {name}"
 
     lines = ["Minimize", " obj:", "Subject To"]
     for ri, row in enumerate(model.rows + model.links):

@@ -13,6 +13,7 @@ import csv
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -54,6 +55,8 @@ _NASH_EPS_FLOOR = 1e-12
 class BatchConfig:
     """What to solve and how. ``game`` is the one game of class ``file``, read once.
 
+    Every per-batch CSV column (class, m, k, eps, delta, method) reads it.
+
     ``m`` is always the size of the config's games. It sizes a ``uniform``
     game (default 2); every other class has a fixed size (a file game's
     header), which ``m`` defaults to and a given ``m`` must match.
@@ -64,11 +67,14 @@ class BatchConfig:
     is solved. ``tolerances`` is built from ``delta``, once.
     """
 
+    # The paper's breakpoint count, unused by the exact model: a constant that
+    # the CSV echoes and perfbench's milp_mixed gate reads until ROADMAP item 1a.
+    k: ClassVar[int] = 20
+
     game_class: str = "uniform"
     m: int | None = None
     n_games: int = 1
     seed: int = 0
-    k: int = 20
     eps: float = EPS
     delta: float = Tolerances.delta
     solver: str = "milp"
@@ -80,7 +86,7 @@ class BatchConfig:
         if self.game_class not in GAME_CLASSES:
             raise ValueError(f"unknown game class {self.game_class!r}")
         min_m = 2 if self.game_class == "uniform" else None  # other classes fix their own size
-        for name, minimum in (("m", min_m), ("n_games", 1), ("seed", None), ("k", 2)):
+        for name, minimum in (("m", min_m), ("n_games", 1), ("seed", None)):
             value = getattr(self, name)
             if value is not None:  # a None m is resolved from the class below
                 object.__setattr__(self, name, check_int(name, value, minimum))
@@ -119,15 +125,13 @@ class BatchStats:
 
 @dataclass
 class GameRecord:
-    """Everything the CSV needs about one solved instance.
+    """Every per-game CSV field of one solved instance; the per-batch ones are the config's.
 
     ``strategy`` is the strategy played (the pure one as a vector) and
     ``error`` its approximation error; both are None when no ESSPM was found.
     """
 
     game_id: int
-    game_class: str
-    m: int
     outcome: EsspmOutcome | SolveFailed
     strategy: MixedStrategy | None
     error: float | None
@@ -222,8 +226,6 @@ def solve_record(game: GameMatrix, cfg: BatchConfig, game_id: int = 0) -> GameRe
 
     return GameRecord(
         game_id=game_id,
-        game_class=cfg.game_class,
-        m=game.m,
         outcome=outcome,
         strategy=strategy,
         error=error,
@@ -247,8 +249,8 @@ def _nash_eps_cell(nash_eps: float | None) -> str:
 # Each CSV column is one (name, cell) pair; a cell maps (record, cfg) to its value.
 _CSV_CELLS = (
     ("game_id", lambda r, cfg: r.game_id),
-    ("class", lambda r, cfg: r.game_class),
-    ("m", lambda r, cfg: r.m),
+    ("class", lambda r, cfg: cfg.game_class),
+    ("m", lambda r, cfg: cfg.m),
     ("k", lambda r, cfg: cfg.k),
     ("eps", lambda r, cfg: f"{cfg.eps:.9g}"),
     ("delta", lambda r, cfg: f"{cfg.delta:.9g}"),
@@ -287,8 +289,8 @@ def run_batch(cfg: BatchConfig, out) -> BatchStats:
             record = solve_record(game, cfg, i)
         except SolverError:
             ms = (time.perf_counter() - t0) * 1000.0
-            record = GameRecord(i, cfg.game_class, game.m, SolveFailed(), strategy=None, error=None,
-                                nash_eps=None, runtime_ms=ms, disagreement=0)
+            record = GameRecord(i, SolveFailed(), strategy=None, error=None, nash_eps=None,
+                                runtime_ms=ms, disagreement=0)
         writer.writerow(_csv_row(record, cfg))
         verdicts.append((record.outcome.status, record.runtime_ms, record.error))
     counts = Counter(status for status, _, _ in verdicts)

@@ -45,11 +45,11 @@ def _report(criterion: int, detail: str) -> None:
 
 
 def test_criterion_1_mutation_population_solve(capsys):
-    """solve --class mp --k 20 --eps 1e-5 recovers the known mixed solution."""
+    """solve --class mp --eps 1e-5 recovers the known mixed solution."""
     from esspm.cli import cli_main
 
     t0 = time.perf_counter()
-    code = cli_main(["solve", "--class", "mp", "--k", "20", "--eps", "1e-5"])
+    code = cli_main(["solve", "--class", "mp", "--eps", "1e-5"])
     elapsed = time.perf_counter() - t0
     out = capsys.readouterr().out
     assert code == 0
@@ -62,27 +62,24 @@ def test_criterion_1_mutation_population_solve(capsys):
     assert error <= 1e-3
     assert elapsed <= 60.0
     # Same result through the library pipeline.
-    record = solve_record(mutation_population(), BatchConfig(game_class="mp", k=20, eps=EPS))
+    record = solve_record(mutation_population(), BatchConfig(game_class="mp", eps=EPS))
     assert isinstance(record.outcome, MixedEsspm)
     assert record.error <= 1e-3
     _report(1, f"strategy off by {linf:.2e} (L-inf), error {error:.2e}, {elapsed:.2f}s")
 
 
 def test_criterion_2_breakpoint_refinement():
-    """Error on the MP game is the same at every k and within 5x the reference values.
+    """Error on the MP game is within the tightest reference ceiling, 5x k=30's.
 
-    The search checks z = x'Ax exactly at its leaves, so the breakpoint count
-    leaves the solve unchanged: equal errors are the non-increasing case.
+    The paper refines its piecewise-linear z = x'Ax with more breakpoints k,
+    its error falling to 5.5e-5 at k=30. The exact model has no breakpoints
+    (z = x'Ax holds at every feasible point), so one solve must already meet
+    the ceiling of the finest k.
     """
-    ceilings = {10: 5 * 0.001, 20: 5 * 1.4e-4, 30: 5 * 5.5e-5}
-    errors = {}
-    for k in (10, 20, 30):
-        record = solve_record(mutation_population(), BatchConfig(game_class="mp", k=k, eps=EPS))
-        assert isinstance(record.outcome, MixedEsspm), f"k={k}"
-        errors[k] = record.error
-        assert errors[k] <= ceilings[k], f"k={k}"
-    assert errors[10] == errors[20] == errors[30]
-    _report(2, f"errors by k: {errors[10]:.2e} == {errors[20]:.2e} == {errors[30]:.2e}")
+    record = solve_record(mutation_population(), BatchConfig(game_class="mp", eps=EPS))
+    assert isinstance(record.outcome, MixedEsspm)
+    assert record.error <= 5 * 5.5e-5
+    _report(2, f"exact model error {record.error:.2e} <= {5 * 5.5e-5:.2e} (5x the k=30 reference)")
 
 
 @pytest.mark.parametrize(

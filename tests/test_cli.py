@@ -35,7 +35,7 @@ class TestGen:
 
 class TestSolve:
     def test_mp_prints_strategy(self, capsys):
-        code = cli_main(["solve", "--class", "mp", "--k", "20", "--eps", "1e-5"])
+        code = cli_main(["solve", "--class", "mp", "--eps", "1e-5"])
         assert code == 0
         out = capsys.readouterr().out
         assert "status: OPTIMAL" in out
@@ -126,8 +126,7 @@ class TestBatch:
     def test_writes_csv_and_summary(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         code = cli_main(
-            ["batch", "--class", "uniform", "--m", "2", "--n", "20", "--seed", "9",
-             "--k", "10", "--out", str(out)]
+            ["batch", "--class", "uniform", "--m", "2", "--n", "20", "--seed", "9", "--out", str(out)]
         )
         assert code == 0
         with open(out) as fh:
@@ -196,7 +195,7 @@ class TestExportLp:
 class TestLibraryDefaults:
     """The CLI states no default of its own: an option left out keeps the library's."""
 
-    OWNED = ("game_class", "m", "seed", "k", "eps", "delta", "solver", "max_nodes", "max_time_ms")
+    OWNED = ("game_class", "m", "seed", "eps", "delta", "solver", "max_nodes", "max_time_ms")
     COMMANDS = {
         "gen": ["gen"],
         "solve": ["solve"],
@@ -251,6 +250,14 @@ class TestLibraryDefaults:
         assert cli_main(["export-lp", "--class", "mp", flag, value, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert built == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "batch"])
+    def test_k_is_not_an_option(self, tmp_path, monkeypatch, capsys, command):
+        # k is BatchConfig's constant, not a setting.
+        monkeypatch.chdir(tmp_path)
+        assert cli_main([*self.COMMANDS[command], "--class", "mp", "--k", "20"]) == 2
+        assert "unrecognized arguments: --k 20" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestModuleEntry:

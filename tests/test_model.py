@@ -71,7 +71,6 @@ class TestModelParameters:
 
     K_USERS = {
         "linearization_error_bound": lambda k: linearization_error_bound(MP_NORM, k),
-        "BatchConfig": lambda k: BatchConfig(k=k),
     }
 
     @pytest.mark.parametrize("user", K_USERS)
@@ -261,7 +260,7 @@ class TestExportLp:
     def test_link_rows_format(self):
         lines = export_lp(build_model(normalize(uniform_random(3, seed=1)))).splitlines()
         links = [line for line in lines if line.startswith(" link_")]
-        assert links == [f" link_{j}: 1.0 x_{j}  - 1.0 y_{j} <= 0.0" for j in range(3)]
+        assert links == [f" link_{j}: 1.0 x_{j} - 1.0 y_{j} <= 0.0" for j in range(3)]
         assert lines.index(links[-1]) + 1 == lines.index("Bounds")
 
     def test_deterministic_bytes(self):
@@ -279,11 +278,11 @@ class TestExportLp:
     def test_golden_bytes(self):
         # sha256 of the exact model's export: the x/z/y rows, then the links.
         golden = {
-            "mp": "3e47d6d3f491e116c55e8e0eafa85d1cee2abdc2ca5f9b7455a7f8babed1f233",
-            "u3": "161a68d4d762523ced451ef62761db7bcb7fa20f8c82f74ed69a5f171218a41f",
-            "cancer0": "0fb6e465d29ca55e60fbfe12d14615c2ac2f80d8bdce623abc5ceed494e1283d",
-            "u5": "9cf2663bc434c6bd844ce7ea45922d41e1a2df73421419c6d387c4780af0013e",
-            "chicken2": "f8e25221a2d1a8847978126fc550040a58c6b36bdd4f97d57c11b7ab039cb1c8",
+            "mp": "3438dada309870d920d9c9b7b62668a7a50c52c12806531c86fe9e85a2077501",
+            "u3": "b77798b0a0b005d415c07272f3c0706aaabd4fbf78dc3dd704893cd6b4af895e",
+            "cancer0": "5fc3edccec8490b5097ebcb36f6a674f758ac54cffd9e44e38106756a3e640b9",
+            "u5": "d59364667891879facee9089f3c206384f9b074a46cb40ab1e7bc917ea69ddbe",
+            "chicken2": "b5e2b9a2aa83d0515355e55957ad3d7459ecc2991c409bb2bfe31e324d605461",
         }
         games = {
             "mp": MP_NORM,

@@ -49,7 +49,7 @@ class TestSolveOne:
         assert out == PureEsspm(0)
 
     def test_mp_milp(self):
-        record = solve_record(mutation_population(), BatchConfig(game_class="mp", k=20))
+        record = solve_record(mutation_population(), BatchConfig(game_class="mp"))
         out = record.outcome
         assert isinstance(out, MixedEsspm)
         assert np.max(np.abs(out.strategy.probs - np.array([0.2, 0.8]))) <= 0.01
@@ -82,7 +82,7 @@ class TestSolveOne:
             return real_solve(model, *args, **kwargs)
 
         monkeypatch.setattr(esspm.pipeline, "solve", spy)
-        solve_record(game, BatchConfig(game_class=cls, k=20))
+        solve_record(game, BatchConfig(game_class=cls))
         (model,) = models
         m = game.m
         assert len(model.variables) == 2 * m + 1
@@ -176,14 +176,14 @@ class TestRunBatch:
         assert stats.n_pure / cfg.n_games == pytest.approx(0.75, abs=0.08)
 
     def test_chicken_all_mixed(self):
-        cfg = BatchConfig(game_class="chicken", n_games=30, seed=0, k=10)
+        cfg = BatchConfig(game_class="chicken", n_games=30, seed=0)
         stats, rows = batch_csv(cfg)
         assert stats.n_pure == 0
         assert stats.n_optimal == 30
         assert stats.mean_error_optimal <= 5e-3
 
     def test_both_mode_marks_agreement(self):
-        cfg = BatchConfig(game_class="chicken", n_games=8, seed=4, k=10, solver="both")
+        cfg = BatchConfig(game_class="chicken", n_games=8, seed=4, solver="both")
         _, rows = batch_csv(cfg)
         dis = CSV_COLUMNS.index("disagreement")
         assert all(row[dis] == "0" for row in rows[1:])
@@ -307,8 +307,6 @@ class TestNashEpsColumn:
         strategy = MixedStrategy(np.array([0.2, 0.8]))
         record = GameRecord(
             game_id=0,
-            game_class="mp",
-            m=2,
             outcome=MixedEsspm(strategy),
             strategy=strategy,
             error=0.0,
@@ -373,8 +371,6 @@ class TestConfigValidation:
     def test_bad_counts(self):
         with pytest.raises(ValueError):
             BatchConfig(n_games=0)
-        with pytest.raises(ValueError):
-            BatchConfig(k=1)
 
     def test_uniform_needs_two_strategies(self):
         with pytest.raises(ValueError, match="m must be >= 2"):
@@ -416,15 +412,22 @@ class TestConfigValidation:
     def test_configs_share_the_default_limits(self):
         assert BatchConfig().limits is BatchConfig(seed=3).limits == SolveLimits()
 
-    @pytest.mark.parametrize("name", ["m", "n_games", "seed", "k"])
+    @pytest.mark.parametrize("name", ["m", "n_games", "seed"])
     @pytest.mark.parametrize("value", [2.5, 3.0, "3", True, np.True_])
     def test_counts_must_be_integers(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             BatchConfig(**{name: value})
 
     def test_numpy_integers_are_accepted(self):
-        cfg = BatchConfig(m=np.int64(3), n_games=np.int32(2), seed=np.uint8(5), k=np.int64(10))
-        assert (cfg.m, cfg.n_games, cfg.seed, cfg.k) == (3, 2, 5, 10)
+        cfg = BatchConfig(m=np.int64(3), n_games=np.int32(2), seed=np.uint8(5))
+        assert (cfg.m, cfg.n_games, cfg.seed) == (3, 2, 5)
+
+    def test_k_is_a_constant(self):
+        # The paper's breakpoint count, which the CSV echoes; no config sets it.
+        assert BatchConfig().k == BatchConfig.k == 20
+        assert "k" not in {f.name for f in dataclasses.fields(BatchConfig)}
+        with pytest.raises(TypeError):
+            BatchConfig(k=20)
 
 
 FIXED_SIZES = {"chicken": 2, "mp": 2, "rps": 3, "counterexample": 3, "cancer": 4}
